@@ -316,7 +316,6 @@ class BurnsideRing:
             if m != full:
                 return
             w = sum(weight[ci] for ci in family)
-            key = (w, sorted(family))
             if best is None or (w, sorted(family)) < (best[0], best[1]):
                 best = (w, sorted(family))
 

@@ -18,12 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from .burnside import BurnsideRing
 from .complexes import (atom_nerve, betti, coatom_nerve,
                         intersection_complex, order_complex, topology_report)
-from .corpus import corpus, get_gamma, get_group, get_lattice
+from .corpus import corpus, find_entry, get_gamma, get_group, get_lattice
 from .domination import gamma_exact, sum_number
 from .errors import BudgetExceeded, CapExceeded, SpecError
 from .formulas import VIOLATION, verify_bounds
 from .graphs import intersection_graph, to_dot
-from .groups import DEFAULT_ELEMENT_CAP, build_group, parse_group_spec
+from .groups import (DEFAULT_ELEMENT_CAP, build_group, mask_to_indices,
+                     parse_group_spec)
 from .lattice import (characteristic_subgroups, classify_group,
                       enumerate_subgroups, subgroup_classes)
 
@@ -150,7 +151,7 @@ def cmd_complex(args, started) -> int:
             profile = betti(cx, model=name)
             models[name] = {
                 "vertex_labels": list(cx.vertex_labels),
-                "facets": [[cx.vertex_labels[v] for v in _mask_bits(f)]
+                "facets": [[cx.vertex_labels[v] for v in mask_to_indices(f)]
                            for f in cx.facets],
                 "f_vector": list(cx.f_vector()),
                 "betti": list(profile.betti),
@@ -167,17 +168,8 @@ def cmd_complex(args, started) -> int:
     return EXIT_OK
 
 
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _verify_one(label: str, cap: int, budget_ms) -> dict:
-    entry = next(e for e in corpus() if e.label == label)
+    entry = find_entry(label)
     G = get_group(label, cap=cap)
     L = get_lattice(label, cap=cap)
     cls = classify_group(G, L)
@@ -265,6 +257,11 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if needs_spec:
             p.add_argument("spec", help="group spec, e.g. D8, C2xC2xC3, S4, SD(7,3)")
+        else:
+            # also accepted after the subcommand; SUPPRESS keeps the
+            # top-level value when it is not given here
+            p.add_argument("--order-max", type=int, default=argparse.SUPPRESS,
+                           help="corpus order limit (default 48)")
     return parser
 
 

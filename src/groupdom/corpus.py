@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .domination import DominationCertificate, gamma_exact
 from .groups import (DEFAULT_ELEMENT_CAP, GroupTable, build_group,
@@ -146,17 +147,24 @@ _LATTICES: dict[tuple[str, int], Lattice] = {}
 _GAMMAS: dict[tuple[str, int], DominationCertificate] = {}
 
 
-def _find_entry(label: str) -> CorpusEntry:
-    for e in corpus():
-        if e.label == label:
-            return e
-    return CorpusEntry(label=label, order=0, spec_text=label)
+@cache
+def _entries_by_label() -> dict[str, CorpusEntry]:
+    return {e.label: e for e in corpus()}
+
+
+def find_entry(label: str) -> CorpusEntry:
+    """The default corpus's entry for ``label``; a label outside it is
+    read as a group spec."""
+    entry = _entries_by_label().get(label)
+    if entry is None:
+        return CorpusEntry(label=label, order=0, spec_text=label)
+    return entry
 
 
 def get_group(label: str, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
     key = (label, cap)
     if key not in _GROUPS:
-        _GROUPS[key] = build_entry(_find_entry(label), cap=cap)
+        _GROUPS[key] = build_entry(find_entry(label), cap=cap)
     return _GROUPS[key]
 
 

@@ -3,7 +3,12 @@
 Subgroups are bitmasks over element indices (bit 0, the identity, is always
 set).  The enumeration seeds with all cyclic subgroups and closes under
 "join with a cyclic subgroup", which reaches every subgroup because each
-subgroup is generated by its cyclic subgroups.
+subgroup is generated by its cyclic subgroups.  Every subgroup it finds
+carries a short generating set, so a join <H, C> is closed by a
+breadth-first search under right multiplication by those generators; in
+an abelian group the join is the product set HC and needs no search.
+Conjugacy orbits and normalizers come from one vectorised kernel,
+``conjugates``.
 """
 
 from __future__ import annotations
@@ -38,8 +43,12 @@ def mask_to_array(mask: int, n: int) -> np.ndarray:
 
 
 def array_to_mask(members, n: int) -> int:
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[members] = 1
+    bits = np.zeros(n, dtype=bool)
+    bits[members] = True
+    return _bools_to_mask(bits)
+
+
+def _bools_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -86,17 +95,22 @@ def generated_subgroup(G: GroupTable, seed_mask: int) -> Subgroup:
     return Subgroup.from_mask(close_subset(G, seed_mask))
 
 
-def cyclic_subgroup_masks(G: GroupTable) -> list[int]:
-    """Masks of all cyclic subgroups, trivial one excluded, deduplicated."""
-    seen = set()
+def _cyclic_generators(G: GroupTable) -> dict[int, int]:
+    """Mask of every non-trivial cyclic subgroup -> its smallest generator."""
+    out: dict[int, int] = {}
     for g in range(1, G.order):
         m = 1 | (1 << g)
         x = g
         while x != 0:
             x = int(G.mul[x, g])
             m |= 1 << x
-        seen.add(m)
-    return sorted(seen, key=lambda m: (m.bit_count(), m))
+        out.setdefault(m, g)
+    return out
+
+
+def cyclic_subgroup_masks(G: GroupTable) -> list[int]:
+    """Masks of all cyclic subgroups, trivial one excluded, deduplicated."""
+    return sorted(_cyclic_generators(G), key=lambda m: (m.bit_count(), m))
 
 
 def _pack(masks, n: int) -> np.ndarray:
@@ -175,21 +189,56 @@ def _is_prime_power(n: int) -> bool:
     return len(p) == 1
 
 
-def _orbit_of_mask(G: GroupTable, mask: int) -> set[int]:
-    """Conjugacy orbit of a subgroup mask under the group's generators."""
-    gens = list(G.generators) or list(range(G.order))
-    orbit = {mask}
-    queue = [mask]
-    while queue:
-        m = queue.pop()
-        members = mask_to_array(m, G.order)
-        for g in gens:
-            gm = G.mul[g, members]
-            c = array_to_mask(G.mul[gm, G.inv[g]], G.order)
-            if c not in orbit:
-                orbit.add(c)
-                queue.append(c)
-    return orbit
+def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
+    """The conjugacy orbit and the normalizer of subgroup ``mask``.
+
+    One fancy-index over all g gives the |G| x |H| array of g h g^-1; its
+    distinct rows are the orbit and the rows equal to H give N_G(H).
+    Returns ({conjugate mask: smallest g with g H g^-1 equal to it},
+    normalizer mask).  Temporaries stay at |G| x |H| entries.
+    """
+    n = G.order
+    members = mask_to_array(mask, n)
+    rows = G.mul[G.mul[:, members], G.inv[:, None]]
+    rows.sort(axis=1)
+    normalizer = _bools_to_mask((rows == members).all(axis=1))
+    _, first = np.unique(rows, axis=0, return_index=True)
+    orbit = {array_to_mask(rows[g], n): int(g) for g in first}
+    return orbit, normalizer
+
+
+def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
+          gens: tuple[int, ...], abelian: bool) -> int:
+    """Mask of <H, C> for subgroups H and C given by their members, where
+    ``gens`` generate H and include a generator of C.
+
+    Starts from the product set HC, which is the join when G is abelian,
+    and otherwise closes it by a breadth-first search under right
+    multiplication by ``gens``, so each element is multiplied once per
+    generator.
+    """
+    n = G.order
+    prods = G.mul[h_members[:, None], c_members].ravel()
+    if abelian:
+        return array_to_mask(prods, n)
+    gens = np.array(gens)
+    in_set = np.zeros(n, dtype=bool)
+    in_set[h_members] = True
+    size = len(h_members)
+    while True:
+        novel = prods[~in_set[prods]]
+        if novel.size == 0:
+            break
+        fresh = np.zeros(n, dtype=bool)
+        fresh[novel] = True
+        frontier = fresh.nonzero()[0]
+        size += frontier.size
+        # a subgroup of order greater than n/2 is the whole group
+        if size > n // 2:
+            return (1 << n) - 1
+        in_set |= fresh
+        prods = G.mul[frontier[:, None], gens].ravel()
+    return _bools_to_mask(in_set)
 
 
 def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
@@ -202,29 +251,46 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
     class representatives, because a conjugate of a join is the join of
     the conjugates and conjugates of cyclics are cyclic.  Every discovered
     subgroup's whole conjugacy orbit is added.
+
+    Each representative carries a generating set: (g,) for a cyclic
+    subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated along
+    with the subgroup when the orbit's representative is a conjugate of
+    the join found.  A join is closed by ``_join``: the product set HC in
+    an abelian group, a breadth-first search under those generators
+    otherwise.
     """
     t0 = time.monotonic()
     n = G.order
     full = (1 << n) - 1
     abelian = G.is_abelian()
-    cyclic = cyclic_subgroup_masks(G)
-    joiners = [(c, c.bit_count()) for c in cyclic if _is_prime_power(c.bit_count())]
+    cyclic = _cyclic_generators(G)
+    seeds = sorted(cyclic, key=lambda m: (m.bit_count(), m))
+    joiners = [(c, c.bit_count(), cyclic[c], mask_to_array(c, n)) for c in seeds
+               if _is_prime_power(c.bit_count())]
 
     known = {1, full}
+    gens_of: dict[int, tuple[int, ...]] = {}
 
-    def admit(mask: int) -> int:
-        """Add a subgroup and its conjugacy orbit; return the orbit rep."""
+    def admit(mask: int, gens: tuple[int, ...]) -> int:
+        """Add a subgroup and its conjugacy orbit; return the orbit rep,
+        whose generating set is recorded in ``gens_of``."""
         if abelian:
             known.add(mask)
+            gens_of[mask] = gens
             return mask
-        orbit = _orbit_of_mask(G, mask)
+        orbit, _ = conjugates(G, mask)
         known.update(orbit)
-        return min(orbit)
+        rep = min(orbit)
+        g = orbit[rep]
+        gens_of[rep] = tuple(int(x) for x in G.mul[G.mul[g, list(gens)], G.inv[g]])
+        return rep
 
     frontier = []
     seen_reps = set()
-    for c in cyclic:
-        rep = admit(c)
+    for c in seeds:
+        if c in known:
+            continue
+        rep = admit(c, (cyclic[c],))
         if rep not in seen_reps:
             seen_reps.add(rep)
             frontier.append(rep)
@@ -234,7 +300,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         for h in frontier:
             h_count = h.bit_count()
             h_members = None
-            for c, c_count in joiners:
+            for c, c_count, c_gen, c_members in joiners:
                 if c & ~h == 0:
                     continue
                 seed = h | c
@@ -243,6 +309,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
                 seen_seeds.add(seed)
                 if seed in known:
                     continue
+                gens = gens_of[h] + (c_gen,)
                 # |<H,C>| >= |HC| = |H||C|/|H&C|, and a subgroup of order
                 # greater than n/2 is the whole group
                 if h_count * c_count // (h & c).bit_count() > n // 2:
@@ -250,9 +317,9 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
                 else:
                     if h_members is None:
                         h_members = mask_to_array(h, n)
-                    j = _close_join(G, h_members, mask_to_array(c & ~h, n))
+                    j = _join(G, h_members, c_members, gens, abelian)
                 if j not in known:
-                    rep = admit(j)
+                    rep = admit(j, gens)
                     if rep not in seen_reps:
                         seen_reps.add(rep)
                         next_frontier.append(rep)
@@ -493,32 +560,19 @@ def subgroup_classes(G: GroupTable, L: Lattice) -> list[SubgroupClass]:
         return [SubgroupClass(rep=i, members=(i,), normalizer=full)
                 for i in range(len(L.subgroups))]
 
-    gens = list(G.generators) or list(range(G.order))
     assigned = [False] * len(L.subgroups)
     classes = []
-    for i in range(len(L.subgroups)):
+    for i, s in enumerate(L.subgroups):
         if assigned[i]:
             continue
-        orbit_masks = {L.subgroups[i].mask}
-        queue = [L.subgroups[i].mask]
-        while queue:
-            m = queue.pop()
-            for g in gens:
-                c = conjugate_mask(G, m, g)
-                if c not in orbit_masks:
-                    orbit_masks.add(c)
-                    queue.append(c)
-        member_idx = tuple(sorted(L.index[m] for m in orbit_masks))
+        # subgroups are sorted by (order, mask), so the first unassigned
+        # member of a class is its smallest mask and classes come out sorted
+        orbit, norm = conjugates(G, s.mask)
+        member_idx = tuple(sorted(L.index[m] for m in orbit))
         for j in member_idx:
             assigned[j] = True
-        rep_mask = min(orbit_masks)
-        norm = 0
-        for g in range(G.order):
-            if conjugate_mask(G, rep_mask, g) == rep_mask:
-                norm |= 1 << g
-        classes.append(SubgroupClass(rep=L.index[rep_mask], members=member_idx,
+        classes.append(SubgroupClass(rep=i, members=member_idx,
                                      normalizer=Subgroup.from_mask(norm)))
-    classes.sort(key=lambda c: (L.subgroups[c.rep].order, L.subgroups[c.rep].mask))
     return classes
 
 

@@ -92,6 +92,14 @@ class TestVerify:
         assert names["gamma"]["ok"] and names["gamma"]["source"] == "paper"
         assert names["subgroup_count"]["ok"]
 
+    def test_order_max_after_subcommand(self, capsys):
+        code, out, _ = run(capsys, "verify", "--order-max", "4")
+        assert code == 0
+        after = parse(out)["result"]
+        code, out, _ = run(capsys, "--order-max", "4", "verify")
+        assert after == parse(out)["result"]
+        assert after["order_max"] == 4
+
 
 class TestErrors:
     def test_bad_spec_exits_2(self, capsys):
