@@ -34,13 +34,15 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(group, command, result, started, args) -> None:
+def _emit(group, command, result, started, args, exceeded=False) -> None:
+    """Print the command's document.  ``exceeded`` says whether a solve
+    stopped on ``--budget-ms`` and returned a non-optimal answer."""
     doc = {
         "group": group,
         "command": command,
         "result": result,
         "timing_ms": int((time.monotonic() - started) * 1000),
-        "budget": {"budget_ms": args.budget_ms, "cap": args.cap, "exceeded": False},
+        "budget": {"budget_ms": args.budget_ms, "cap": args.cap, "exceeded": exceeded},
     }
     indent = 2 if args.json else None
     print(json.dumps(doc, sort_keys=True, indent=indent))
@@ -96,7 +98,7 @@ def cmd_gamma(args, started) -> int:
         "optimal": cert.optimal,
         "method": cert.method,
     }
-    _emit(G.label, "gamma", result, started, args)
+    _emit(G.label, "gamma", result, started, args, exceeded=not cert.optimal)
     return EXIT_OK
 
 
@@ -110,7 +112,7 @@ def cmd_sum(args, started) -> int:
     }
     if res.bracket is not None:
         result["bracket"] = list(res.bracket)
-    _emit(G.label, "sum", result, started, args)
+    _emit(G.label, "sum", result, started, args, exceeded=not res.optimal)
     return EXIT_OK
 
 
@@ -164,7 +166,7 @@ def cmd_complex(args, started) -> int:
                             "facets_count": len(cx.facets), "complete": False}
     report = topology_report(G, L, chars, cert.gamma)
     result = {"models": models, "report": report.to_json()}
-    _emit(G.label, "complex", result, started, args)
+    _emit(G.label, "complex", result, started, args, exceeded=not cert.optimal)
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ Every family the formulas and bounds speak about is represented: all
 abelian isomorphism types of order up to 100, dihedral groups of order up
 to 200, symmetric and alternating groups of degree up to 6, the quaternion
 group, the prime-order semidirect products, and a few quotient-derived
-groups.  Expected values carry a provenance tag: "paper" for published
-constants, "derived" for regression baselines computed by this library's
+groups.  Expected values carry a provenance tag: "paper" for constants of
+the source paper, an author-year citation for covering numbers from the
+literature (Cohn 1994, "On n-sum groups"; Abdollahi-Ashraf-Shaker 2007),
+and "derived" for regression baselines computed by this library's
 independent oracles.
 """
 
@@ -87,8 +89,12 @@ _EXPECTED = {
     "A4": (("gamma", 5, "paper"),),
     "S3": (("gamma", 4, "derived"), ("subgroup_count", 6, "derived")),
     "S4": (("gamma", 4, "derived"), ("subgroup_count", 30, "derived")),
-    "S5": (("gamma", 4, "derived"), ("subgroup_count", 156, "derived")),
-    "S6": (("gamma", 5, "derived"), ("subgroup_count", 1455, "derived")),
+    "S5": (("gamma", 4, "derived"), ("subgroup_count", 156, "derived"),
+           ("sum_number", 16, "Cohn 1994")),
+    "S6": (("gamma", 5, "derived"), ("subgroup_count", 1455, "derived"),
+           ("sum_number", 13, "Abdollahi-Ashraf-Shaker 2007")),
+    "A5": (("sum_number", 10, "Cohn 1994"),),
+    "A6": (("sum_number", 16, "Cohn 1994"),),
 }
 
 

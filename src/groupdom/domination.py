@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import IntersectionGraph
+from .groups import mask_to_indices
 from .lattice import Lattice
 
 
@@ -80,23 +81,72 @@ class _Budget:
         return self.hit
 
 
-def set_cover_lower_bound(universe_size: int, sets: list[int]) -> int:
-    """Greedy packing of points no two of which share a set: each packed
-    point needs its own covering set."""
-    covers = []
-    for a in range(universe_size):
-        m = 0
+class _Instance:
+    """A set-cover instance reduced by point dominance.
+
+    A point's mask is the bitmask of the sets containing it.  Of the
+    points with equal masks only the one of smallest index is kept, and a
+    point whose mask strictly contains another's is dropped: every set
+    covering the other point covers it too.  The kept points are
+    renumbered by (number of sets, index), so the lowest uncovered bit is
+    the uncovered point in the fewest sets, smallest index on ties.
+    ``covers[a]`` is the mask of kept point ``a`` and ``sets[si]`` the
+    kept points in set ``si``.
+    """
+
+    def __init__(self, universe_size: int, sets: list[int]):
+        full = (1 << universe_size) - 1
+        covers = [0] * universe_size
         for si, s in enumerate(sets):
-            if s >> a & 1:
-                m |= 1 << si
-        covers.append(m)
-    used = 0
-    count = 0
-    for a in range(universe_size):
-        if covers[a] & used == 0:
-            count += 1
-            used |= covers[a]
-    return count
+            for a in mask_to_indices(s & full):
+                covers[a] |= 1 << si
+        if 0 in covers:
+            raise ValueError("sets do not cover the universe")
+        first: dict[int, int] = {}
+        for a, c in enumerate(covers):
+            first.setdefault(c, a)
+        minimal: list[int] = []
+        for c in sorted(first, key=int.bit_count):
+            if not any(m & ~c == 0 for m in minimal):
+                minimal.append(c)
+        minimal.sort(key=lambda c: (c.bit_count(), first[c]))
+        self.covers = minimal
+        self.sets = [0] * len(sets)
+        for a, c in enumerate(minimal):
+            for si in mask_to_indices(c):
+                self.sets[si] |= 1 << a
+        self.full = (1 << len(minimal)) - 1
+
+    def lower_bound(self, uncovered: int, limit: int) -> int:
+        """A lower bound on the sets needed to cover ``uncovered``: the
+        larger of the coverage bound ceil(|U| / max_S |S & U|) and a greedy
+        packing of points no two of which share a set, each needing its
+        own set.  Returns as soon as the bound is known to exceed
+        ``limit``."""
+        if not uncovered:
+            return 0
+        widest = max(map(int.bit_count, map(uncovered.__and__, self.sets)))
+        coverage = -(-uncovered.bit_count() // widest)
+        if coverage > limit:
+            return coverage
+        used = 0
+        packing = 0
+        rest = uncovered
+        while rest and packing <= limit:
+            low = rest & -rest
+            rest ^= low
+            c = self.covers[low.bit_length() - 1]
+            if c & used == 0:
+                packing += 1
+                used |= c
+        return max(coverage, packing)
+
+
+def set_cover_lower_bound(universe_size: int, sets: list[int]) -> int:
+    """Lower bound on the size of any cover of the whole universe: the
+    bound ``min_set_cover`` prunes its root with."""
+    inst = _Instance(universe_size, sets)
+    return inst.lower_bound(inst.full, universe_size)
 
 
 def min_set_cover(universe_size: int, sets: list[int],
@@ -104,24 +154,33 @@ def min_set_cover(universe_size: int, sets: list[int],
     """Minimum set cover by branch and bound.
 
     ``sets`` are bitmasks over a universe of ``universe_size`` points.
-    Branching expands the uncovered point lying in the fewest sets, trying
-    those sets in index order; the lower bound is a greedy packing of
-    points no two of which share a set.  Returns (chosen indices, optimal).
-    """
-    full = (1 << universe_size) - 1
-    union = 0
-    for s in sets:
-        union |= s
-    if union != full:
-        raise ValueError("sets do not cover the universe")
+    Returns (chosen indices, optimal); ``optimal`` is False only when the
+    budget ran out, and the chosen sets are then the best cover found.
 
-    covers = []  # per point: bitmask over set indices
-    for a in range(universe_size):
-        m = 0
-        for si, s in enumerate(sets):
-            if s >> a & 1:
-                m |= 1 << si
-        covers.append(m)
+    The incumbent starts as a greedy cover of the whole universe.  The
+    search then runs over the points kept by the dominance reduction of
+    ``_Instance``; a cover of the kept points covers every point.  A node
+    with uncovered set U branches on the uncovered point lying in the
+    fewest sets (smallest index on ties), trying those sets in index
+    order.  Let ``allowed`` = incumbent size - 1 - sets chosen so far, the
+    most sets a strictly better cover may still add.  A node is pruned
+    when ``_Instance.lower_bound(U)`` exceeds ``allowed`` (the larger of
+    the coverage and packing bounds), or when the failure memo holds
+    ``fail[U] >= allowed``.  A subtree searched to the end without
+    improving the incumbent and without a budget abort shows that U has
+    no cover of ``allowed`` sets, and records ``fail[U] = allowed``.
+
+    Why the witness is the one a plain depth-first search returns: a
+    dropped point is never the branching point, since whenever it is
+    uncovered so is a kept point in fewer sets, or in as many with a
+    smaller index; and it never decides whether a node is a full cover.
+    So the search tree is the same.  Every prune, by either bound or by
+    the memo, removes only subtrees with no cover smaller than the
+    incumbent, and the incumbent changes only on a strict improvement,
+    so the first optimum in search order is still the one returned.
+    """
+    inst = _Instance(universe_size, sets)
+    covers, reduced = inst.covers, inst.sets
 
     def greedy(uncovered: int) -> list[int]:
         chosen = []
@@ -135,23 +194,11 @@ def min_set_cover(universe_size: int, sets: list[int],
             uncovered &= ~sets[best]
         return chosen
 
-    def lower_bound(uncovered: int) -> int:
-        used = 0
-        count = 0
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            rest ^= low
-            if covers[a] & used == 0:
-                count += 1
-                used |= covers[a]
-        return count
-
     budget = _Budget(budget_ms)
-    incumbent = greedy(full)
+    incumbent = greedy((1 << universe_size) - 1)
     best_size = len(incumbent)
     optimal = True
+    fail: dict[int, int] = {}
 
     def branch(uncovered: int, chosen: list[int]):
         nonlocal incumbent, best_size, optimal
@@ -163,28 +210,23 @@ def min_set_cover(universe_size: int, sets: list[int],
         if budget.exceeded():
             optimal = False
             return
-        if len(chosen) + lower_bound(uncovered) >= best_size:
+        allowed = best_size - 1 - len(chosen)
+        if fail.get(uncovered, -1) >= allowed or inst.lower_bound(uncovered, allowed) > allowed:
             return
-        # point in the fewest candidate sets, smallest index on ties
-        pick, pick_count = -1, None
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            rest ^= low
-            c = covers[a].bit_count()
-            if pick_count is None or c < pick_count:
-                pick, pick_count = a, c
-        m = covers[pick]
+        size_before = best_size
+        low = uncovered & -uncovered
+        m = covers[low.bit_length() - 1]
         while m:
             low = m & -m
             si = low.bit_length() - 1
             m ^= low
             chosen.append(si)
-            branch(uncovered & ~sets[si], chosen)
+            branch(uncovered & ~reduced[si], chosen)
             chosen.pop()
+        if best_size == size_before and not budget.hit:
+            fail[uncovered] = allowed
 
-    branch(full, [])
+    branch(inst.full, [])
     return sorted(incumbent), optimal
 
 

@@ -285,6 +285,11 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         gens_of[rep] = tuple(int(x) for x in G.mul[G.mul[g, list(gens)], G.inv[g]])
         return rep
 
+    def check_size():
+        if max_subgroups is not None and len(known) > max_subgroups:
+            raise BudgetExceeded(
+                f"subgroup count exceeded {max_subgroups}", partial=len(known))
+
     frontier = []
     seen_reps = set()
     for c in seeds:
@@ -294,6 +299,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         if rep not in seen_reps:
             seen_reps.add(rep)
             frontier.append(rep)
+    check_size()
     seen_seeds = set()
     while frontier:
         next_frontier = []
@@ -323,9 +329,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
                     if rep not in seen_reps:
                         seen_reps.add(rep)
                         next_frontier.append(rep)
-                    if max_subgroups is not None and len(known) > max_subgroups:
-                        raise BudgetExceeded(
-                            f"subgroup count exceeded {max_subgroups}", partial=len(known))
+                    check_size()
             if budget_ms is not None and (time.monotonic() - t0) * 1000 > budget_ms:
                 raise BudgetExceeded(
                     f"lattice enumeration exceeded {budget_ms} ms", partial=len(known))

@@ -1,7 +1,10 @@
 """Budget and cap behavior: structured aborts with partial progress."""
 
+import itertools
+
 import pytest
 
+from groupdom import domination
 from groupdom.domination import gamma_exact, min_set_cover, sum_number
 from groupdom.errors import BudgetExceeded
 from groupdom.groups import build_group, parse_group_spec
@@ -13,6 +16,16 @@ def test_lattice_size_budget_reports_partial():
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_subgroups(G, max_subgroups=5)
     assert exc.value.partial is not None and exc.value.partial > 5
+
+
+@pytest.mark.parametrize("label", ["C2xC2", "Q8", "C12", "C3xC3"])
+def test_size_budget_counts_cyclic_seeds(label):
+    # every subgroup of these groups is cyclic or the whole group, so no
+    # join ever finds a new one
+    G = build_group(parse_group_spec(label))
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_subgroups(G, max_subgroups=1)
+    assert exc.value.partial is not None and exc.value.partial > 1
 
 
 def test_lattice_time_budget():
@@ -46,3 +59,26 @@ def test_min_set_cover_budget_flag():
     chosen, optimal = min_set_cover(12, sets, budget_ms=0.0)
     assert len(chosen) == 12  # greedy already optimal here
     assert not optimal
+
+
+@pytest.mark.parametrize("checks", [1, 10, 40])
+def test_sum_number_bracket_on_mid_search_abort(monkeypatch, checks):
+    # the budget runs out after ``checks`` search nodes, in mid-search:
+    # the answer must still be a cover and the bracket must hold sigma(S5)
+    G = build_group(parse_group_spec("S5"))
+    L = enumerate_subgroups(G)
+    calls = itertools.count()
+
+    def exceeded(self):
+        self.hit = self.hit or next(calls) >= checks
+        return self.hit
+
+    monkeypatch.setattr(domination._Budget, "exceeded", exceeded)
+    res = sum_number(G, L)
+    assert not res.optimal
+    lo, hi = res.bracket
+    assert lo <= 16 <= hi == res.value.finite
+    union = 0
+    for w in res.witness:
+        union |= L.subgroups[w].mask
+    assert union == (1 << G.order) - 1

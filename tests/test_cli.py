@@ -101,6 +101,29 @@ class TestVerify:
         assert after["order_max"] == 4
 
 
+class TestBudgetFlag:
+    def test_solver_abort_sets_exceeded(self, capsys, monkeypatch):
+        import groupdom.cli as cli
+
+        # at --budget-ms 0 the lattice stage would abort first (exit 3), so
+        # enumerate without a budget and let the solve run out
+        enumerate_subgroups = cli.enumerate_subgroups
+        monkeypatch.setattr(cli, "enumerate_subgroups",
+                            lambda G, budget_ms=None: enumerate_subgroups(G))
+        for command in ("sum", "gamma"):
+            code, out, _ = run(capsys, "--budget-ms", "0", command, "C2xC2xC2xC2")
+            doc = parse(out)
+            assert code == 0 and doc["result"]["optimal"] is False
+            assert doc["budget"]["exceeded"] is True
+
+    def test_default_run_not_exceeded(self, capsys):
+        for command in ("sum", "gamma"):
+            code, out, _ = run(capsys, command, "C2xC2xC2xC2")
+            doc = parse(out)
+            assert code == 0 and doc["result"]["optimal"] is True
+            assert doc["budget"]["exceeded"] is False
+
+
 class TestErrors:
     def test_bad_spec_exits_2(self, capsys):
         code, out, err = run(capsys, "gamma", "D7")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from groupdom.corpus import find_entry
 from groupdom.domination import (ALEPH0, Gamma, domination_oracle, gamma_exact,
                                  gamma_graph, is_dominating, min_set_cover,
                                  sum_number)
@@ -32,6 +33,18 @@ class TestSetCover:
     def test_needs_two(self):
         chosen, opt = min_set_cover(4, [0b0011, 0b1100, 0b0110])
         assert opt and len(chosen) == 2
+
+    @pytest.mark.parametrize("universe_size,sets,expected", [
+        (11, [208, 514, 1, 3, 424, 28, 1792, 100], [0, 3, 4, 5, 6]),
+        (10, [1, 514, 3, 28, 100, 168, 208, 776], [2, 4, 6, 7]),
+    ])
+    def test_failure_memo_on_revisit(self, universe_size, sets, expected):
+        # the search meets an uncovered set again after its subtree was
+        # searched; a memo entry that claims one set more than its search
+        # showed (first instance) or that is written after the incumbent
+        # improved (second instance) prunes the optimum
+        chosen, opt = min_set_cover(universe_size, sets)
+        assert opt and chosen == expected
 
     def test_uncoverable_raises(self):
         with pytest.raises(ValueError):
@@ -206,6 +219,16 @@ class TestSumNumber:
             L = lattice(label)
             s = sum_number(L.group, L).value
             assert gamma_of(label).gamma <= s, label
+
+    @pytest.mark.parametrize("label,expected,source", [
+        ("A5", 10, "Cohn 1994"), ("S5", 16, "Cohn 1994"), ("A6", 16, "Cohn 1994"),
+        ("S6", 13, "Abdollahi-Ashraf-Shaker 2007")])
+    def test_published_covering_numbers(self, lattice, label, expected, source):
+        assert find_entry(label).expected_dict()["sum_number"] == {
+            "value": expected, "source": source}
+        L = lattice(label)
+        res = sum_number(L.group, L)
+        assert res.optimal and res.value == Gamma.of(expected)
 
     def test_witness_union_covers_group(self, lattice):
         L = lattice("D36")

@@ -80,11 +80,7 @@ def test_orbit_stabilizer(spec):
 @given(perm_specs())
 def test_tiny_subgroup_budget_reports_partial(spec):
     G = small_group(spec)
-    L = enumerate_subgroups(G)
-    # the size budget is checked when a join finds a new subgroup, and only
-    # a proper subgroup that is not cyclic has to be found by a join
-    seeded = set(cyclic_subgroup_masks(G)) | {1, (1 << G.order) - 1}
-    if all(s.mask in seeded for s in L.subgroups):
+    if G.order == 1:  # the trivial group has one subgroup
         return
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_subgroups(G, max_subgroups=1)
