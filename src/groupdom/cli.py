@@ -16,8 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .burnside import BurnsideRing
-from .complexes import (atom_nerve, betti, coatom_nerve,
-                        intersection_complex, order_complex, topology_report)
+from .complexes import (atom_nerve, coatom_nerve, intersection_complex,
+                        order_complex, topology_report)
 from .corpus import corpus, find_entry, get_gamma, get_group, get_lattice
 from .domination import gamma_exact, sum_number
 from .errors import BudgetExceeded, CapExceeded, SpecError
@@ -121,9 +121,14 @@ def cmd_burnside(args, started) -> int:
     ring = BurnsideRing(G, L)
     labels = ring.labels()
     marks = ring.marks_matrix()
+    deadline = None if args.budget_ms is None else started + args.budget_ms / 1000.0
     products = {}
     for a in range(len(labels)):
         for b in range(a, len(labels)):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"Burnside products exceeded {args.budget_ms} ms",
+                    partial=len(products))
             dec = ring.product(a, b)
             products[f"{labels[a]}*{labels[b]}"] = {
                 labels[c]: m for c, m in dec.coeffs}
@@ -144,27 +149,32 @@ def cmd_complex(args, started) -> int:
     G, L = _built(args)
     chars = characteristic_subgroups(G, L)
     cert = gamma_exact(L, budget_ms=args.budget_ms)
+    complexes = [("intersection", intersection_complex(L)),
+                 ("order", order_complex(L)),
+                 ("atom_nerve", atom_nerve(L)),
+                 ("coatom_nerve", coatom_nerve(L))]
+    report = topology_report(G, L, chars, cert.gamma)
     models = {}
-    for name, cx in [("intersection", intersection_complex(L)),
-                     ("order", order_complex(L)),
-                     ("atom_nerve", atom_nerve(L)),
-                     ("coatom_nerve", coatom_nerve(L))]:
+    for name, cx in complexes:
+        profile = report.profiles[name]
         try:
-            profile = betti(cx, model=name)
-            models[name] = {
-                "vertex_labels": list(cx.vertex_labels),
-                "facets": [[cx.vertex_labels[v] for v in mask_to_indices(f)]
-                           for f in cx.facets],
-                "f_vector": list(cx.f_vector()),
-                "betti": list(profile.betti),
-                "euler": profile.euler,
-                "is_simplex": cx.is_simplex(),
-                "complete": profile.complete,
-            }
+            f_vector = cx.f_vector()
         except BudgetExceeded:
+            profile = None
+        if profile is None:
             models[name] = {"vertex_labels": list(cx.vertex_labels),
                             "facets_count": len(cx.facets), "complete": False}
-    report = topology_report(G, L, chars, cert.gamma)
+            continue
+        models[name] = {
+            "vertex_labels": list(cx.vertex_labels),
+            "facets": [[cx.vertex_labels[v] for v in mask_to_indices(f)]
+                       for f in cx.facets],
+            "f_vector": list(f_vector),
+            "betti": list(profile.betti),
+            "euler": profile.euler,
+            "is_simplex": cx.is_simplex(),
+            "complete": profile.complete,
+        }
     result = {"models": models, "report": report.to_json()}
     _emit(G.label, "complex", result, started, args, exceeded=not cert.optimal)
     return EXIT_OK

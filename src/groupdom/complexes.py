@@ -7,9 +7,14 @@ nerves, of the atom-upset covering and the coatom-downset covering.  All
 four are homotopy equivalent, which the library checks by computing their
 reduced rational Betti numbers.
 
-Faces are bitmasks over a local vertex list.  Betti numbers come from
-exact rank computations over the rationals; complexes are first shrunk by
-elementary collapses, which preserve the homotopy type.
+Faces are bitmasks over a local vertex list.  Betti numbers are computed
+in three steps that each preserve the homotopy type or the homology: the
+facets are first reduced by strong collapses to a core (Barmak-Minian
+2012), which needs no face enumeration; the faces of the core are then
+shrunk by elementary collapses; and exact rank computations over the
+rationals finish the job.  The Euler characteristic is taken from the
+face counts of the input, so its agreement with the Betti numbers checks
+the reductions.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from fractions import Fraction
 
 from .domination import Gamma
 from .errors import BudgetExceeded
+from .groups import mask_to_indices
 from .lattice import CharacteristicSubgroups, Lattice
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -35,6 +41,43 @@ class SimplicialComplex:
         uniq = sorted(set(m for m in masks if m), key=lambda m: (m.bit_count(), m))
         maximal = [m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq)]
         return SimplicialComplex(vertex_labels=tuple(labels), facets=tuple(maximal))
+
+    def strong_core(self) -> "SimplicialComplex":
+        """The core left by strong collapses (Barmak-Minian 2012).
+
+        A vertex v is dominated when the facets containing v share a
+        vertex other than v.  Deleting it (clearing v in every facet and
+        keeping the inclusion-maximal results) is a strong collapse, which
+        preserves the homotopy type.  Vertices are scanned lowest index
+        first until none is dominated; the core is unique up to
+        isomorphism whatever the order.  Deleted vertices keep their
+        labels but lie in no facet.
+        """
+        facets = list(self.facets)
+        deleted = True
+        while deleted:
+            deleted = False
+            union = 0
+            for f in facets:
+                union |= f
+            for v in mask_to_indices(union):
+                bit = 1 << v
+                with_v, without_v = [], []
+                common = -1
+                for f in facets:
+                    if f & bit:
+                        with_v.append(f ^ bit)
+                        common &= f
+                    else:
+                        without_v.append(f)
+                if common == bit:
+                    continue
+                # each f - v is maximal unless a facet without v contains
+                # it; a facet with v containing it would contain f
+                facets = without_v + [g for g in with_v
+                                      if not any(g & ~h == 0 for h in without_v)]
+                deleted = True
+        return SimplicialComplex.from_facets(self.vertex_labels, facets)
 
     @property
     def n_vertices(self) -> int:
@@ -80,20 +123,11 @@ class SimplicialComplex:
     def edges(self) -> set[tuple[int, int]]:
         out = set()
         for f in self.facets:
-            verts = _bits(f)
+            verts = mask_to_indices(f)
             for i in range(len(verts)):
                 for j in range(i + 1, len(verts)):
                     out.add((verts[i], verts[j]))
         return out
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -365,7 +399,7 @@ def _boundary_ranks(faces: set[int], top_dim: int) -> list[int]:
         row_index = {f: i for i, f in enumerate(by_dim[k - 1])}
         cols = []
         for g in by_dim[k]:
-            verts = _bits(g)
+            verts = mask_to_indices(g)
             col = {}
             for i, v in enumerate(verts):
                 s = g ^ (1 << v)
@@ -375,13 +409,37 @@ def _boundary_ranks(faces: set[int], top_dim: int) -> list[int]:
     return ranks
 
 
+def _reduced_betti(faces: set[int], top_dim: int) -> tuple[int, ...]:
+    """Reduced Betti numbers b_0..b_top_dim of the complex spanned by
+    ``faces`` (closed under taking subfaces): elementary collapses, then
+    exact ranks of the boundary maps on what is left."""
+    faces = reduce_by_collapses(faces)
+    counts: dict[int, int] = {}
+    for f in faces:
+        k = f.bit_count() - 1
+        counts[k] = counts.get(k, 0) + 1
+    ranks = _boundary_ranks(faces, top_dim)  # ranks[k-1] = rank d_k
+    b = []
+    for k in range(top_dim + 1):
+        fk = counts.get(k, 0)
+        r_k = ranks[k - 1] if k >= 1 else 0
+        r_k1 = ranks[k] if k < len(ranks) else 0
+        b.append(fk - r_k - r_k1)
+    b[0] -= 1  # reduced homology
+    return tuple(b)
+
+
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
           model: str = "") -> HomologyProfile:
     """Reduced rational Betti numbers and Euler characteristic.
 
-    The complex is reduced by elementary collapses before the exact rank
-    computations; the Euler characteristic comes from the original face
-    counts, and agreement with the alternating Betti sum is asserted.
+    The dimension and the Euler characteristic come from the face counts
+    of the complex itself, and a complex with more faces than the budget
+    gets a truncated profile.  The homology is computed on the complex's
+    strong-collapse core (``SimplicialComplex.strong_core``): its faces
+    are reduced by elementary collapses before the exact rank
+    computations.  Agreement of the Euler characteristic with the
+    alternating Betti sum is asserted.
     """
     if complex_.is_empty():
         return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model)
@@ -401,24 +459,10 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     dim = max(f_counts)
     euler = sum((-1) ** k * c for k, c in f_counts.items())
 
-    core = reduce_by_collapses(faces)
-    core_counts: dict[int, int] = {}
-    for f in core:
-        k = f.bit_count() - 1
-        core_counts[k] = core_counts.get(k, 0) + 1
-    ranks = _boundary_ranks(core, dim)  # ranks[k-1] = rank d_k
-    b = []
-    for k in range(dim + 1):
-        fk = core_counts.get(k, 0)
-        r_k = ranks[k - 1] if k >= 1 else 0
-        r_k1 = ranks[k] if k < len(ranks) else 0
-        b.append(fk - r_k - r_k1)
-    b[0] -= 1  # reduced homology
-    profile = HomologyProfile(betti=tuple(b), euler=euler, dim=dim,
-                              complete=True, model=model)
+    b = _reduced_betti(complex_.strong_core().faces(face_budget), dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
-    return profile
+    return HomologyProfile(betti=b, euler=euler, dim=dim, complete=True, model=model)
 
 
 def _betti_truncated(complex_: SimplicialComplex, face_budget: int,
@@ -427,7 +471,7 @@ def _betti_truncated(complex_: SimplicialComplex, face_budget: int,
     enumerate by increasing dimension and stop at the last complete one."""
     from itertools import combinations
 
-    facet_bits = [_bits(f) for f in complex_.facets]
+    facet_bits = [mask_to_indices(f) for f in complex_.facets]
     per_dim: list[set[int]] = []
     total = 0
     k = 0

@@ -68,6 +68,26 @@ class TestOtherCommands:
         assert doc["result"]["models"]["intersection"]["is_simplex"] is True
         assert doc["result"]["report"]["collapse"]["collapsed_to_point"] is True
 
+    def test_complex_document_pins(self, capsys):
+        # the collapse probe depends on the exact collapse order, and the
+        # f-vectors and Betti vectors on the four constructions
+        _, out, _ = run(capsys, "complex", "S4")
+        result = parse(out)["result"]
+        assert result["report"]["collapse"] == {
+            "collapsed_to_point": False, "remaining_faces": 27, "steps": 428}
+        models = {k: (m["f_vector"], m["betti"], m["euler"])
+                  for k, m in result["models"].items()}
+        assert models == {
+            "intersection": ([28, 130, 212, 230, 172, 84, 24, 3],
+                             [0, 12, 0, 0, 0, 0, 0, 0], -11),
+            "order": ([28, 63, 24], [0, 12, 0], -11),
+            "atom_nerve": ([13, 66, 78, 54, 24, 7, 1], [0, 12, 0, 0, 0, 0, 0], -11),
+            "coatom_nerve": ([8, 28, 10, 1], [0, 12, 0, 0], -11),
+        }
+        _, out, _ = run(capsys, "complex", "Q8")
+        assert parse(out)["result"]["report"]["collapse"] == {
+            "collapsed_to_point": True, "remaining_faces": 1, "steps": 7}
+
     def test_corpus(self, capsys):
         code, out, _ = run(capsys, "--order-max", "12", "corpus")
         doc = parse(out)
@@ -115,6 +135,17 @@ class TestBudgetFlag:
             doc = parse(out)
             assert code == 0 and doc["result"]["optimal"] is False
             assert doc["budget"]["exceeded"] is True
+
+    def test_burnside_products_abort(self, capsys, monkeypatch):
+        import groupdom.cli as cli
+
+        # enumerate without a budget so that the product loop aborts
+        enumerate_subgroups = cli.enumerate_subgroups
+        monkeypatch.setattr(cli, "enumerate_subgroups",
+                            lambda G, budget_ms=None: enumerate_subgroups(G))
+        code, out, err = run(capsys, "--budget-ms", "0", "burnside", "S4")
+        assert code == 3 and out == ""
+        assert "Burnside products" in err
 
     def test_default_run_not_exceeded(self, capsys):
         for command in ("sum", "gamma"):

@@ -2,11 +2,15 @@
 
 import pytest
 
-from groupdom.complexes import (SimplicialComplex, atom_nerve, betti,
-                                coatom_nerve, greedy_collapse,
+from groupdom.complexes import (SimplicialComplex, _reduced_betti, atom_nerve,
+                                betti, coatom_nerve, greedy_collapse,
                                 intersection_complex, nerve, order_complex,
                                 topology_report)
+from groupdom.corpus import corpus
 from groupdom.lattice import characteristic_subgroups
+
+MODELS = [("intersection", intersection_complex), ("order", order_complex),
+          ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)]
 
 
 class TestToyComplexes:
@@ -164,6 +168,58 @@ class TestHomologyAgreement:
             ks = betti(intersection_complex(L, vertices=sel))
             os_ = betti(order_complex(L, vertices=sel))
             assert ks.reduced() == os_.reduced(), (label, p)
+
+
+class TestStrongCore:
+    @pytest.mark.parametrize("facets", [
+        (0b1011, 0b1101, 0b1110),  # apex d over the hollow triangle abc
+        (0b0111, 0b1011, 0b0011),  # apex a over the path c - b - d
+    ])
+    def test_cone_collapses_to_a_vertex(self, facets):
+        core = SimplicialComplex.from_facets(tuple("abcd"), facets).strong_core()
+        assert len(core.facets) == 1 and core.facets[0].bit_count() == 1
+
+    def test_sphere_has_no_dominated_vertex(self):
+        # the boundary of the 3-simplex
+        sphere = SimplicialComplex.from_facets(tuple("abcd"),
+                                               (0b0111, 0b1011, 0b1101, 0b1110))
+        assert sphere.strong_core() == sphere
+
+    def test_elementary_16_intersection_core(self, lattice):
+        # 490,575 faces in the input, 1,535 in the core
+        core = intersection_complex(lattice("C2xC2xC2xC2")).strong_core()
+        union = 0
+        for f in core.facets:
+            union |= f
+        assert len(core.facets) == 15 and union.bit_count() == 15
+        assert len(core.faces()) == 1535
+
+
+# inputs with more than 50,000 faces, left out of the comparison below
+# because homology of the whole face set takes too long on them
+TOO_MANY_FACES = {("C2xC2xC2xC2", "intersection")}  # 490,575 faces
+
+
+@pytest.mark.parametrize("label", [e.label for e in corpus()
+                                   if e.order and e.order <= 24])
+def test_strong_core_matches_whole_face_set(lattice, label):
+    """``betti`` works on the strong-collapse core; the same numbers must
+    come from elementary collapses and ranks on every face of the input."""
+    L = lattice(label)
+    skipped = set()
+    for name, build in MODELS:
+        cx = build(L)
+        if cx.is_empty():
+            continue
+        faces = cx.faces()
+        if len(faces) > 50_000:
+            skipped.add((label, name))
+            continue
+        p = betti(cx)
+        assert p.betti == _reduced_betti(faces, cx.dim()), (label, name)
+        assert p.euler == sum((-1) ** k * c for k, c in enumerate(cx.f_vector()))
+        assert p.dim == cx.dim()
+    assert skipped == {s for s in TOO_MANY_FACES if s[0] == label}
 
 
 class TestCollapse:

@@ -1,4 +1,5 @@
-"""Property tests for subgroup enumeration on random permutation groups.
+"""Property tests on random permutation groups: subgroup enumeration,
+quotients and the four subgroup complexes.
 
 Groups are drawn as ``perm:`` specs of degree at most 6 with up to three
 random generators; only groups of order at most 60 are kept, so the
@@ -11,8 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+from groupdom.complexes import (atom_nerve, betti, coatom_nerve,  # noqa: E402
+                                intersection_complex, order_complex)
 from groupdom.errors import BudgetExceeded  # noqa: E402
-from groupdom.groups import build_group, parse_group_spec  # noqa: E402
+from groupdom.groups import (build_group, is_normal, parse_group_spec,  # noqa: E402
+                             quotient_group)
 from groupdom.lattice import (cyclic_subgroup_masks, enumerate_subgroups,  # noqa: E402
                               enumerate_subgroups_allpairs, subgroup_classes,
                               subgroups_bruteforce)
@@ -85,3 +91,29 @@ def test_tiny_subgroup_budget_reports_partial(spec):
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_subgroups(G, max_subgroups=1)
     assert exc.value.partial is not None and exc.value.partial > 1
+
+
+@PROPERTY
+@given(perm_specs())
+def test_euler_is_alternating_betti_sum(spec):
+    G = small_group(spec)
+    L = enumerate_subgroups(G)
+    for build in (intersection_complex, order_complex, atom_nerve, coatom_nerve):
+        cx = build(L)
+        if cx.is_empty():
+            continue
+        p = betti(cx)
+        euler = sum((-1) ** k * c for k, c in enumerate(cx.f_vector()))
+        assert p.euler == euler == 1 + sum((-1) ** k * b for k, b in enumerate(p.betti))
+
+
+@PROPERTY
+@given(perm_specs())
+def test_quotient_projection_is_homomorphism(spec):
+    G = small_group(spec)
+    for s in enumerate_subgroups(G).subgroups:
+        if not is_normal(G, s.mask):
+            continue
+        Q, proj = quotient_group(G, s.mask)
+        assert Q.order * s.order == G.order
+        assert np.array_equal(proj[G.mul], Q.mul[proj[:, None], proj[None, :]]), spec
