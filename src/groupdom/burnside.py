@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, array_to_mask, mask_to_array
 from .lattice import (Lattice, Subgroup, SubgroupClass, class_of_subgroup,
-                      mask_to_array, array_to_mask, subgroup_classes)
+                      conjugate_rows, subgroup_classes)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class BurnsideRing:
         self.classes = classes if classes is not None else subgroup_classes(G, L)
         self.class_of = class_of_subgroup(L, self.classes)
         self.abelian = G.is_abelian()
-        self._conj_cache: dict[tuple[int, int], int] = {}
         self._product_cache: dict[tuple[int, int], GSetDecomposition] = {}
         self._marks: np.ndarray | None = None
 
@@ -91,16 +90,6 @@ class BurnsideRing:
 
     def class_index_of_mask(self, mask: int) -> int:
         return int(self.class_of[self.L.index[mask]])
-
-    def conj_mask(self, mask: int, g: int) -> int:
-        key = (mask, g)
-        got = self._conj_cache.get(key)
-        if got is None:
-            members = mask_to_array(mask, self.G.order)
-            gm = self.G.mul[g, members]
-            got = array_to_mask(self.G.mul[gm, self.G.inv[g]], self.G.order)
-            self._conj_cache[key] = got
-        return got
 
     def labels(self) -> tuple[str, ...]:
         return tuple(f"K{self.class_order(ci)}_{ci}" for ci in range(len(self.classes)))
@@ -124,10 +113,9 @@ class BurnsideRing:
             ci = self.class_index_of_mask(inter)
             counts[ci] = n // hk
         else:
-            dc = double_cosets(self.G, h, k)
-            for g in dc.reps:
-                inter = h.mask & self.conj_mask(k.mask, g)
-                ci = self.class_index_of_mask(inter)
+            reps = np.array(double_cosets(self.G, h, k).reps)
+            for row in conjugate_rows(self.G, mask_to_array(k.mask, n), reps):
+                ci = self.class_index_of_mask(h.mask & array_to_mask(row, n))
                 counts[ci] = counts.get(ci, 0) + 1
         dec = GSetDecomposition(coeffs=tuple(sorted(counts.items())))
         self._product_cache[key] = dec

@@ -16,8 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .burnside import BurnsideRing
-from .complexes import (atom_nerve, coatom_nerve, intersection_complex,
-                        order_complex, topology_report)
+from .complexes import topology_report
 from .corpus import corpus, find_entry, get_gamma, get_group, get_lattice
 from .domination import gamma_exact, sum_number
 from .errors import BudgetExceeded, CapExceeded, SpecError
@@ -149,19 +148,13 @@ def cmd_complex(args, started) -> int:
     G, L = _built(args)
     chars = characteristic_subgroups(G, L)
     cert = gamma_exact(L, budget_ms=args.budget_ms)
-    complexes = [("intersection", intersection_complex(L)),
-                 ("order", order_complex(L)),
-                 ("atom_nerve", atom_nerve(L)),
-                 ("coatom_nerve", coatom_nerve(L))]
     report = topology_report(G, L, chars, cert.gamma)
     models = {}
-    for name, cx in complexes:
+    for name, cx in report.complexes.items():
+        if cx is None:  # the order complex's maximal chains ran past the budget
+            raise BudgetExceeded(f"{name} complex: maximal chain budget exceeded")
         profile = report.profiles[name]
-        try:
-            f_vector = cx.f_vector()
-        except BudgetExceeded:
-            profile = None
-        if profile is None:
+        if profile is None or profile.f_vector is None:
             models[name] = {"vertex_labels": list(cx.vertex_labels),
                             "facets_count": len(cx.facets), "complete": False}
             continue
@@ -169,7 +162,7 @@ def cmd_complex(args, started) -> int:
             "vertex_labels": list(cx.vertex_labels),
             "facets": [[cx.vertex_labels[v] for v in mask_to_indices(f)]
                        for f in cx.facets],
-            "f_vector": list(f_vector),
+            "f_vector": list(profile.f_vector),
             "betti": list(profile.betti),
             "euler": profile.euler,
             "is_simplex": cx.is_simplex(),

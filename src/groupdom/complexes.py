@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .domination import Gamma
 from .errors import BudgetExceeded
@@ -29,6 +30,7 @@ from .groups import mask_to_indices
 from .lattice import CharacteristicSubgroups, Lattice
 
 DEFAULT_FACE_BUDGET = 2_000_000
+MAX_FACET_VERTICES = 21  # larger facets are not enumerated face by face
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class SimplicialComplex:
         """All non-empty faces.  Raises BudgetExceeded past the budget."""
         out: set[int] = set()
         for f in self.facets:
-            if f.bit_count() > 21:
+            if f.bit_count() > MAX_FACET_VERTICES:
                 raise BudgetExceeded("facet too large to enumerate faces",
                                      partial=len(out))
             sub = f
@@ -137,6 +139,9 @@ class HomologyProfile:
     dim: int
     complete: bool
     model: str = ""
+    # faces per dimension; None when they were not enumerated within the
+    # face budget (``SimplicialComplex.f_vector`` would raise)
+    f_vector: tuple[int, ...] | None = None
 
     def reduced(self) -> tuple[int, ...]:
         """Betti vector with trailing zeros stripped, for comparisons."""
@@ -442,12 +447,17 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     alternating Betti sum is asserted.
     """
     if complex_.is_empty():
-        return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model)
+        return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model,
+                               f_vector=())
     if len(complex_.facets) == 1:
-        # a single facet is a full simplex: contractible, chi = 1
-        d = complex_.facets[0].bit_count() - 1
-        return HomologyProfile(betti=(0,) * (d + 1), euler=1, dim=d,
-                               complete=True, model=model)
+        # a single facet is a full simplex: contractible, chi = 1; its faces
+        # are counted, not enumerated, within the limits of ``faces``
+        k = complex_.facets[0].bit_count()
+        f_vector = None
+        if k <= MAX_FACET_VERTICES and 2 ** k - 1 <= face_budget:
+            f_vector = tuple(comb(k, j + 1) for j in range(k))
+        return HomologyProfile(betti=(0,) * k, euler=1, dim=k - 1,
+                               complete=True, model=model, f_vector=f_vector)
     try:
         faces = complex_.faces(face_budget)
     except BudgetExceeded:
@@ -462,7 +472,8 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     b = _reduced_betti(complex_.strong_core().faces(face_budget), dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
-    return HomologyProfile(betti=b, euler=euler, dim=dim, complete=True, model=model)
+    return HomologyProfile(betti=b, euler=euler, dim=dim, complete=True, model=model,
+                           f_vector=tuple(f_counts.get(k, 0) for k in range(dim + 1)))
 
 
 def _betti_truncated(complex_: SimplicialComplex, face_budget: int,
@@ -516,6 +527,7 @@ def _betti_truncated(complex_: SimplicialComplex, face_budget: int,
 @dataclass
 class TopologyReport:
     group: str
+    complexes: dict         # model name -> SimplicialComplex, None if not built
     profiles: dict          # model name -> HomologyProfile or None
     simplex_atom_nerve: bool
     simplex_coatom_nerve: bool
@@ -549,9 +561,12 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
     """Build the four complexes, compare Betti profiles, and evaluate the
     simplex criteria: the coatom nerve is a simplex iff the Frattini
     subgroup is non-trivial, and the atom nerve is a simplex iff gamma
-    is 1."""
+    is 1.  The report keeps the complexes it built; the order complex is
+    None when its maximal chains exceed ``face_budget``."""
     na = atom_nerve(L)
     nm = coatom_nerve(L)
+    complexes = {"atom_nerve": na, "coatom_nerve": nm,
+                 "intersection": None, "order": None}
     profiles: dict[str, HomologyProfile | None] = {}
 
     def safe_betti(cx, name):
@@ -563,10 +578,10 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
     profiles["atom_nerve"] = safe_betti(na, "atom_nerve")
     profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve")
     if full_models:
-        kg = intersection_complex(L)
+        kg = complexes["intersection"] = intersection_complex(L)
         profiles["intersection"] = safe_betti(kg, "intersection")
         try:
-            oc = order_complex(L, max_chains=face_budget)
+            oc = complexes["order"] = order_complex(L, max_chains=face_budget)
             profiles["order"] = safe_betti(oc, "order")
         except BudgetExceeded:
             profiles["order"] = None
@@ -604,7 +619,7 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
         "atom_nerve_simplex_iff_gamma_one": na.is_simplex() == gamma_is_one,
     }
     return TopologyReport(
-        group=G.label, profiles=profiles,
+        group=G.label, complexes=complexes, profiles=profiles,
         simplex_atom_nerve=na.is_simplex(), simplex_coatom_nerve=nm.is_simplex(),
         frattini_nontrivial=frattini_nontrivial, gamma_is_one=gamma_is_one,
         profiles_agree=agree, betti_vanish=betti_vanish, collapse=collapse,

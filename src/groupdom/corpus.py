@@ -14,7 +14,7 @@ independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .domination import DominationCertificate, gamma_exact
@@ -143,9 +143,7 @@ def build_entry(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTabl
     if len(normals) != 1:
         raise ValueError(f"{entry.label}: kernel of order {kernel_order} not unique")
     quot, _ = quotient_group(base, L.subgroups[normals[0].rep].mask)
-    return GroupTable(order=quot.order, mul=quot.mul, inv=quot.inv,
-                      elem_order=quot.elem_order, label=entry.label,
-                      spec=None, generators=quot.generators)
+    return replace(quot, label=entry.label)
 
 
 _GROUPS: dict[tuple[str, int], GroupTable] = {}

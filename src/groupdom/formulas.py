@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-import numpy as np
-
 from .domination import DominationCertificate, Gamma
-from .groups import GroupTable, is_prime, mask_to_indices, quotient_group
+from .groups import (GroupTable, _bools_to_mask, is_prime, mask_to_array,
+                     quotient_group)
 from .lattice import (CharacteristicSubgroups, GroupClassification, Lattice,
-                      SubgroupClass, classify_group, enumerate_subgroups,
-                      prime_factors, subgroup_classes)
+                      SubgroupClass, class_of_subgroup, classify_group,
+                      enumerate_subgroups, prime_factors, subgroup_classes)
 
 MATCH = "match"
 BOUND_HOLDS = "bound-holds"
@@ -97,14 +96,6 @@ class FrobeniusStructure:
     q: int                 # complement is cyclic of prime order q
 
 
-def _centralizer_mask(G: GroupTable, x: int) -> int:
-    com = np.nonzero(G.mul[:, x] == G.mul[x, :])[0]
-    m = 0
-    for g in com:
-        m |= 1 << int(g)
-    return m
-
-
 def detect_frobenius(G: GroupTable, L: Lattice,
                      classes: list[SubgroupClass]) -> FrobeniusStructure | None:
     """Find a Frobenius structure with minimal normal kernel (C_p)^r and
@@ -122,7 +113,8 @@ def detect_frobenius(G: GroupTable, L: Lattice,
             continue
         nsize = L.subgroups[c.rep].order
         # kernel candidates: elementary abelian (all non-identity orders = p)
-        orders = {int(G.elem_order[i]) for i in mask_to_indices(nm) if i != 0}
+        kernel = mask_to_array(nm, n)
+        orders = {int(G.elem_order[i]) for i in kernel if i != 0}
         if len(orders) != 1:
             continue
         p = orders.pop()
@@ -138,7 +130,9 @@ def detect_frobenius(G: GroupTable, L: Lattice,
         # minimal normal: no smaller non-trivial normal subgroup inside
         if any(m != 1 and m != nm and m & ~nm == 0 for m in normal_masks):
             continue
-        if not all(_centralizer_mask(G, x) & ~nm == 0 for x in mask_to_indices(nm) if x != 0):
+        # the centralizer of every non-identity kernel element lies in N
+        if not all(_bools_to_mask(G.mul[:, x] == G.mul[x, :]) & ~nm == 0
+                   for x in kernel if x != 0):
             continue
         for j, h in enumerate(L.subgroups):
             if h.order * nsize == n and h.mask & nm == 1:
@@ -227,10 +221,7 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     # (d) solvable: for each coprime pair of maximal subgroups,
     #     gamma <= |G:N(H)| + |G:N(K)|
     if cls.is_solvable and has_vertices and not cls.is_p_group:
-        class_of = {}
-        for ci, c in enumerate(classes):
-            for j in c.members:
-                class_of[j] = ci
+        class_of = class_of_subgroup(L, classes)
         seen_pairs = set()
         for i in L.coatoms:
             for j in L.coatoms:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import GroupTable
-from .lattice import Lattice, conjugate_mask
+from .lattice import Lattice, conjugates, subgroup_classes
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ def gset_intersection_graph(G: GroupTable, L: Lattice,
     whole group and the trivial subgroup contribute no vertices.
     """
     if bases == "sigma":
-        from .lattice import subgroup_classes
         base_indices = [c.rep for c in subgroup_classes(G, L)]
     else:
         base_indices = list(bases)
@@ -132,8 +131,7 @@ def gset_intersection_graph(G: GroupTable, L: Lattice,
         h = L.subgroups[i].mask
         if h == full or h == 1:
             continue
-        for g in range(G.order):
-            stab_masks.add(conjugate_mask(G, h, g))
+        stab_masks.update(conjugates(G, h)[0])
     masks = tuple(sorted(stab_masks, key=lambda m: (m.bit_count(), m)))
     verts = tuple(L.index.get(m, -1) for m in masks)
     labels = tuple(f"H{m.bit_count()}_{v}" if v >= 0 else f"H{m.bit_count()}_x"

@@ -9,7 +9,7 @@ lexicographic image order, which makes indexing reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 import numpy as np
@@ -144,15 +144,6 @@ class GroupTable:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def conjugate(self, x: int, g: int) -> int:
-        """g x g^-1"""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
-    def commutator(self, x: int, y: int) -> int:
-        """x^-1 y^-1 x y"""
-        m = self.mul
-        return int(m[m[self.inv[x], self.inv[y]], m[x, y]])
-
 
 # ---------------------------------------------------------------------------
 # Spec parsing
@@ -263,9 +254,7 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
     if spec.kind == "quotient":
         base = build_group(spec.base, cap=cap)
         quot, _ = quotient_group(base, _normal_closure_mask(base, spec.kernel_seed))
-        return GroupTable(order=quot.order, mul=quot.mul, inv=quot.inv,
-                          elem_order=quot.elem_order, label=spec.label(),
-                          spec=spec, generators=quot.generators)
+        return replace(quot, label=spec.label(), spec=spec)
 
     perm_gens = None
     gens = None
@@ -492,11 +481,13 @@ def _perm_closure_table(gens: list[Permutation], degree: int, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Quotients
+# Masks and quotients
 # ---------------------------------------------------------------------------
 
 
 def mask_to_indices(mask: int) -> list[int]:
+    """Set bits of a small mask, lowest first: for vertex, point and face
+    masks of a few bits, where this loop beats a numpy round trip."""
     out = []
     while mask:
         low = mask & -mask
@@ -505,36 +496,43 @@ def mask_to_indices(mask: int) -> list[int]:
     return out
 
 
-def indices_to_mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << int(i)
-    return m
+def mask_to_array(mask: int, n: int) -> np.ndarray:
+    """Set bits of a group-element mask over n elements, ascending, as an
+    index array; numpy's byte unpacking beats a bit loop once a mask has
+    more than about 20 set bits."""
+    nbytes = (n + 7) // 8
+    buf = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
+    return np.nonzero(np.unpackbits(buf, bitorder="little", count=n))[0]
+
+
+def array_to_mask(members, n: int) -> int:
+    """Group-element mask of the indices in ``members`` (repeats allowed)."""
+    bits = np.zeros(n, dtype=bool)
+    bits[members] = True
+    return _bools_to_mask(bits)
+
+
+def _bools_to_mask(bits: np.ndarray) -> int:
+    """Group-element mask of a boolean array indexed by element."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _normal_closure_mask(G: GroupTable, seed: tuple[int, ...]) -> int:
-    """Smallest normal subgroup containing the seed elements."""
-    from .lattice import close_subset  # local import to avoid a cycle
+    """Smallest normal subgroup containing the seed elements: the subgroup
+    generated by their conjugacy classes, which is normal because the
+    union of classes is closed under conjugation."""
+    from .lattice import close_subset, conjugate_rows  # local import to avoid a cycle
 
-    mask = indices_to_mask(seed) | 1
-    while True:
-        members = mask_to_indices(mask)
-        conj = set()
-        for g in range(G.order):
-            gm = G.mul[g, members]
-            conj.update(int(x) for x in G.mul[gm, G.inv[g]])
-        new = close_subset(G, indices_to_mask(conj))
-        if new == mask:
-            return mask
-        mask = new
+    classes = conjugate_rows(G, np.asarray(seed, dtype=np.int64), slice(None))
+    return close_subset(G, array_to_mask(classes.ravel(), G.order))
 
 
 def is_normal(G: GroupTable, mask: int) -> bool:
-    members = np.array(mask_to_indices(mask))
+    members = mask_to_array(mask, G.order)
     for g in range(G.order):
         gm = G.mul[g, members]
         conj = G.mul[gm, G.inv[g]]
-        if indices_to_mask(conj) != mask:
+        if array_to_mask(conj, G.order) != mask:
             return False
     return True
 
@@ -551,7 +549,7 @@ def quotient_group(G: GroupTable, normal_mask: int) -> tuple[GroupTable, np.ndar
     if not is_normal(G, normal_mask):
         raise SpecError("subgroup is not normal; cannot form quotient")
     n = G.order
-    members = np.array(mask_to_indices(normal_mask))
+    members = mask_to_array(normal_mask, n)
     coset_rep = np.full(n, -1, dtype=np.int64)
     reps = []
     for g in range(n):

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded
-from .groups import GroupTable, indices_to_mask, is_prime, mask_to_indices
+from .groups import (GroupTable, _bools_to_mask, array_to_mask, is_prime,
+                     mask_to_array)
 
 
 @dataclass(frozen=True)
@@ -31,25 +32,6 @@ class Subgroup:
     @staticmethod
     def from_mask(mask: int) -> "Subgroup":
         return Subgroup(mask=mask, order=mask.bit_count())
-
-    def contains(self, other: "Subgroup") -> bool:
-        return other.mask & ~self.mask == 0
-
-
-def mask_to_array(mask: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    buf = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.nonzero(np.unpackbits(buf, bitorder="little", count=n))[0]
-
-
-def array_to_mask(members, n: int) -> int:
-    bits = np.zeros(n, dtype=bool)
-    bits[members] = True
-    return _bools_to_mask(bits)
-
-
-def _bools_to_mask(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def close_subset(G: GroupTable, seed_mask: int) -> int:
@@ -149,10 +131,6 @@ class Lattice:
         row = self._packed[i]
         return np.nonzero(((self._packed & row) == row).all(axis=1))[0]
 
-    def subset_indices(self, i: int) -> np.ndarray:
-        row = self._packed[i]
-        return np.nonzero(((self._packed & row) == self._packed).all(axis=1))[0]
-
     @cached_property
     def atoms(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.subgroups) if is_prime(s.order))
@@ -173,14 +151,6 @@ class Lattice:
         top = len(self.subgroups) - 1
         return tuple(i for i in range(len(self.subgroups)) if 0 < i < top)
 
-    def join(self, i: int, j: int) -> int:
-        """Index of the subgroup generated by subgroups i and j."""
-        m = self.subgroups[i].mask | self.subgroups[j].mask
-        return self.index[close_subset(self.group, m)]
-
-    def meet(self, i: int, j: int) -> int:
-        return self.index[self.subgroups[i].mask & self.subgroups[j].mask]
-
 
 def _is_prime_power(n: int) -> bool:
     if n < 2:
@@ -189,17 +159,24 @@ def _is_prime_power(n: int) -> bool:
     return len(p) == 1
 
 
+def conjugate_rows(G: GroupTable, members: np.ndarray, g) -> np.ndarray:
+    """Row i holds g_i h g_i^-1 for each h in ``members``, where ``g`` is an
+    index array or a slice of elements: one |g| x |H| fancy-index.  This is
+    the library's one conjugation kernel."""
+    return G.mul[G.mul[g][:, members], G.inv[g][:, None]]
+
+
 def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     """The conjugacy orbit and the normalizer of subgroup ``mask``.
 
-    One fancy-index over all g gives the |G| x |H| array of g h g^-1; its
-    distinct rows are the orbit and the rows equal to H give N_G(H).
+    ``conjugate_rows`` over all g gives the |G| x |H| array of g h g^-1;
+    its distinct rows are the orbit and the rows equal to H give N_G(H).
     Returns ({conjugate mask: smallest g with g H g^-1 equal to it},
     normalizer mask).  Temporaries stay at |G| x |H| entries.
     """
     n = G.order
     members = mask_to_array(mask, n)
-    rows = G.mul[G.mul[:, members], G.inv[:, None]]
+    rows = conjugate_rows(G, members, slice(None))
     rows.sort(axis=1)
     normalizer = _bools_to_mask((rows == members).all(axis=1))
     _, first = np.unique(rows, axis=0, return_index=True)
@@ -282,7 +259,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         known.update(orbit)
         rep = min(orbit)
         g = orbit[rep]
-        gens_of[rep] = tuple(int(x) for x in G.mul[G.mul[g, list(gens)], G.inv[g]])
+        gens_of[rep] = tuple(int(x) for x in conjugate_rows(G, list(gens), [g])[0])
         return rep
 
     def check_size():
@@ -447,24 +424,24 @@ def squarefree_part(n: int) -> int:
     return r
 
 
-def derived_subgroup_mask(G: GroupTable, members=None) -> int:
-    """Mask of the subgroup generated by commutators [x, g], x in members."""
+def _commutator_mask(G: GroupTable, a_mask: int, b_mask: int) -> int:
+    """Mask of [A, B], the subgroup generated by the commutators
+    a^-1 b^-1 a b with a in A and b in B (element masks)."""
     n = G.order
-    if members is None:
-        members = np.arange(n)
-    a = G.mul[np.ix_(G.inv[members], G.inv)]
-    b = G.mul[np.ix_(members, np.arange(n))]
-    comms = np.unique(G.mul[a, b])
-    return close_subset(G, indices_to_mask(comms))
+    a = mask_to_array(a_mask, n)
+    b = mask_to_array(b_mask, n)
+    inverses = G.mul[np.ix_(G.inv[a], G.inv[b])]
+    comms = G.mul[inverses, G.mul[np.ix_(a, b)]]
+    return close_subset(G, array_to_mask(comms.ravel(), n))
 
 
 def lower_central_series(G: GroupTable) -> list[int]:
-    """Masks of the lower central series, down to its stable term."""
-    n = G.order
-    series = [(1 << n) - 1]
+    """Masks of the lower central series G = g_1 > g_2 = [g_1, G] > ...,
+    down to its stable term."""
+    full = (1 << G.order) - 1
+    series = [full]
     while True:
-        members = np.array(mask_to_indices(series[-1]))
-        nxt = derived_subgroup_mask(G, members)
+        nxt = _commutator_mask(G, series[-1], full)
         if nxt == series[-1]:
             return series
         series.append(nxt)
@@ -486,8 +463,9 @@ def characteristic_subgroups(G: GroupTable, L: Lattice) -> CharacteristicSubgrou
     series = lower_central_series(G)
     residual = Subgroup.from_mask(series[-1])
 
-    center_mask = indices_to_mask(np.nonzero((G.mul == G.mul.T).all(axis=1))[0])
-    derived = Subgroup.from_mask(derived_subgroup_mask(G))
+    full = (1 << G.order) - 1
+    center_mask = _bools_to_mask((G.mul == G.mul.T).all(axis=1))
+    derived = Subgroup.from_mask(_commutator_mask(G, full, full))
     return CharacteristicSubgroups(
         atom_join=atom_join, frattini=frattini, nilpotent_residual=residual,
         center=Subgroup.from_mask(center_mask), derived=derived,
@@ -516,15 +494,9 @@ def classify_group(G: GroupTable, L: Lattice) -> GroupClassification:
     # nilpotent: every Sylow subgroup is normal, i.e. unique
     nilpotent = all(c == 1 for c in sylow_counts(G, L).values()) if n > 1 else True
 
-    # solvable: derived series reaches the trivial subgroup
+    # solvable: the derived series D_{i+1} = [D_i, D_i] reaches 1
     mask = (1 << n) - 1
-    while True:
-        members = np.array(mask_to_indices(mask))
-        a = G.mul[np.ix_(G.inv[members], G.inv[members])]
-        b = G.mul[np.ix_(members, members)]
-        nxt = close_subset(G, indices_to_mask(np.unique(G.mul[a, b])))
-        if nxt == mask:
-            break
+    while (nxt := _commutator_mask(G, mask, mask)) != mask:
         mask = nxt
     solvable = mask == 1
 
@@ -549,12 +521,6 @@ class SubgroupClass:
     rep: int                  # lattice index of the representative (smallest mask)
     members: tuple[int, ...]  # lattice indices, sorted
     normalizer: Subgroup
-
-
-def conjugate_mask(G: GroupTable, mask: int, g: int) -> int:
-    members = np.array(mask_to_indices(mask))
-    gm = G.mul[g, members]
-    return indices_to_mask(G.mul[gm, G.inv[g]])
 
 
 def subgroup_classes(G: GroupTable, L: Lattice) -> list[SubgroupClass]:

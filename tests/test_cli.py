@@ -147,6 +147,21 @@ class TestBudgetFlag:
         assert code == 3 and out == ""
         assert "Burnside products" in err
 
+    def test_complex_chain_budget_abort(self, capsys, monkeypatch):
+        import groupdom.cli as cli
+        import groupdom.complexes as complexes
+        from groupdom.errors import BudgetExceeded
+
+        def too_many_chains(L, vertices=None, max_chains=None):
+            raise BudgetExceeded("maximal chain budget exceeded", partial=0)
+
+        # wherever the command builds the order complex, it runs out of chains
+        monkeypatch.setattr(complexes, "order_complex", too_many_chains)
+        monkeypatch.setattr(cli, "order_complex", too_many_chains, raising=False)
+        code, out, err = run(capsys, "complex", "S4")
+        assert code == 3 and out == ""
+        assert "chain budget" in err
+
     def test_default_run_not_exceeded(self, capsys):
         for command in ("sum", "gamma"):
             code, out, _ = run(capsys, command, "C2xC2xC2xC2")

@@ -7,6 +7,7 @@ from groupdom.complexes import (SimplicialComplex, _reduced_betti, atom_nerve,
                                 intersection_complex, nerve, order_complex,
                                 topology_report)
 from groupdom.corpus import corpus
+from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups
 
 MODELS = [("intersection", intersection_complex), ("order", order_complex),
@@ -40,6 +41,16 @@ class TestToyComplexes:
         cx = SimplicialComplex.from_facets((), ())
         p = betti(cx)
         assert p.betti == () and p.euler == 0 and p.dim == -1
+
+    def test_large_simplex_has_no_f_vector(self):
+        # a facet too large to enumerate: the profile is exact, the face
+        # counts are reported as unavailable, as f_vector() raises
+        cx = SimplicialComplex.from_facets(tuple(f"v{i}" for i in range(22)),
+                                           ((1 << 22) - 1,))
+        p = betti(cx)
+        assert p.complete and p.euler == 1 and p.f_vector is None
+        with pytest.raises(BudgetExceeded):
+            cx.f_vector()
 
 
 class TestIntersectionComplex:
@@ -269,6 +280,14 @@ class TestTopologyReport:
                       "C2xC2xC2", "SD(7,3)", "D36"]:
             rep = self.report(lattice, gamma_of, label)
             assert all(rep.checks.values()), label
+
+    def test_report_keeps_the_complexes_it_built(self, lattice, gamma_of):
+        L = lattice("S4")
+        rep = self.report(lattice, gamma_of, "S4")
+        assert set(rep.complexes) == {name for name, _ in MODELS}
+        for name, build in MODELS:
+            assert rep.complexes[name] == build(L), name
+            assert rep.profiles[name].f_vector == build(L).f_vector(), name
 
     def test_prime_cyclic_degenerate(self, lattice, gamma_of):
         rep = self.report(lattice, gamma_of, "C5")

@@ -13,6 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from groupdom.complexes import SimplicialComplex, _reduced_betti, betti  # noqa: E402
+from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.groups import mask_to_indices  # noqa: E402
 
 
@@ -42,3 +43,13 @@ def test_strong_core_matches_whole_face_set(cx):
             if f >> v & 1:
                 common &= f
         assert common == 1 << v, (cx.facets, core.facets, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets(), st.integers(min_value=1, max_value=300))
+def test_profile_f_vector_is_face_count(cx, budget):
+    try:
+        expected = cx.f_vector(budget)
+    except BudgetExceeded:
+        expected = None
+    assert betti(cx, face_budget=budget).f_vector == expected, (cx.facets, budget)

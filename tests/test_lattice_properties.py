@@ -1,5 +1,6 @@
 """Property tests on random permutation groups: subgroup enumeration,
-quotients and the four subgroup complexes.
+conjugation, commutator series, quotients, Burnside products and the four
+subgroup complexes.
 
 Groups are drawn as ``perm:`` specs of degree at most 6 with up to three
 random generators; only groups of order at most 60 are kept, so the
@@ -14,13 +15,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from groupdom.burnside import BurnsideRing  # noqa: E402
 from groupdom.complexes import (atom_nerve, betti, coatom_nerve,  # noqa: E402
                                 intersection_complex, order_complex)
 from groupdom.errors import BudgetExceeded  # noqa: E402
-from groupdom.groups import (build_group, is_normal, parse_group_spec,  # noqa: E402
-                             quotient_group)
-from groupdom.lattice import (cyclic_subgroup_masks, enumerate_subgroups,  # noqa: E402
-                              enumerate_subgroups_allpairs, subgroup_classes,
+from groupdom.groups import (GroupSpec, build_group, is_normal,  # noqa: E402
+                             parse_group_spec, quotient_group)
+from groupdom.lattice import (characteristic_subgroups, classify_group,  # noqa: E402
+                              close_subset, conjugates, cyclic_subgroup_masks,
+                              enumerate_subgroups, enumerate_subgroups_allpairs,
+                              lower_central_series, subgroup_classes,
                               subgroups_bruteforce)
 
 MAX_ORDER = 60
@@ -117,3 +121,93 @@ def test_quotient_projection_is_homomorphism(spec):
         Q, proj = quotient_group(G, s.mask)
         assert Q.order * s.order == G.order
         assert np.array_equal(proj[G.mul], Q.mul[proj[:, None], proj[None, :]]), spec
+
+
+def members_of(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def conjugate_by_loop(G, mask, g):
+    """g H g^-1 element by element."""
+    out = 0
+    for h in members_of(mask):
+        out |= 1 << int(G.mul[G.mul[g, h], G.inv[g]])
+    return out
+
+
+def commutator_subgroup_by_loop(G, a_mask, b_mask):
+    """<[a, b] : a in A, b in B> from a double loop, closed by close_subset."""
+    comms = 0
+    for a in members_of(a_mask):
+        for b in members_of(b_mask):
+            ab = G.mul[a, b]
+            comms |= 1 << int(G.mul[G.mul[G.inv[a], G.inv[b]], ab])
+    return close_subset(G, comms)
+
+
+@PROPERTY
+@given(perm_specs())
+def test_conjugates_match_elementwise_conjugation(spec):
+    G = small_group(spec)
+    for s in enumerate_subgroups(G).subgroups:
+        orbit, normalizer = conjugates(G, s.mask)
+        first: dict[int, int] = {}
+        norm = 0
+        for g in range(G.order):
+            c = conjugate_by_loop(G, s.mask, g)
+            first.setdefault(c, g)
+            if c == s.mask:
+                norm |= 1 << g
+        assert orbit == first, spec
+        assert normalizer == norm, spec
+
+
+@PROPERTY
+@given(perm_specs())
+def test_quotient_spec_kernel_is_normal_closure(spec):
+    G = small_group(spec)
+    normals = [s.mask for s in enumerate_subgroups(G).subgroups if is_normal(G, s.mask)]
+    base = parse_group_spec(spec)
+    for x in range(G.order):
+        closure = (1 << G.order) - 1
+        for m in normals:
+            if m >> x & 1:
+                closure &= m
+        Q = build_group(GroupSpec(kind="quotient", base=base, kernel_seed=(x,)))
+        assert Q.order * closure.bit_count() == G.order, (spec, x)
+
+
+@PROPERTY
+@given(perm_specs())
+def test_commutator_series_match_double_loop(spec):
+    G = small_group(spec)
+    L = enumerate_subgroups(G)
+    full = (1 << G.order) - 1
+    lower = [full]
+    while True:
+        nxt = commutator_subgroup_by_loop(G, lower[-1], full)
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+        if nxt == 1:
+            break
+    derived = [full]
+    while (nxt := commutator_subgroup_by_loop(G, derived[-1], derived[-1])) != derived[-1]:
+        derived.append(nxt)
+    chars = characteristic_subgroups(G, L)
+    assert lower_central_series(G) == lower, spec
+    assert chars.nilpotent_residual.mask == lower[-1], spec
+    assert chars.derived.mask == commutator_subgroup_by_loop(G, full, full), spec
+    assert classify_group(G, L).is_solvable == (derived[-1] == 1), spec
+
+
+@PROPERTY
+@given(perm_specs())
+def test_burnside_products_match_marks(spec):
+    G = small_group(spec)
+    ring = BurnsideRing(G, enumerate_subgroups(G))
+    M = ring.marks_matrix()
+    for a in range(len(ring.classes)):
+        for b in range(a, len(ring.classes)):
+            dec = ring.product(a, b)
+            assert np.array_equal(ring.mark_vector_of(dec), M[a] * M[b]), (spec, a, b)
