@@ -33,8 +33,11 @@ for name, cx in [("intersection", intersection_complex(L)),
     print(f"C2^3 {name:13s} f-vector {cx.f_vector()}  betti {p.betti}  "
           f"chi {p.euler}")
 
-# Rank 4 doubles the dimension: a wedge of 64 two-spheres, visible on the
-# half-million-face intersection complex thanks to the collapse engine.
+# Rank 4 doubles the dimension: a wedge of 64 two-spheres.  The
+# half-million-face intersection complex is first shrunk by strong
+# collapses of its facets to a core of 1,535 faces; the collapse kernel
+# (faces numbered in (dimension, mask) order, popped from a stack) then
+# reduces the core before the exact ranks.
 L = enumerate_subgroups(build_group(parse_group_spec("C2xC2xC2xC2")))
 p = betti(intersection_complex(L))
 print(f"\nC2^4 intersection complex betti: {p.betti}")

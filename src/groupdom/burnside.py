@@ -46,21 +46,14 @@ class GSetDecomposition:
 
 
 def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosetSet:
-    """(H,K)-double cosets by a greedy sweep in element index order."""
+    """(H,K)-double cosets, each represented by its smallest element, in
+    increasing order.  Every g is labelled with min HgK, the least of
+    min hgK over h in H."""
     n = G.order
-    h_members = mask_to_array(H.mask, n)
-    k_members = mask_to_array(K.mask, n)
-    visited = np.zeros(n, dtype=bool)
-    reps, sizes = [], []
-    for g in range(n):
-        if visited[g]:
-            continue
-        hg = G.mul[h_members, g]
-        coset = np.unique(G.mul[np.ix_(hg, k_members)])
-        visited[coset] = True
-        reps.append(g)
-        sizes.append(len(coset))
-    return DoubleCosetSet(reps=tuple(reps), sizes=tuple(sizes))
+    coset_min = G.mul[:, mask_to_array(K.mask, n)].min(axis=1)  # min gK
+    label = coset_min[G.mul[mask_to_array(H.mask, n), :]].min(axis=0)
+    reps, sizes = np.unique(label, return_counts=True)
+    return DoubleCosetSet(reps=tuple(reps.tolist()), sizes=tuple(sizes.tolist()))
 
 
 class BurnsideRing:

@@ -14,12 +14,15 @@ facets are first reduced by strong collapses to a core (Barmak-Minian
 shrunk by elementary collapses; and exact rank computations over the
 rationals finish the job.  The Euler characteristic is taken from the
 face counts of the input, so its agreement with the Betti numbers checks
-the reductions.
+the reductions.  Elementary collapses have one kernel on faces numbered
+in (dimension, mask) order, with two pop orders: a stack for the
+reduction and a heap, smallest free face first, for the collapse probe.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -273,90 +276,83 @@ def coatom_nerve(L: Lattice) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def _coface_counts(faces: set[int]) -> tuple[dict, dict]:
-    """Immediate-coface count and xor-of-cofaces per face."""
-    count: dict[int, int] = {}
-    cx: dict[int, int] = {}
-    for g in faces:
-        m = g
+def _collapse(faces, lowest_first: bool) -> tuple[list[int], int]:
+    """The collapse kernel: elementary collapses on ``faces`` (closed under
+    taking non-empty subfaces) until none is free; returns the faces left
+    and the number of collapses.
+
+    Faces are numbered once in (dimension, mask) order.  Per number it
+    keeps the count of live cofaces, the xor of their numbers (the coface
+    itself when the count is 1: the face is then free, and removing the
+    pair preserves the homotopy type) and an alive flag; boundaries, the
+    numbers of the codimension-1 faces with the lowest removed vertex
+    first, lie end to end in one flat list.  Free faces wait in a heap
+    when ``lowest_first``, so the free face of least number goes next,
+    and otherwise on a stack that starts in ascending order.
+    """
+    by_size: dict[int, list[int]] = {}
+    for f in faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    order = [f for k in sorted(by_size) for f in sorted(by_size[k])]
+    n, n_vertices = len(order), len(by_size.get(1, ()))
+    number = {f: i for i, f in enumerate(order)}
+    count, cx = [0] * n, [0] * n
+    flat: list[int] = []
+    start = array("q", bytes(8 * (n_vertices + 1)))  # boundary of i: start[i]:start[i+1]
+    for i in range(n_vertices, n):
+        g = m = order[i]
         while m:
             low = m & -m
             m ^= low
-            s = g ^ low
-            if s:
-                count[s] = count.get(s, 0) + 1
-                cx[s] = cx.get(s, 0) ^ g
-    return count, cx
-
-
-def _update_removed(alive: set, count: dict, cx: dict, removed: int, push):
-    m = removed
-    while m:
-        low = m & -m
-        m ^= low
-        s = removed ^ low
-        if s and s in alive:
-            count[s] = count.get(s, 0) - 1
-            cx[s] = cx.get(s, 0) ^ removed
-            if count[s] == 1:
-                push(s)
+            j = number[g ^ low]
+            flat.append(j)
+            count[j] += 1
+            cx[j] ^= i
+        start.append(len(flat))
+    del by_size, number
+    alive = [True] * n
+    free = [i for i in range(n) if count[i] == 1]  # ascending: already a heap
+    pop, push = (heapq.heappop, heapq.heappush) if lowest_first else (list.pop, list.append)
+    steps = 0
+    while free:
+        f = pop(free)
+        if not alive[f] or count[f] != 1:
+            continue
+        g = cx[f]
+        alive[f] = alive[g] = False
+        steps += 1
+        for r in (g, f):
+            for s in flat[start[r]:start[r + 1]]:
+                if alive[s]:
+                    c = count[s] = count[s] - 1
+                    cx[s] ^= r
+                    if c == 1:
+                        push(free, s)
+    return [order[i] for i in range(n) if alive[i]], steps
 
 
 def reduce_by_collapses(faces: set[int]) -> set[int]:
-    """A maximal sequence of elementary collapses, high dimension first.
+    """A maximal sequence of elementary collapses, high dimension first:
+    the collapse kernel with its stack, which starts with every free face
+    in ascending (dimension, mask) order, pops from the top and pushes the
+    faces each collapse frees."""
+    return set(_collapse(faces, lowest_first=False)[0])
 
-    A face is free exactly when it has a single immediate coface (that
-    coface is then automatically maximal); removing the pair preserves the
-    homotopy type.
-    """
-    alive = set(faces)
-    count, cx = _coface_counts(alive)
-    stack = sorted((f for f in alive if count.get(f, 0) == 1),
-                   key=lambda f: (f.bit_count(), f))
-    while stack:
-        f = stack.pop()
-        if f not in alive or count.get(f, 0) != 1:
-            continue
-        g = cx[f]
-        if g not in alive:
-            continue
-        alive.discard(f)
-        alive.discard(g)
-        _update_removed(alive, count, cx, g, stack.append)
-        _update_removed(alive, count, cx, f, stack.append)
-    return alive
+
+def _collapse_probe(faces: set[int]) -> dict:
+    rest, steps = _collapse(faces, lowest_first=True)
+    return {"collapsed_to_point": len(rest) == 1, "steps": steps,
+            "remaining_faces": len(rest)}
 
 
 def greedy_collapse(complex_: SimplicialComplex,
                     budget: int = DEFAULT_FACE_BUDGET) -> dict:
     """Deterministic collapse probe: repeatedly remove the free face of
-    minimal dimension with the smallest mask.  Full collapse to a point
-    certifies contractibility; anything else is inconclusive."""
-    faces = complex_.faces(budget)
-    alive = set(faces)
-    count, cx = _coface_counts(alive)
-    heap = [(f.bit_count(), f) for f in alive if count.get(f, 0) == 1]
-    heapq.heapify(heap)
-
-    def push(s):
-        heapq.heappush(heap, (s.bit_count(), s))
-
-    steps = 0
-    while heap:
-        _, f = heapq.heappop(heap)
-        if f not in alive or count.get(f, 0) != 1:
-            continue
-        g = cx[f]
-        if g not in alive:
-            continue
-        alive.discard(f)
-        alive.discard(g)
-        steps += 1
-        _update_removed(alive, count, cx, g, push)
-        _update_removed(alive, count, cx, f, push)
-    collapsed = len(alive) == 1
-    return {"collapsed_to_point": collapsed, "steps": steps,
-            "remaining_faces": len(alive)}
+    minimal dimension with the smallest mask (the collapse kernel with its
+    heap).  Full collapse to a point certifies contractibility; anything
+    else is inconclusive, since some collapse orders get stuck even on
+    collapsible complexes."""
+    return _collapse_probe(complex_.faces(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +419,14 @@ def _reduced_betti(faces: set[int], top_dim: int) -> tuple[int, ...]:
     for f in faces:
         k = f.bit_count() - 1
         counts[k] = counts.get(k, 0) + 1
-    ranks = _boundary_ranks(faces, top_dim)  # ranks[k-1] = rank d_k
-    b = []
-    for k in range(top_dim + 1):
-        fk = counts.get(k, 0)
-        r_k = ranks[k - 1] if k >= 1 else 0
-        r_k1 = ranks[k] if k < len(ranks) else 0
-        b.append(fk - r_k - r_k1)
+    return _betti_from_ranks(counts, _boundary_ranks(faces, top_dim))
+
+
+def _betti_from_ranks(counts: dict[int, int], ranks: list[int]) -> tuple[int, ...]:
+    """Reduced Betti numbers b_0..b_{len(ranks)-1} from the face counts per
+    dimension and ranks[k-1] = rank d_k."""
+    b = [counts.get(k, 0) - (ranks[k - 1] if k else 0) - ranks[k]
+         for k in range(len(ranks))]
     b[0] -= 1  # reduced homology
     return tuple(b)
 
@@ -462,6 +459,12 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
         faces = complex_.faces(face_budget)
     except BudgetExceeded:
         return _betti_truncated(complex_, face_budget, model)
+    return _betti_of_faces(complex_, faces, face_budget, model)
+
+
+def _betti_of_faces(complex_: SimplicialComplex, faces: set[int], face_budget: int,
+                    model: str) -> HomologyProfile:
+    """``betti`` of a complex of two or more facets whose faces are given."""
     f_counts: dict[int, int] = {}
     for f in faces:
         k = f.bit_count() - 1
@@ -508,15 +511,9 @@ def _betti_truncated(complex_: SimplicialComplex, face_budget: int,
     # complete dims: 0..len(per_dim)-1; ranks d_1..d_{len-1} computable
     faces = set().union(*per_dim)
     top = len(per_dim) - 2  # betti reported through this dimension
-    ranks = _boundary_ranks(faces, top)
-    b = []
-    for k in range(top + 1):
-        fk = len(per_dim[k])
-        r_k = ranks[k - 1] if k >= 1 else 0
-        r_k1 = ranks[k]
-        b.append(fk - r_k - r_k1)
-    b[0] -= 1
-    return HomologyProfile(betti=tuple(b), euler=0, dim=top, complete=False, model=model)
+    b = _betti_from_ranks({k: len(sk) for k, sk in enumerate(per_dim)},
+                          _boundary_ranks(faces, top))
+    return HomologyProfile(betti=b, euler=0, dim=top, complete=False, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +574,26 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
 
     profiles["atom_nerve"] = safe_betti(na, "atom_nerve")
     profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve")
+    collapse = None
     if full_models:
         kg = complexes["intersection"] = intersection_complex(L)
-        profiles["intersection"] = safe_betti(kg, "intersection")
+        try:  # one enumeration for the profile and the probe
+            faces = kg.faces(face_budget)
+        except BudgetExceeded:
+            faces = None
+        if faces is None or len(kg.facets) < 2:
+            profiles["intersection"] = safe_betti(kg, "intersection")
+        else:
+            profiles["intersection"] = _betti_of_faces(kg, faces, face_budget,
+                                                       "intersection")
+        if faces:
+            collapse = _collapse_probe(faces)
         try:
             oc = complexes["order"] = order_complex(L, max_chains=face_budget)
             profiles["order"] = safe_betti(oc, "order")
         except BudgetExceeded:
             profiles["order"] = None
     else:
-        kg = None
         profiles["intersection"] = None
         profiles["order"] = None
 
@@ -606,13 +613,6 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
         preferred = profiles.get("intersection") or profiles["atom_nerve"]
         if preferred is not None and preferred.complete:
             betti_vanish = all(bk == 0 for bk in preferred.betti)
-
-    collapse = None
-    if kg is not None and not kg.is_empty():
-        try:
-            collapse = greedy_collapse(kg, budget=face_budget)
-        except BudgetExceeded:
-            collapse = None
 
     checks = {
         "coatom_nerve_simplex_iff_frattini": nm.is_simplex() == frattini_nontrivial,

@@ -123,28 +123,23 @@ class Lattice:
         return self.subgroups[i].mask & ~self.subgroups[j].mask == 0
 
     @cached_property
-    def _packed(self) -> np.ndarray:
-        return _pack([s.mask for s in self.subgroups], self.group.order)
-
-    def superset_indices(self, i: int) -> np.ndarray:
-        """Indices of all subgroups containing subgroup i (including i)."""
-        row = self._packed[i]
-        return np.nonzero(((self._packed & row) == row).all(axis=1))[0]
-
-    @cached_property
     def atoms(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.subgroups) if is_prime(s.order))
 
     @cached_property
     def coatoms(self) -> tuple[int, ...]:
-        top = len(self.subgroups) - 1
+        """Maximal subgroups, in one pass by decreasing (order, mask): a
+        proper subgroup is maximal iff no maximal subgroup met before it
+        contains it."""
+        packed = _pack([s.mask for s in self.subgroups], self.group.order)
+        found = packed[:0]
         out = []
-        for i, s in enumerate(self.subgroups):
-            if i == top:
-                continue
-            if len(self.superset_indices(i)) == 2:  # exactly i and G
+        for i in range(len(self.subgroups) - 2, -1, -1):
+            row = packed[i]
+            if not ((found & row) == row).all(axis=1).any():
                 out.append(i)
-        return tuple(out)
+                found = packed[out]
+        return tuple(reversed(out))
 
     @cached_property
     def vertex_set(self) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Each complex is drawn as up to 8 random facets over at most 10 vertices.
 The reference is the path ``betti`` took before it reduced to the
 strong-collapse core: elementary collapses and exact ranks on every face
-of the input.
+of the input.  The collapse kernel is checked against the dict-driven
+collapses it replaced (``collapse_reference``).
 """
 
 import pytest
@@ -12,7 +13,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groupdom.complexes import SimplicialComplex, _reduced_betti, betti  # noqa: E402
+from collapse_reference import (reference_greedy_collapse,  # noqa: E402
+                                reference_reduce_by_collapses)
+from groupdom.complexes import (SimplicialComplex, _reduced_betti, betti,  # noqa: E402
+                                greedy_collapse, reduce_by_collapses)
 from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.groups import mask_to_indices  # noqa: E402
 
@@ -53,3 +57,11 @@ def test_profile_f_vector_is_face_count(cx, budget):
     except BudgetExceeded:
         expected = None
     assert betti(cx, face_budget=budget).f_vector == expected, (cx.facets, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets())
+def test_collapse_kernel_matches_reference(cx):
+    faces = cx.faces()
+    assert greedy_collapse(cx) == reference_greedy_collapse(faces), cx.facets
+    assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces), cx.facets

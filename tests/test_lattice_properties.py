@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from groupdom.burnside import BurnsideRing  # noqa: E402
+from groupdom.burnside import BurnsideRing, double_cosets  # noqa: E402
 from groupdom.complexes import (atom_nerve, betti, coatom_nerve,  # noqa: E402
                                 intersection_complex, order_complex)
 from groupdom.errors import BudgetExceeded  # noqa: E402
@@ -211,3 +211,34 @@ def test_burnside_products_match_marks(spec):
         for b in range(a, len(ring.classes)):
             dec = ring.product(a, b)
             assert np.array_equal(ring.mark_vector_of(dec), M[a] * M[b]), (spec, a, b)
+
+
+@PROPERTY
+@given(perm_specs())
+def test_coatoms_are_the_subgroups_below_only_g(spec):
+    L = enumerate_subgroups(small_group(spec))
+    masks = [s.mask for s in L.subgroups]
+    top = len(masks) - 1
+    expected = tuple(i for i in range(top)
+                     if sum(1 for m in masks if masks[i] & ~m == 0) == 2)  # i and G
+    assert L.coatoms == expected, spec
+
+
+@PROPERTY
+@given(perm_specs())
+def test_double_cosets_match_greedy_sweep(spec):
+    """Against a sweep over g in index order that marks each HgK it meets."""
+    G = small_group(spec)
+    L = enumerate_subgroups(G)
+    reps = [L.subgroups[c.rep] for c in subgroup_classes(G, L)]
+    for H in reps:
+        for K in reps:
+            visited, sweep = set(), []
+            for g in range(G.order):
+                if g not in visited:
+                    coset = {int(G.mul[int(G.mul[h, g]), k]) for h in range(G.order)
+                             if H.mask >> h & 1 for k in range(G.order) if K.mask >> k & 1}
+                    visited |= coset
+                    sweep.append((g, len(coset)))
+            dc = double_cosets(G, H, K)
+            assert list(zip(dc.reps, dc.sizes)) == sweep, (spec, H.mask, K.mask)
