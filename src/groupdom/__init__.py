@@ -1,7 +1,7 @@
 """groupdom: finite groups, their subgroup intersection graphs, exact
 domination numbers, Burnside ring arithmetic, and subgroup complexes."""
 
-from .burnside import BurnsideRing, DoubleCosetSet, GSetDecomposition, double_cosets, table_of_marks
+from .burnside import BurnsideRing, DoubleCosetSet, GSetDecomposition, double_cosets
 from .complexes import (HomologyProfile, SimplicialComplex, atom_nerve, betti,
                         coatom_nerve, greedy_collapse, intersection_complex,
                         nerve, order_complex, topology_report)

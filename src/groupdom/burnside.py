@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupTable, array_to_mask, mask_to_array
-from .lattice import (Lattice, Subgroup, SubgroupClass, class_of_subgroup,
-                      conjugate_rows, subgroup_classes)
+from .lattice import (Lattice, Subgroup, class_of_subgroup, conjugate_rows,
+                      subgroup_classes)
+
+# index_bound searches families of up to three classes exhaustively among
+# this many classes of least normalizer index
+_EXHAUSTIVE_POOL = 40
 
 
 @dataclass(frozen=True)
@@ -36,9 +40,6 @@ class GSetDecomposition:
             if c == class_index:
                 return m
         return 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.coeffs)
 
     def is_regular_multiple(self, trivial_class: int = 0) -> bool:
         """True when supported only on the trivial-subgroup class."""
@@ -63,11 +64,10 @@ class BurnsideRing:
     and the last class is the whole group.
     """
 
-    def __init__(self, G: GroupTable, L: Lattice,
-                 classes: list[SubgroupClass] | None = None):
+    def __init__(self, G: GroupTable, L: Lattice):
         self.G = G
         self.L = L
-        self.classes = classes if classes is not None else subgroup_classes(G, L)
+        self.classes = subgroup_classes(G, L)
         self.class_of = class_of_subgroup(L, self.classes)
         self.abelian = G.is_abelian()
         self._product_cache: dict[tuple[int, int], GSetDecomposition] = {}
@@ -260,7 +260,7 @@ class BurnsideRing:
                 out[a, b] = out[b, a] = val
         return out
 
-    def index_bound(self, exhaustive_limit: int = 40) -> dict:
+    def index_bound(self) -> dict:
         """Smallest found family of classes meeting every vertex class, and
         the resulting bound: the sum of the normalizer indices.
 
@@ -300,7 +300,7 @@ class BurnsideRing:
             if best is None or (w, sorted(family)) < (best[0], best[1]):
                 best = (w, sorted(family))
 
-        pool = sorted(vcls, key=lambda ci: (weight[ci], ci))[:exhaustive_limit]
+        pool = sorted(vcls, key=lambda ci: (weight[ci], ci))[:_EXHAUSTIVE_POOL]
         for i, a in enumerate(pool):
             consider([a])
             for j in range(i + 1, len(pool)):
@@ -332,9 +332,3 @@ class BurnsideRing:
         if best is None:
             return {"family": [], "bound": None, "gamma1_criterion": gamma1}
         return {"family": best[1], "bound": best[0], "gamma1_criterion": gamma1}
-
-
-def table_of_marks(G: GroupTable, L: Lattice,
-                   ring: BurnsideRing | None = None) -> np.ndarray:
-    ring = ring if ring is not None else BurnsideRing(G, L)
-    return ring.marks_matrix()

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .burnside import BurnsideRing
 from .complexes import topology_report
@@ -207,13 +206,7 @@ def _verify_one(label: str, cap: int, budget_ms) -> dict:
 def cmd_verify(args, started) -> int:
     labels = [e.label for e in corpus()
               if e.order and e.order <= args.order_max]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {label: pool.submit(_verify_one, label, args.cap, args.budget_ms)
-                       for label in labels}
-            groups = [futures[label].result() for label in labels]
-    else:
-        groups = [_verify_one(label, args.cap, args.budget_ms) for label in labels]
+    groups = [_verify_one(label, args.cap, args.budget_ms) for label in labels]
     violations = []
     for g in groups:
         for r in g["reports"]:
@@ -253,8 +246,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="time budget per expensive computation")
     parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
                         help=f"element cap for closures (default {DEFAULT_ELEMENT_CAP})")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for verify")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_spec in [("subgroups", True), ("graph", True), ("gamma", True),
                              ("sum", True), ("burnside", True), ("complex", True),

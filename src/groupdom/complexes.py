@@ -163,21 +163,27 @@ def _vertex_labels(L: Lattice, vertices) -> tuple[str, ...]:
     return tuple(f"H{L.subgroups[i].order}_{i}" for i in vertices)
 
 
+def _atom_upsets(L: Lattice, verts) -> list[int]:
+    """Per atom, the mask of the positions in ``verts`` of the subgroups
+    containing it."""
+    out = []
+    for a in L.atoms:
+        am = L.subgroups[a].mask
+        m = 0
+        for k, v in enumerate(verts):
+            if am & ~L.subgroups[v].mask == 0:
+                m |= 1 << k
+        out.append(m)
+    return out
+
+
 def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:
     """Faces are sets of proper non-trivial subgroups with non-trivial
     common intersection; facets are indexed by atoms (a common
     intersection always contains some atom)."""
     verts = tuple(vertices) if vertices is not None else L.vertex_set
-    pos = {v: k for k, v in enumerate(verts)}
-    facets = []
-    for a in L.atoms:
-        am = L.subgroups[a].mask
-        m = 0
-        for v in verts:
-            if am & ~L.subgroups[v].mask == 0:
-                m |= 1 << pos[v]
-        facets.append(m)
-    return SimplicialComplex.from_facets(_vertex_labels(L, verts), facets)
+    return SimplicialComplex.from_facets(_vertex_labels(L, verts),
+                                         _atom_upsets(L, verts))
 
 
 def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
@@ -241,18 +247,8 @@ def nerve(cover_sets: list[int], labels: tuple[str, ...] | None = None) -> Simpl
 def atom_nerve(L: Lattice) -> SimplicialComplex:
     """Nerve of the upward-closed covering by atom up-sets of the proper
     non-trivial subgroup poset."""
-    verts = L.vertex_set
-    pos = {v: k for k, v in enumerate(verts)}
-    covers = []
-    for a in L.atoms:
-        am = L.subgroups[a].mask
-        m = 0
-        for v in verts:
-            if am & ~L.subgroups[v].mask == 0:
-                m |= 1 << pos[v]
-        covers.append(m)
     labels = tuple(f"A{L.subgroups[a].order}_{a}" for a in L.atoms)
-    return nerve(covers, labels)
+    return nerve(_atom_upsets(L, L.vertex_set), labels)
 
 
 def coatom_nerve(L: Lattice) -> SimplicialComplex:
@@ -553,8 +549,7 @@ class TopologyReport:
 
 
 def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
-                    gamma: Gamma, face_budget: int = DEFAULT_FACE_BUDGET,
-                    full_models: bool = True) -> TopologyReport:
+                    gamma: Gamma, face_budget: int = DEFAULT_FACE_BUDGET) -> TopologyReport:
     """Build the four complexes, compare Betti profiles, and evaluate the
     simplex criteria: the coatom nerve is a simplex iff the Frattini
     subgroup is non-trivial, and the atom nerve is a simplex iff gamma
@@ -574,27 +569,21 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
 
     profiles["atom_nerve"] = safe_betti(na, "atom_nerve")
     profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve")
-    collapse = None
-    if full_models:
-        kg = complexes["intersection"] = intersection_complex(L)
-        try:  # one enumeration for the profile and the probe
-            faces = kg.faces(face_budget)
-        except BudgetExceeded:
-            faces = None
-        if faces is None or len(kg.facets) < 2:
-            profiles["intersection"] = safe_betti(kg, "intersection")
-        else:
-            profiles["intersection"] = _betti_of_faces(kg, faces, face_budget,
-                                                       "intersection")
-        if faces:
-            collapse = _collapse_probe(faces)
-        try:
-            oc = complexes["order"] = order_complex(L, max_chains=face_budget)
-            profiles["order"] = safe_betti(oc, "order")
-        except BudgetExceeded:
-            profiles["order"] = None
+    kg = complexes["intersection"] = intersection_complex(L)
+    try:  # one enumeration for the profile and the probe
+        faces = kg.faces(face_budget)
+    except BudgetExceeded:
+        faces = None
+    if faces is None or len(kg.facets) < 2:
+        profiles["intersection"] = safe_betti(kg, "intersection")
     else:
-        profiles["intersection"] = None
+        profiles["intersection"] = _betti_of_faces(kg, faces, face_budget,
+                                                   "intersection")
+    collapse = _collapse_probe(faces) if faces else None
+    try:
+        oc = complexes["order"] = order_complex(L, max_chains=face_budget)
+        profiles["order"] = safe_betti(oc, "order")
+    except BudgetExceeded:
         profiles["order"] = None
 
     complete = [p for p in profiles.values() if p is not None and p.complete]

@@ -172,18 +172,15 @@ def get_group(label: str, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
     return _GROUPS[key]
 
 
-def get_lattice(label: str, cap: int = DEFAULT_ELEMENT_CAP,
-                budget_ms: float | None = None) -> Lattice:
+def get_lattice(label: str, cap: int = DEFAULT_ELEMENT_CAP) -> Lattice:
     key = (label, cap)
     if key not in _LATTICES:
-        _LATTICES[key] = enumerate_subgroups(get_group(label, cap=cap),
-                                             budget_ms=budget_ms)
+        _LATTICES[key] = enumerate_subgroups(get_group(label, cap=cap))
     return _LATTICES[key]
 
 
-def get_gamma(label: str, cap: int = DEFAULT_ELEMENT_CAP,
-              budget_ms: float | None = None) -> DominationCertificate:
+def get_gamma(label: str, cap: int = DEFAULT_ELEMENT_CAP) -> DominationCertificate:
     key = (label, cap)
     if key not in _GAMMAS:
-        _GAMMAS[key] = gamma_exact(get_lattice(label, cap=cap), budget_ms=budget_ms)
+        _GAMMAS[key] = gamma_exact(get_lattice(label, cap=cap))
     return _GAMMAS[key]

@@ -256,8 +256,7 @@ def gamma_exact(L: Lattice, budget_ms: float | None = None) -> DominationCertifi
                                  optimal=optimal, method="setcover")
 
 
-def gamma_graph(graph: IntersectionGraph,
-                budget_ms: float | None = None) -> DominationCertificate:
+def gamma_graph(graph: IntersectionGraph) -> DominationCertificate:
     """Exact domination number of an arbitrary intersection graph, solved
     as set cover by closed neighborhoods.  Witness holds graph positions."""
     n = graph.n
@@ -270,7 +269,7 @@ def gamma_graph(graph: IntersectionGraph,
             if graph.adjacency[v, u]:
                 s |= 1 << u
         sets.append(s)
-    chosen, optimal = min_set_cover(n, sets, budget_ms=budget_ms)
+    chosen, optimal = min_set_cover(n, sets)
     return DominationCertificate(gamma=Gamma.of(len(chosen)), witness=tuple(chosen),
                                  optimal=optimal, method="setcover")
 

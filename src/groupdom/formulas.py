@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .domination import DominationCertificate, Gamma
-from .groups import (GroupTable, _bools_to_mask, is_prime, mask_to_array,
-                     quotient_group)
+from .groups import GroupTable, _bools_to_mask, is_prime, mask_to_array
 from .lattice import (CharacteristicSubgroups, GroupClassification, Lattice,
-                      SubgroupClass, class_of_subgroup, classify_group,
-                      enumerate_subgroups, prime_factors, subgroup_classes)
+                      SubgroupClass, class_of_subgroup, prime_factors,
+                      subgroup_classes)
 
 MATCH = "match"
 BOUND_HOLDS = "bound-holds"
@@ -185,27 +184,27 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     else:
         na("nilpotent")
 
-    # (b) same bounds through the nilpotent residual quotient
-    residual = chars.nilpotent_residual
-    if residual.order < G.order:
-        Q, _ = quotient_group(G, residual.mask)
-        LQ = enumerate_subgroups(Q)
-        if LQ.vertex_set:
-            cq = classify_group(Q, LQ)
-            if cq.is_p_group:
-                bound = cq.p + 1
-                reports.append(TheoremReport(
-                    "residual-quotient-p-group", label, f"<= {bound}", _gamma_str(gamma),
-                    _bound_verdict(gamma, bound),
-                    {"p": cq.p, "quotient_order": Q.order}))
-            else:
-                reports.append(TheoremReport(
-                    "residual-quotient-multi-prime", label, "<= 2", _gamma_str(gamma),
-                    _bound_verdict(gamma, 2), {"quotient_order": Q.order}))
-        else:
-            na("residual-quotient", quotient_order=Q.order)
-    else:
+    # (b) same bounds through Q = G/R, R the nilpotent residual (Q is
+    # nilpotent).  By the correspondence theorem the subgroups of Q are
+    # the interval [R, G] of L, so only q = |G:R| is needed: Q has a
+    # proper non-trivial subgroup iff q is not prime (Cauchy), and Q is a
+    # p-group iff q is a power of p.
+    q = G.order // chars.nilpotent_residual.order
+    if q == 1:
         na("residual-quotient")
+    elif is_prime(q):
+        na("residual-quotient", quotient_order=q)
+    else:
+        primes = prime_factors(q)
+        if len(primes) == 1:
+            bound = primes[0] + 1
+            reports.append(TheoremReport(
+                "residual-quotient-p-group", label, f"<= {bound}", _gamma_str(gamma),
+                _bound_verdict(gamma, bound), {"p": primes[0], "quotient_order": q}))
+        else:
+            reports.append(TheoremReport(
+                "residual-quotient-multi-prime", label, "<= 2", _gamma_str(gamma),
+                _bound_verdict(gamma, 2), {"quotient_order": q}))
 
     # (c) supersolvable: gamma <= p+1 for some prime divisor p
     if cls.is_supersolvable and has_vertices:

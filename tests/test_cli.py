@@ -200,19 +200,6 @@ class TestDeterminism:
             assert normalized(argv) == normalized(argv)
 
 
-class TestParallelVerify:
-    def test_jobs_matches_serial(self, capsys):
-        def result_of(*argv):
-            code, out, _ = run(capsys, *argv)
-            doc = json.loads(out)
-            return code, json.dumps(doc["result"], sort_keys=True)
-
-        code1, serial = result_of("--order-max", "8", "verify")
-        code2, parallel = result_of("--order-max", "8", "--jobs", "2", "verify")
-        assert code1 == code2 == 0
-        assert serial == parallel
-
-
 class TestViolationExit:
     def test_violation_verdict_exits_1(self, capsys, monkeypatch):
         import groupdom.cli as cli

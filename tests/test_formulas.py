@@ -1,7 +1,10 @@
 """Closed formulas and the structural bound suite."""
 
 import pytest
+from residual_quotient_reference import (reference_residual_quotient,
+                                         residual_quotient_report)
 
+from groupdom.corpus import corpus
 from groupdom.domination import Gamma
 from groupdom.formulas import (BOUND_HOLDS, MATCH, VIOLATION,
                                detect_frobenius, gamma_abelian_formula,
@@ -133,6 +136,15 @@ class TestVerifyBounds:
         res = next(r for r in reports if r.theorem.startswith("residual-quotient"))
         assert res.theorem == "residual-quotient-p-group"
         assert res.verdict == BOUND_HOLDS
+
+    def test_residual_quotient_matches_quotient_lattice(self, lattice, gamma_of):
+        # the report read from |G:R| equals the one built from G/R's lattice
+        for label in [e.label for e in corpus() if e.order <= 48]:
+            L = lattice(label)
+            chars = characteristic_subgroups(L.group, L)
+            reports = reports_for(label, lattice, gamma_of)
+            expected = reference_residual_quotient(L.group, chars, gamma_of(label).gamma)
+            assert residual_quotient_report(reports) == expected, label
 
     def test_symmetric_reports(self, lattice, gamma_of):
         reports = reports_for("S4", lattice, gamma_of)

@@ -1,6 +1,6 @@
 """Property tests on random permutation groups: subgroup enumeration,
-conjugation, commutator series, quotients, Burnside products and the four
-subgroup complexes.
+conjugation, commutator series, quotients, Burnside products, the four
+subgroup complexes and the bound suite's residual-quotient report.
 
 Groups are drawn as ``perm:`` specs of degree at most 6 with up to three
 random generators; only groups of order at most 60 are kept, so the
@@ -10,15 +10,19 @@ all-pairs oracle stays fast.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
+from residual_quotient_reference import (reference_residual_quotient,  # noqa: E402
+                                         residual_quotient_report)
 
 from groupdom.burnside import BurnsideRing, double_cosets  # noqa: E402
 from groupdom.complexes import (atom_nerve, betti, coatom_nerve,  # noqa: E402
                                 intersection_complex, order_complex)
+from groupdom.domination import gamma_exact  # noqa: E402
 from groupdom.errors import BudgetExceeded  # noqa: E402
+from groupdom.formulas import verify_bounds  # noqa: E402
 from groupdom.groups import (GroupSpec, build_group, is_normal,  # noqa: E402
                              parse_group_spec, quotient_group)
 from groupdom.lattice import (characteristic_subgroups, classify_group,  # noqa: E402
@@ -242,3 +246,16 @@ def test_double_cosets_match_greedy_sweep(spec):
                     sweep.append((g, len(coset)))
             dc = double_cosets(G, H, K)
             assert list(zip(dc.reps, dc.sizes)) == sweep, (spec, H.mask, K.mask)
+
+
+@PROPERTY
+@given(perm_specs())
+@example("perm:6:(1,2,3);(1,2)(4,5,6)")  # S3 x C3: |G:R| = 6 < |G|, two primes
+def test_residual_quotient_report_matches_quotient_lattice(spec):
+    G = small_group(spec)
+    L = enumerate_subgroups(G)
+    chars = characteristic_subgroups(G, L)
+    cert = gamma_exact(L)
+    reports = verify_bounds(G, L, classify_group(G, L), chars, cert)
+    expected = reference_residual_quotient(G, chars, cert.gamma)
+    assert residual_quotient_report(reports) == expected, spec
