@@ -46,6 +46,12 @@ def _emit(group, command, result, started, args, exceeded=False) -> None:
     print(json.dumps(doc, sort_keys=True, indent=indent))
 
 
+def _past_deadline(args, started) -> bool:
+    """Has the command run past ``--budget-ms``, counted from ``started``?"""
+    return (args.budget_ms is not None
+            and time.monotonic() > started + args.budget_ms / 1000.0)
+
+
 def _built(args):
     spec = parse_group_spec(args.spec)
     G = build_group(spec, cap=args.cap)
@@ -119,11 +125,10 @@ def cmd_burnside(args, started) -> int:
     ring = BurnsideRing(G, L)
     labels = ring.labels()
     marks = ring.marks_matrix()
-    deadline = None if args.budget_ms is None else started + args.budget_ms / 1000.0
     products = {}
     for a in range(len(labels)):
         for b in range(a, len(labels)):
-            if deadline is not None and time.monotonic() > deadline:
+            if _past_deadline(args, started):
                 raise BudgetExceeded(
                     f"Burnside products exceeded {args.budget_ms} ms",
                     partial=len(products))
@@ -206,7 +211,12 @@ def _verify_one(label: str, cap: int, budget_ms) -> dict:
 def cmd_verify(args, started) -> int:
     labels = [e.label for e in corpus()
               if e.order and e.order <= args.order_max]
-    groups = [_verify_one(label, args.cap, args.budget_ms) for label in labels]
+    groups = []
+    for label in labels:
+        if _past_deadline(args, started):
+            raise BudgetExceeded(f"verify exceeded {args.budget_ms} ms",
+                                 partial=len(groups))
+        groups.append(_verify_one(label, args.cap, args.budget_ms))
     violations = []
     for g in groups:
         for r in g["reports"]:

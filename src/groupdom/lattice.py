@@ -3,12 +3,16 @@
 Subgroups are bitmasks over element indices (bit 0, the identity, is always
 set).  The enumeration seeds with all cyclic subgroups and closes under
 "join with a cyclic subgroup", which reaches every subgroup because each
-subgroup is generated by its cyclic subgroups.  Every subgroup it finds
-carries a short generating set, so a join <H, C> is closed by a
+subgroup is generated by its cyclic subgroups.  Only conjugacy class
+representatives H are extended, each with one cyclic subgroup C per
+N_G(H)-orbit: for n in N_G(H), <H, nCn^-1> = n<H, C>n^-1, and every
+subgroup found enters with its whole conjugacy orbit.  Every subgroup it
+finds carries a short generating set, so a join <H, C> is closed by a
 breadth-first search under right multiplication by those generators; in
 an abelian group the join is the product set HC and needs no search.
 Conjugacy orbits and normalizers come from one vectorised kernel,
-``conjugates``.
+``conjugates``, which reads the orbit of H from the left cosets of
+N_G(H).
 """
 
 from __future__ import annotations
@@ -77,9 +81,11 @@ def generated_subgroup(G: GroupTable, seed_mask: int) -> Subgroup:
     return Subgroup.from_mask(close_subset(G, seed_mask))
 
 
-def _cyclic_generators(G: GroupTable) -> dict[int, int]:
-    """Mask of every non-trivial cyclic subgroup -> its smallest generator."""
+def _cyclic_generators(G: GroupTable) -> tuple[dict[int, int], list[int]]:
+    """Mask of every non-trivial cyclic subgroup -> its smallest generator,
+    and the mask of <g> for every element g (1 for the identity)."""
     out: dict[int, int] = {}
+    of_element = [1]
     for g in range(1, G.order):
         m = 1 | (1 << g)
         x = g
@@ -87,12 +93,13 @@ def _cyclic_generators(G: GroupTable) -> dict[int, int]:
             x = int(G.mul[x, g])
             m |= 1 << x
         out.setdefault(m, g)
-    return out
+        of_element.append(m)
+    return out, of_element
 
 
 def cyclic_subgroup_masks(G: GroupTable) -> list[int]:
     """Masks of all cyclic subgroups, trivial one excluded, deduplicated."""
-    return sorted(_cyclic_generators(G), key=lambda m: (m.bit_count(), m))
+    return sorted(_cyclic_generators(G)[0], key=lambda m: (m.bit_count(), m))
 
 
 def _pack(masks, n: int) -> np.ndarray:
@@ -165,18 +172,22 @@ def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     """The conjugacy orbit and the normalizer of subgroup ``mask``.
 
     ``conjugate_rows`` over all g gives the |G| x |H| array of g h g^-1;
-    its distinct rows are the orbit and the rows equal to H give N_G(H).
-    Returns ({conjugate mask: smallest g with g H g^-1 equal to it},
-    normalizer mask).  Temporaries stay at |G| x |H| entries.
+    the rows that lie inside H give N = N_G(H).  Two elements g and g'
+    conjugate H to the same subgroup iff gN = g'N, so the orbit is read
+    from the left cosets of N: the smallest element of each coset gN is
+    the smallest g giving its conjugate.  Returns ({conjugate mask:
+    smallest g with g H g^-1 equal to it}, normalizer mask).  Temporaries
+    stay at |G| x max(|H|, |N|) entries.
     """
     n = G.order
     members = mask_to_array(mask, n)
     rows = conjugate_rows(G, members, slice(None))
-    rows.sort(axis=1)
-    normalizer = _bools_to_mask((rows == members).all(axis=1))
-    _, first = np.unique(rows, axis=0, return_index=True)
-    orbit = {array_to_mask(rows[g], n): int(g) for g in first}
-    return orbit, normalizer
+    in_h = np.zeros(n, dtype=bool)
+    in_h[members] = True
+    normalizes = in_h[rows].all(axis=1)
+    firsts = np.unique(G.mul[:, normalizes].min(axis=1))
+    orbit = {array_to_mask(rows[g], n): int(g) for g in firsts}
+    return orbit, _bools_to_mask(normalizes)
 
 
 def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
@@ -217,44 +228,59 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
                         max_subgroups: int | None = None) -> Lattice:
     """All subgroups of G via cyclic seeds plus join-with-cyclic closure.
 
-    Two shortcuts keep this tractable: joining with prime-power cyclic
+    Three shortcuts keep this tractable: joining with prime-power cyclic
     subgroups suffices (every cyclic subgroup is the join of the
-    prime-power cyclics in it), and joins only need to extend conjugacy
-    class representatives, because a conjugate of a join is the join of
-    the conjugates and conjugates of cyclics are cyclic.  Every discovered
-    subgroup's whole conjugacy orbit is added.
+    prime-power cyclics in it); joins only need to extend conjugacy class
+    representatives, because a conjugate of a join is the join of the
+    conjugates and conjugates of cyclics are cyclic; and a representative
+    H needs only one joiner C from each N_G(H)-orbit, because
+    <H, nCn^-1> = n<H, C>n^-1 for n in N_G(H).  Every discovered
+    subgroup's whole conjugacy orbit is added, so the pruned joins find
+    nothing new.  The joiner kept from an orbit is the one listed first:
+    the generators of all joiners are conjugated by every element of
+    N_G(H) in one fancy-index, mapped to joiner positions, and joiner j is
+    kept iff its column's minimum is j.
 
     Each representative carries a generating set: (g,) for a cyclic
     subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated along
     with the subgroup when the orbit's representative is a conjugate of
-    the join found.  A join is closed by ``_join``: the product set HC in
-    an abelian group, a breadth-first search under those generators
-    otherwise.
+    the join found.  Its normalizer is conjugated the same way from the
+    one ``conjugates`` returns.  A join is closed by ``_join``: the
+    product set HC in an abelian group, a breadth-first search under those
+    generators otherwise.
     """
     t0 = time.monotonic()
     n = G.order
     full = (1 << n) - 1
     abelian = G.is_abelian()
-    cyclic = _cyclic_generators(G)
+    cyclic, cyclic_of = _cyclic_generators(G)
     seeds = sorted(cyclic, key=lambda m: (m.bit_count(), m))
     joiners = [(c, c.bit_count(), cyclic[c], mask_to_array(c, n)) for c in seeds
                if _is_prime_power(c.bit_count())]
+    # joiner position of <g> for every element g; other elements map past the end
+    position = {c: j for j, (c, *_) in enumerate(joiners)}
+    joiner_of = np.array([position.get(m, len(joiners)) for m in cyclic_of])
+    joiner_gens = np.array([c_gen for _, _, c_gen, _ in joiners], dtype=np.int64)
+    first_in_orbit = np.arange(len(joiners))
 
     known = {1, full}
     gens_of: dict[int, tuple[int, ...]] = {}
+    normalizer_of: dict[int, np.ndarray] = {}
 
     def admit(mask: int, gens: tuple[int, ...]) -> int:
-        """Add a subgroup and its conjugacy orbit; return the orbit rep,
-        whose generating set is recorded in ``gens_of``."""
+        """Add a subgroup and its conjugacy orbit, which is not yet known;
+        return the orbit rep, whose generating set is recorded in
+        ``gens_of`` and whose normalizer's members in ``normalizer_of``."""
         if abelian:
             known.add(mask)
             gens_of[mask] = gens
             return mask
-        orbit, _ = conjugates(G, mask)
+        orbit, normalizer = conjugates(G, mask)
         known.update(orbit)
         rep = min(orbit)
-        g = orbit[rep]
-        gens_of[rep] = tuple(int(x) for x in conjugate_rows(G, list(gens), [g])[0])
+        g = [orbit[rep]]
+        gens_of[rep] = tuple(int(x) for x in conjugate_rows(G, list(gens), g)[0])
+        normalizer_of[rep] = conjugate_rows(G, mask_to_array(normalizer, n), g)[0]
         return rep
 
     def check_size():
@@ -262,15 +288,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
             raise BudgetExceeded(
                 f"subgroup count exceeded {max_subgroups}", partial=len(known))
 
-    frontier = []
-    seen_reps = set()
-    for c in seeds:
-        if c in known:
-            continue
-        rep = admit(c, (cyclic[c],))
-        if rep not in seen_reps:
-            seen_reps.add(rep)
-            frontier.append(rep)
+    frontier = [admit(c, (cyclic[c],)) for c in seeds if c not in known]
     check_size()
     seen_seeds = set()
     while frontier:
@@ -278,7 +296,12 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         for h in frontier:
             h_count = h.bit_count()
             h_members = None
-            for c, c_count, c_gen, c_members in joiners:
+            h_joiners = joiners
+            if not abelian:
+                images = joiner_of[conjugate_rows(G, joiner_gens, normalizer_of[h])]
+                kept = np.flatnonzero(images.min(axis=0) == first_in_orbit)
+                h_joiners = [joiners[j] for j in kept]
+            for c, c_count, c_gen, c_members in h_joiners:
                 if c & ~h == 0:
                     continue
                 seed = h | c
@@ -297,10 +320,7 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
                         h_members = mask_to_array(h, n)
                     j = _join(G, h_members, c_members, gens, abelian)
                 if j not in known:
-                    rep = admit(j, gens)
-                    if rep not in seen_reps:
-                        seen_reps.add(rep)
-                        next_frontier.append(rep)
+                    next_frontier.append(admit(j, gens))
                     check_size()
             if budget_ms is not None and (time.monotonic() - t0) * 1000 > budget_ms:
                 raise BudgetExceeded(

@@ -162,6 +162,20 @@ class TestBudgetFlag:
         assert code == 3 and out == ""
         assert "chain budget" in err
 
+    def test_verify_stops_at_deadline(self, capsys, monkeypatch):
+        import groupdom.cli as cli
+
+        # the deadline is checked before each group, so a zero budget
+        # verifies none of them
+        verified = []
+        verify_one = cli._verify_one
+        monkeypatch.setattr(cli, "_verify_one", lambda label, cap, budget_ms:
+                            verified.append(label) or verify_one(label, cap, budget_ms))
+        code, out, err = run(capsys, "--budget-ms", "0", "--order-max", "48", "verify")
+        assert code == 3 and out == ""
+        assert "verify exceeded" in err
+        assert verified == []
+
     def test_default_run_not_exceeded(self, capsys):
         for command in ("sum", "gamma"):
             code, out, _ = run(capsys, command, "C2xC2xC2xC2")

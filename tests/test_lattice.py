@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from groupdom import lattice as lattice_module
 from groupdom.groups import build_group, is_prime, parse_group_spec
 from groupdom.lattice import (characteristic_subgroups, classify_group,
                               enumerate_subgroups, enumerate_subgroups_allpairs,
@@ -84,6 +85,23 @@ class TestEnumeration:
                     if pm in L.index:  # XY is a subgroup
                         inter = (x.mask & y.mask).bit_count()
                         assert len(prod) * inter == x.order * y.order
+
+
+class TestJoinWork:
+    # Each class representative H is joined with one prime-power cyclic
+    # subgroup per N_G(H)-orbit.  Joining it with every prime-power cyclic
+    # subgroup instead took 771 _join calls on S5 and 3,010 on A6, so a
+    # lost pruning shows up here as a count rather than as a timing.
+    @pytest.mark.parametrize("label, subgroups, joins",
+                             [("S5", 156, 144), ("A6", 501, 383)])
+    def test_join_count(self, monkeypatch, label, subgroups, joins):
+        calls = []
+        join = lattice_module._join
+        monkeypatch.setattr(lattice_module, "_join",
+                            lambda *args: calls.append(args) or join(*args))
+        G, L = built(label)
+        assert len(L) == subgroups
+        assert len(calls) == joins
 
 
 class TestGeneratedSubgroup:

@@ -149,21 +149,37 @@ def commutator_subgroup_by_loop(G, a_mask, b_mask):
     return close_subset(G, comms)
 
 
+def assert_conjugates_match_loop(G, mask, spec):
+    orbit, normalizer = conjugates(G, mask)
+    first: dict[int, int] = {}
+    norm = 0
+    for g in range(G.order):
+        c = conjugate_by_loop(G, mask, g)
+        first.setdefault(c, g)
+        if c == mask:
+            norm |= 1 << g
+    assert orbit == first, (spec, mask)
+    assert normalizer == norm, (spec, mask)
+
+
 @PROPERTY
 @given(perm_specs())
 def test_conjugates_match_elementwise_conjugation(spec):
     G = small_group(spec)
     for s in enumerate_subgroups(G).subgroups:
-        orbit, normalizer = conjugates(G, s.mask)
-        first: dict[int, int] = {}
-        norm = 0
-        for g in range(G.order):
-            c = conjugate_by_loop(G, s.mask, g)
-            first.setdefault(c, g)
-            if c == s.mask:
-                norm |= 1 << g
-        assert orbit == first, spec
-        assert normalizer == norm, spec
+        assert_conjugates_match_loop(G, s.mask, spec)
+
+
+def test_s5_conjugates_match_elementwise_conjugation():
+    # A fixed non-solvable group, which the draws above rarely reach: the
+    # orbits read from normalizer cosets on every subgroup, the normal
+    # ones (N = G) included.  tests/test_lattice.py checks S5's
+    # enumeration against the all-pairs closure.
+    G = build_group(parse_group_spec("S5"))
+    L = enumerate_subgroups(G)
+    assert len(L) == 156
+    for s in L.subgroups:
+        assert_conjugates_match_loop(G, s.mask, "S5")
 
 
 @PROPERTY
