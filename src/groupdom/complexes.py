@@ -11,12 +11,16 @@ Faces are bitmasks over a local vertex list.  Betti numbers are computed
 in three steps that each preserve the homotopy type or the homology: the
 facets are first reduced by strong collapses to a core (Barmak-Minian
 2012), which needs no face enumeration; the faces of the core are then
-shrunk by elementary collapses; and exact rank computations over the
-rationals finish the job.  The Euler characteristic is taken from the
-face counts of the input, so its agreement with the Betti numbers checks
-the reductions.  Elementary collapses have one kernel on faces numbered
-in (dimension, mask) order, with two pop orders: a stack for the
-reduction and a heap, smallest free face first, for the collapse probe.
+shrunk by elementary collapses; and ranks over the rationals, by
+fraction-free integer elimination, finish the job.  The Euler
+characteristic is taken from the face counts of the input, so its
+agreement with the Betti numbers checks the reductions.  Elementary
+collapses have one kernel on faces numbered in (dimension, mask) order,
+with two pop orders: a stack for the reduction and a heap, smallest free
+face first, for the collapse probe.  The kernel numbers the faces by
+sorted byte keys, builds their boundaries with array operations one
+vertex at a time, and marks a removed face by a negative coface count
+(see ``_collapse``).
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
+
+import numpy as np
 
 from .domination import Gamma
 from .errors import BudgetExceeded
@@ -272,59 +277,93 @@ def coatom_nerve(L: Lattice) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
+_BITS_SET = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def _collapse(faces, lowest_first: bool) -> tuple[list[int], int]:
     """The collapse kernel: elementary collapses on ``faces`` (closed under
-    taking non-empty subfaces) until none is free; returns the faces left
-    and the number of collapses.
+    taking non-empty subfaces, else ValueError) until none is free; returns
+    the faces left, in ascending (dimension, mask) order, and the number of
+    collapses.
 
-    Faces are numbered once in (dimension, mask) order.  Per number it
-    keeps the count of live cofaces, the xor of their numbers (the coface
-    itself when the count is 1: the face is then free, and removing the
-    pair preserves the homotopy type) and an alive flag; boundaries, the
-    numbers of the codimension-1 faces with the lowest removed vertex
-    first, lie end to end in one flat list.  Free faces wait in a heap
-    when ``lowest_first``, so the free face of least number goes next,
-    and otherwise on a stack that starts in ascending order.
+    Each face has a fixed-width byte key, its vertex count and then its
+    mask in big-endian bytes, so byte order of the keys is (dimension,
+    mask) order and a face's number is its key's position in the sorted
+    keys.  Boundaries, the numbers of the codimension-1 faces with the
+    lowest removed vertex first, lie end to end in one flat array.  They
+    are built one vertex v at a time, in ascending order: the keys of the
+    faces containing v, with v cleared and the count lowered by one, are
+    searched in the sorted keys.  Per number the kernel keeps the count of
+    live cofaces and the xor of their numbers (the coface itself when the
+    count is 1: the face is then free, and removing the pair preserves the
+    homotopy type).  A removed face gets count -1.  The coface g of a free
+    face f is maximal (a coface of g would give f a second coface), so the
+    live faces stay closed under taking subfaces and every boundary face
+    of f and g but f is live: a dead face's count only falls, so
+    ``count != 1`` skips stale entries and ``count >= 0`` marks the faces
+    left.  Free faces wait in a heap when ``lowest_first``, so the free
+    face of least number goes next, and otherwise on a stack that starts
+    in ascending order.
     """
-    by_size: dict[int, list[int]] = {}
-    for f in faces:
-        by_size.setdefault(f.bit_count(), []).append(f)
-    order = [f for k in sorted(by_size) for f in sorted(by_size[k])]
-    n, n_vertices = len(order), len(by_size.get(1, ()))
-    number = {f: i for i, f in enumerate(order)}
-    count, cx = [0] * n, [0] * n
-    flat: list[int] = []
-    start = array("q", bytes(8 * (n_vertices + 1)))  # boundary of i: start[i]:start[i+1]
-    for i in range(n_vertices, n):
-        g = m = order[i]
-        while m:
-            low = m & -m
-            m ^= low
-            j = number[g ^ low]
-            flat.append(j)
-            count[j] += 1
-            cx[j] ^= i
-        start.append(len(flat))
-    del by_size, number
-    alive = [True] * n
+    if not faces:
+        return [], 0
+    n, nb = len(faces), (max(faces).bit_length() + 7) // 8
+    rows = np.empty((n, nb + 1), dtype=np.uint8)
+    rows[:, 1:] = np.frombuffer(b"".join([f.to_bytes(nb, "big") for f in faces]),
+                                dtype=np.uint8).reshape(n, nb)
+    size = _BITS_SET[rows[:, 1:]].sum(axis=1)
+    if size.max() > 255:  # such a face has more subfaces than memory holds
+        raise ValueError("faces are not closed under taking subfaces")
+    rows[:, 0] = size
+    keys = np.sort(rows.view(f"S{nb + 1}").ravel())  # the numbering
+    rows = keys.view(np.uint8).reshape(n, nb + 1)
+    size = rows[:, 0].astype(np.int64)
+    size[size < 2] = 0  # a vertex has no boundary
+    start = np.zeros(n + 1, dtype=np.int64)  # boundary of i: start[i]:start[i+1]
+    np.cumsum(size, out=start[1:])
+    flat = np.empty(int(start[-1]), dtype=np.int32)
+    fill = start[:-1].copy()  # where each face's next boundary face goes
+    count = np.zeros(n, dtype=np.int32)
+    cx = np.zeros(n, dtype=np.int32)
+    lo = int(np.searchsorted(rows[:, 0], 2))  # the first face of two or more vertices
+    for v in range(8 * nb):
+        col, bit = nb - v // 8, 1 << (v % 8)
+        with_v = np.flatnonzero(rows[lo:, col] & bit) + lo
+        if not len(with_v):
+            continue
+        sub = rows[with_v]
+        sub[:, 0] -= 1
+        sub[:, col] ^= bit
+        query = sub.view(keys.dtype).ravel()
+        j = np.searchsorted(keys, query)
+        if not np.array_equal(keys[np.minimum(j, n - 1)], query):
+            raise ValueError("faces are not closed under taking subfaces")
+        flat[fill[with_v]] = j
+        fill[with_v] += 1
+        # clearing v in distinct faces gives distinct faces: j has no repeats
+        count[j] += 1
+        cx[j] ^= with_v.astype(np.int32)
+    del size, fill
+    start, flat = array("q", start.tobytes()), array("i", flat.tobytes())
+    count, cx = count.tolist(), cx.tolist()
     free = [i for i in range(n) if count[i] == 1]  # ascending: already a heap
     pop, push = (heapq.heappop, heapq.heappush) if lowest_first else (list.pop, list.append)
     steps = 0
     while free:
         f = pop(free)
-        if not alive[f] or count[f] != 1:
+        if count[f] != 1:
             continue
         g = cx[f]
-        alive[f] = alive[g] = False
+        count[f] = count[g] = -1
         steps += 1
         for r in (g, f):
             for s in flat[start[r]:start[r + 1]]:
-                if alive[s]:
-                    c = count[s] = count[s] - 1
-                    cx[s] ^= r
-                    if c == 1:
-                        push(free, s)
-    return [order[i] for i in range(n) if alive[i]], steps
+                c = count[s] = count[s] - 1
+                cx[s] ^= r
+                if c == 1:
+                    push(free, s)
+    rest = rows[[i for i in range(n) if count[i] >= 0], 1:].tobytes()
+    return [int.from_bytes(rest[k:k + nb], "big") for k in range(0, len(rest), nb)], steps
 
 
 def reduce_by_collapses(faces: set[int]) -> set[int]:
@@ -357,26 +396,37 @@ def greedy_collapse(complex_: SimplicialComplex,
 
 
 def _exact_rank(columns: list[dict[int, int]]) -> int:
-    """Rank over the rationals of a matrix given by sparse columns."""
+    """Rank over the rationals of a matrix given by sparse integer columns.
+
+    Fraction-free elimination: a column whose lowest row holds a pivot is
+    replaced by a*col - b*pivot, with a and b the two entries of that row
+    divided by their gcd, and then divided by the gcd of its entries.
+    Scaling by non-zero integers does not change the rank over Q.
+    """
     rank = 0
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for col in columns:
-        cur = {r: Fraction(v) for r, v in col.items() if v}
+        cur = {r: v for r, v in col.items() if v}
         while cur:
             r = min(cur)
-            if r in pivots:
-                factor = cur[r]
-                for pr, pv in pivots[r].items():
-                    nv = cur.get(pr, Fraction()) - factor * pv
-                    if nv:
-                        cur[pr] = nv
-                    else:
-                        cur.pop(pr, None)
-            else:
-                lead = cur[r]
-                pivots[r] = {pr: pv / lead for pr, pv in cur.items()}
+            pivot = pivots.get(r)
+            if pivot is None:
+                pivots[r] = cur
                 rank += 1
                 break
+            d = gcd(pivot[r], cur[r])
+            a, b = pivot[r] // d, cur[r] // d
+            if a != 1:
+                cur = {pr: a * v for pr, v in cur.items()}
+            for pr, pv in pivot.items():
+                nv = cur.get(pr, 0) - b * pv
+                if nv:
+                    cur[pr] = nv
+                else:
+                    del cur[pr]
+            d = gcd(*cur.values())
+            if d > 1:
+                cur = {pr: v // d for pr, v in cur.items()}
     return rank
 
 

@@ -2,14 +2,16 @@
 
 import pytest
 
+import groupdom.complexes
 from collapse_reference import reference_greedy_collapse, reference_reduce_by_collapses
-from groupdom.complexes import (SimplicialComplex, _reduced_betti, atom_nerve,
-                                betti, coatom_nerve, greedy_collapse,
-                                intersection_complex, nerve, order_complex,
-                                reduce_by_collapses, topology_report)
+from groupdom.complexes import (SimplicialComplex, _collapse, _exact_rank,
+                                _reduced_betti, atom_nerve, betti, coatom_nerve,
+                                greedy_collapse, intersection_complex, nerve,
+                                order_complex, reduce_by_collapses, topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups
+from rank_reference import reference_rank
 
 MODELS = [("intersection", intersection_complex), ("order", order_complex),
           ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)]
@@ -251,14 +253,32 @@ class TestCollapse:
         assert res["remaining_faces"] == 3
 
     # (collapsed_to_point, steps, remaining_faces) measured by the dict-driven
-    # probe the kernel replaced; C2xC2xC2xC2 (False, 245185, 205) is left
-    # out because it takes seconds
+    # probe the kernel replaced; C2xC2xC2xC2 (490,575 faces) takes about 3 s
     @pytest.mark.parametrize("label,expected", [
         ("D36", (True, 32949, 1)), ("C3xC2xC2xC2", (False, 18056, 51)),
-        ("C6xC6", (False, 3985, 41)), ("A5", (False, 931, 101))])
+        ("C6xC6", (False, 3985, 41)), ("A5", (False, 931, 101)),
+        ("C2xC2xC2xC2", (False, 245185, 205))])
     def test_pinned_probes(self, lattice, label, expected):
         res = greedy_collapse(intersection_complex(lattice(label)))
         assert (res["collapsed_to_point"], res["steps"], res["remaining_faces"]) == expected
+
+    @pytest.mark.parametrize("lowest_first", [True, False])
+    def test_empty_face_set(self, lowest_first):
+        assert _collapse(set(), lowest_first) == ([], 0)
+
+    @pytest.mark.parametrize("lowest_first", [True, False])
+    def test_vertices_only_are_left_unchanged(self, lowest_first):
+        faces = {1, 1 << 9, 1 << 70}
+        assert _collapse(faces, lowest_first) == (sorted(faces), 0)
+
+    @pytest.mark.parametrize("faces", [
+        {0b11},                                   # no vertices
+        {0b1, 0b10, 0b100, 0b11, 0b111},          # two edges of the triangle missing
+        {1, 1 << 80, 1 << 80 | 1 << 3},           # vertex 3 missing, wide keys
+        {(1 << 256) - 1}])                        # too many vertices for a count byte
+    def test_face_set_not_closed_raises(self, faces):
+        with pytest.raises(ValueError):
+            reduce_by_collapses(faces)
 
 
 @pytest.mark.parametrize("label", [e.label for e in corpus()
@@ -272,6 +292,29 @@ def test_collapse_kernel_matches_reference(lattice, label):
     faces = kg.faces()
     assert greedy_collapse(kg) == reference_greedy_collapse(faces)
     assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces)
+
+
+# the groups of the benchmark's complexes workload
+BENCHMARK_COMPLEX_GROUPS = ("S4", "A5", "D24", "D36", "C4xC2xC2", "C3xC2xC2xC2", "C6xC6")
+
+
+def test_integer_rank_matches_fraction_rank(lattice, monkeypatch):
+    """Every boundary matrix that the four models' profiles of the benchmark
+    groups ask a rank of has the same rank by fraction-free integer
+    elimination as by elimination over Fraction."""
+    calls = []
+
+    def recorded_rank(columns):
+        calls.append(columns)
+        return _exact_rank(columns)
+
+    monkeypatch.setattr(groupdom.complexes, "_exact_rank", recorded_rank)
+    for label in BENCHMARK_COMPLEX_GROUPS:
+        for _, build in MODELS:
+            betti(build(lattice(label)))
+    assert len(calls) == 24  # as many as the complexes workload makes
+    for columns in calls:
+        assert _exact_rank(columns) == reference_rank(columns)
 
 
 class TestTopologyReport:

@@ -4,7 +4,9 @@ Each complex is drawn as up to 8 random facets over at most 10 vertices.
 The reference is the path ``betti`` took before it reduced to the
 strong-collapse core: elementary collapses and exact ranks on every face
 of the input.  The collapse kernel is checked against the dict-driven
-collapses it replaced (``collapse_reference``).
+collapses it replaced (``collapse_reference``), also with vertices spread
+over masks wider than 8 bytes, and the integer rank against the rank over
+Fraction (``rank_reference``).
 """
 
 import pytest
@@ -15,10 +17,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from collapse_reference import (reference_greedy_collapse,  # noqa: E402
                                 reference_reduce_by_collapses)
-from groupdom.complexes import (SimplicialComplex, _reduced_betti, betti,  # noqa: E402
-                                greedy_collapse, reduce_by_collapses)
+from groupdom.complexes import (SimplicialComplex, _exact_rank,  # noqa: E402
+                                _reduced_betti, betti, greedy_collapse,
+                                reduce_by_collapses)
 from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.groups import mask_to_indices  # noqa: E402
+from rank_reference import reference_rank  # noqa: E402
 
 
 @st.composite
@@ -27,6 +31,41 @@ def facet_sets(draw):
     masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
                           min_size=1, max_size=8))
     return SimplicialComplex.from_facets(tuple(f"v{i}" for i in range(n)), masks)
+
+
+@st.composite
+def wide_facet_sets(draw):
+    """Up to 8 random facets over at most 10 vertices at positions up to
+    140, so that a face's mask can take more than 8 bytes."""
+    positions = draw(st.lists(st.integers(min_value=0, max_value=140),
+                              min_size=1, max_size=10, unique=True))
+    masks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        chosen = draw(st.lists(st.sampled_from(positions), min_size=1, unique=True))
+        masks.append(sum(1 << p for p in chosen))
+    return SimplicialComplex.from_facets(
+        tuple(f"v{i}" for i in range(max(positions) + 1)), masks)
+
+
+@st.composite
+def integer_columns(draw):
+    """Sparse integer columns over at most 10 rows; some are integer
+    combinations of earlier ones, so that ranks fall short."""
+    rows = draw(st.integers(min_value=1, max_value=10))
+    entry = st.integers(min_value=-6, max_value=6)
+    columns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        if columns and draw(st.booleans()):
+            col = {}
+            for c in draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3)):
+                k = draw(entry)
+                for r, v in c.items():
+                    col[r] = col.get(r, 0) + k * v
+        else:
+            col = draw(st.dictionaries(st.integers(min_value=0, max_value=rows - 1),
+                                       entry, max_size=rows))
+        columns.append(col)
+    return columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,3 +104,17 @@ def test_collapse_kernel_matches_reference(cx):
     faces = cx.faces()
     assert greedy_collapse(cx) == reference_greedy_collapse(faces), cx.facets
     assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces), cx.facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_facet_sets())
+def test_collapse_kernel_matches_reference_on_wide_masks(cx):
+    faces = cx.faces()
+    assert greedy_collapse(cx) == reference_greedy_collapse(faces), cx.facets
+    assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces), cx.facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_columns())
+def test_integer_rank_matches_fraction_rank(columns):
+    assert _exact_rank(columns) == reference_rank(columns), columns
