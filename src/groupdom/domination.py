@@ -117,16 +117,24 @@ class _Instance:
                 self.sets[si] |= 1 << a
         self.full = (1 << len(minimal)) - 1
 
-    def lower_bound(self, uncovered: int, limit: int) -> int:
-        """A lower bound on the sets needed to cover ``uncovered``: the
-        larger of the coverage bound ceil(|U| / max_S |S & U|) and a greedy
-        packing of points no two of which share a set, each needing its
-        own set.  Returns as soon as the bound is known to exceed
-        ``limit``."""
+    def lower_bound(self, uncovered: int, banned: int, limit: int) -> int:
+        """A lower bound on the sets needed to cover ``uncovered`` without
+        the sets in ``banned``: the larger of the coverage bound, the least
+        k such that the k largest |S & U| sum to at least |U| (over all
+        sets, banned or not, so it is at least ceil(|U| / max_S |S & U|)),
+        and a greedy packing of points no two of which share an unbanned
+        set, each needing its own set.  A point the packing visits whose
+        sets are all banned makes the cover impossible: ``limit + 1``.
+        Returns as soon as the bound is known to exceed ``limit``."""
         if not uncovered:
             return 0
-        widest = max(map(int.bit_count, map(uncovered.__and__, self.sets)))
-        coverage = -(-uncovered.bit_count() // widest)
+        need = uncovered.bit_count()
+        coverage = 0
+        for size in sorted(map(int.bit_count, map(uncovered.__and__, self.sets)), reverse=True):
+            coverage += 1
+            need -= size
+            if need <= 0 or coverage > limit:
+                break
         if coverage > limit:
             return coverage
         used = 0
@@ -135,7 +143,9 @@ class _Instance:
         while rest and packing <= limit:
             low = rest & -rest
             rest ^= low
-            c = self.covers[low.bit_length() - 1]
+            c = self.covers[low.bit_length() - 1] & ~banned
+            if not c:
+                return limit + 1
             if c & used == 0:
                 packing += 1
                 used |= c
@@ -146,7 +156,7 @@ def set_cover_lower_bound(universe_size: int, sets: list[int]) -> int:
     """Lower bound on the size of any cover of the whole universe: the
     bound ``min_set_cover`` prunes its root with."""
     inst = _Instance(universe_size, sets)
-    return inst.lower_bound(inst.full, universe_size)
+    return inst.lower_bound(inst.full, 0, universe_size)
 
 
 def min_set_cover(universe_size: int, sets: list[int],
@@ -162,22 +172,40 @@ def min_set_cover(universe_size: int, sets: list[int],
     ``_Instance``; a cover of the kept points covers every point.  A node
     with uncovered set U branches on the uncovered point lying in the
     fewest sets (smallest index on ties), trying those sets in index
-    order.  Let ``allowed`` = incumbent size - 1 - sets chosen so far, the
-    most sets a strictly better cover may still add.  A node is pruned
-    when ``_Instance.lower_bound(U)`` exceeds ``allowed`` (the larger of
-    the coverage and packing bounds), or when the failure memo holds
-    ``fail[U] >= allowed``.  A subtree searched to the end without
-    improving the incumbent and without a budget abort shows that U has
-    no cover of ``allowed`` sets, and records ``fail[U] = allowed``.
+    order.  Branching is by exclusion: a node carries a mask B of banned
+    sets, its children take the point's sets s1 < s2 < ... not in B, and
+    child i also bans s1 .. s(i-1), so each combination of sets is
+    searched once.  Let ``allowed`` = incumbent size - 1 - sets chosen so
+    far, the most sets a strictly better cover may still add.  A node is
+    pruned when ``_Instance.lower_bound(U, B)`` exceeds ``allowed`` (the
+    larger of the k-largest coverage bound and the packing bound, or
+    infeasible when a point it visits has only banned sets), or when the
+    failure memo holds ``fail[U] >= allowed``.  A subtree searched to the
+    end without improving the incumbent and without a budget abort shows
+    that U has no cover of ``allowed`` sets, and records
+    ``fail[U] = allowed``.
+
+    Why the memo is keyed on U alone, though the subtree only tried covers
+    avoiding B: let node N have chosen sets X and ban B, and suppose U has
+    a cover C of at most ``allowed`` sets that uses a set of B.  Then
+    T = X + C covers everything with fewer sets than the incumbent.  Its
+    canonical path takes, at each node, the first set of T containing the
+    branching point; that path avoids every ban along it, and leaves N's
+    path for an earlier sibling, so it was searched before N.  Only valid
+    prunes cut it, so the incumbent at N would be at most |T|, a
+    contradiction.  So at N a cover avoiding B exists exactly when any
+    cover exists, and a failed subtree proves the unrestricted claim.
 
     Why the witness is the one a plain depth-first search returns: a
     dropped point is never the branching point, since whenever it is
     uncovered so is a kept point in fewer sets, or in as many with a
     smaller index; and it never decides whether a node is a full cover.
-    So the search tree is the same.  Every prune, by either bound or by
-    the memo, removes only subtrees with no cover smaller than the
-    incumbent, and the incumbent changes only on a strict improvement,
-    so the first optimum in search order is still the one returned.
+    So the search tree is the same up to exclusion.  By the argument
+    above the first optimum's path never uses a banned set, so exclusion
+    does not cut it.  Every prune, by either bound, infeasibility or the
+    memo, removes only subtrees with no cover smaller than the incumbent,
+    and the incumbent changes only on a strict improvement, so the first
+    optimum in search order is still the one returned.
     """
     inst = _Instance(universe_size, sets)
     covers, reduced = inst.covers, inst.sets
@@ -200,7 +228,7 @@ def min_set_cover(universe_size: int, sets: list[int],
     optimal = True
     fail: dict[int, int] = {}
 
-    def branch(uncovered: int, chosen: list[int]):
+    def branch(uncovered: int, banned: int, chosen: list[int]):
         nonlocal incumbent, best_size, optimal
         if uncovered == 0:
             if len(chosen) < best_size:
@@ -211,22 +239,24 @@ def min_set_cover(universe_size: int, sets: list[int],
             optimal = False
             return
         allowed = best_size - 1 - len(chosen)
-        if fail.get(uncovered, -1) >= allowed or inst.lower_bound(uncovered, allowed) > allowed:
+        if (fail.get(uncovered, -1) >= allowed
+                or inst.lower_bound(uncovered, banned, allowed) > allowed):
             return
         size_before = best_size
         low = uncovered & -uncovered
-        m = covers[low.bit_length() - 1]
+        m = covers[low.bit_length() - 1] & ~banned
         while m:
             low = m & -m
             si = low.bit_length() - 1
             m ^= low
             chosen.append(si)
-            branch(uncovered & ~reduced[si], chosen)
+            branch(uncovered & ~reduced[si], banned, chosen)
             chosen.pop()
+            banned |= low
         if best_size == size_before and not budget.hit:
             fail[uncovered] = allowed
 
-    branch(inst.full, [])
+    branch(inst.full, 0, [])
     return sorted(incumbent), optimal
 
 

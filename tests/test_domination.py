@@ -7,7 +7,7 @@ import pytest
 from groupdom.corpus import find_entry
 from groupdom.domination import (ALEPH0, Gamma, domination_oracle, gamma_exact,
                                  gamma_graph, is_dominating, min_set_cover,
-                                 sum_number)
+                                 set_cover_lower_bound, sum_number)
 from groupdom.graphs import intersection_graph, p_subgroup_indices, restricted_graph
 from groupdom.groups import quotient_group
 from groupdom.lattice import enumerate_subgroups
@@ -220,6 +220,15 @@ class TestSumNumber:
             s = sum_number(L.group, L).value
             assert gamma_of(label).gamma <= s, label
 
+    # the first optimum in search order, on the groups as the CLI builds
+    # them; another element labelling gives other lattice indices
+    WITNESSES = {
+        "A5": (43, *range(47, 56)),
+        "S5": (128, 129, 130, 131, 132, 134, 136, 137, 138, 142, *range(149, 155)),
+        "A6": (*range(478, 490), 492, 493, 498, 499),
+        "S6": tuple(range(1441, 1454)),
+    }
+
     @pytest.mark.parametrize("label,expected,source", [
         ("A5", 10, "Cohn 1994"), ("S5", 16, "Cohn 1994"), ("A6", 16, "Cohn 1994"),
         ("S6", 13, "Abdollahi-Ashraf-Shaker 2007")])
@@ -229,6 +238,15 @@ class TestSumNumber:
         L = lattice(label)
         res = sum_number(L.group, L)
         assert res.optimal and res.value == Gamma.of(expected)
+        assert res.witness == self.WITNESSES[label]
+
+    @pytest.mark.parametrize("label,bound", [
+        ("S5", 13), ("A5", 8), ("A6", 11), ("S6", 11), ("C2xC2xC2xC2", 3), ("D36", 3)])
+    def test_root_lower_bound(self, lattice, label, bound):
+        # the lower end of the bracket an aborted ``sum`` reports
+        L = lattice(label)
+        sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]
+        assert set_cover_lower_bound(L.group.order - 1, sets) == bound
 
     def test_witness_union_covers_group(self, lattice):
         L = lattice("D36")

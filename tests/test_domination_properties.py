@@ -13,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groupdom.domination import domination_oracle, gamma_exact, min_set_cover  # noqa: E402
+from groupdom.domination import (_Instance, domination_oracle, gamma_exact,  # noqa: E402
+                                 min_set_cover, set_cover_lower_bound)
 from groupdom.graphs import intersection_graph  # noqa: E402
 from groupdom.lattice import enumerate_subgroups  # noqa: E402
 from test_lattice_properties import perm_specs, small_group  # noqa: E402
@@ -90,6 +91,30 @@ def test_min_set_cover_matches_brute_force(instance):
         union |= sets[si]
     assert union == (1 << universe_size) - 1
     assert chosen == plain_search(universe_size, sets)
+
+
+def ceiling_bound(universe_size: int, sets: list[int]) -> int:
+    """The larger of ceil(|U| / max |S & U|) over the points U kept by the
+    dominance reduction and the greedy packing of those points: the root
+    bound with the k-largest coverage bound replaced by the ceiling."""
+    inst = _Instance(universe_size, sets)
+    widest = max((s & inst.full).bit_count() for s in inst.sets)
+    used = packing = 0
+    for c in inst.covers:
+        if c & used == 0:
+            packing += 1
+            used |= c
+    return max(-(-inst.full.bit_count() // widest), packing)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_instances())
+def test_lower_bound_is_bracketed(instance):
+    # the lower end of an aborted ``sum``'s bracket holds the optimum and
+    # is never below the ceiling bound
+    universe_size, sets = instance
+    bound = set_cover_lower_bound(universe_size, sets)
+    assert ceiling_bound(universe_size, sets) <= bound <= brute_force_size(universe_size, sets)
 
 
 @settings(max_examples=30, deadline=None)
