@@ -158,20 +158,18 @@ def cmd_complex(args, started) -> int:
         if cx is None:  # the order complex's maximal chains ran past the budget
             raise BudgetExceeded(f"{name} complex: maximal chain budget exceeded")
         profile = report.profiles[name]
-        if profile is None or profile.f_vector is None:
-            models[name] = {"vertex_labels": list(cx.vertex_labels),
-                            "facets_count": len(cx.facets), "complete": False}
+        entry = models[name] = {"vertex_labels": list(cx.vertex_labels)}
+        if profile is None:
+            entry.update(facets_count=len(cx.facets), complete=False)
             continue
-        models[name] = {
-            "vertex_labels": list(cx.vertex_labels),
-            "facets": [[cx.vertex_labels[v] for v in mask_to_indices(f)]
-                       for f in cx.facets],
-            "f_vector": list(profile.f_vector),
-            "betti": list(profile.betti),
-            "euler": profile.euler,
-            "is_simplex": cx.is_simplex(),
-            "complete": profile.complete,
-        }
+        entry.update(betti=list(profile.betti), euler=profile.euler,
+                     is_simplex=cx.is_simplex(), complete=profile.complete)
+        if profile.f_vector is None:  # the faces of the complex exceed the budget
+            entry.update(f_vector=None, dim=profile.dim, facets_count=len(cx.facets))
+        else:
+            entry.update(f_vector=list(profile.f_vector),
+                         facets=[[cx.vertex_labels[v] for v in mask_to_indices(f)]
+                                 for f in cx.facets])
     result = {"models": models, "report": report.to_json()}
     _emit(G.label, "complex", result, started, args, exceeded=not cert.optimal)
     return EXIT_OK

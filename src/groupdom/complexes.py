@@ -7,13 +7,18 @@ nerves, of the atom-upset covering and the coatom-downset covering.  All
 four are homotopy equivalent, which the library checks by computing their
 reduced rational Betti numbers.
 
-Faces are bitmasks over a local vertex list.  Betti numbers are computed
-in three steps that each preserve the homotopy type or the homology: the
-facets are first reduced by strong collapses to a core (Barmak-Minian
-2012), which needs no face enumeration; the faces of the core are then
-shrunk by elementary collapses; and ranks over the rationals, by
-fraction-free integer elimination, finish the job.  The Euler
-characteristic is taken from the face counts of the input, so its
+Faces are bitmasks over a local vertex list.  Betti numbers have one
+exact path, whose steps each preserve the homotopy type or the homology:
+the facets are reduced by strong collapses to a core (Barmak-Minian
+2012), which needs no face enumeration; if the core has more faces than
+the budget, the strong core of the nerve of the core's facets takes its
+place (any set of facets meets in a simplex, so by the nerve lemma that
+nerve is homotopy equivalent to the complex); if neither fits,
+BudgetExceeded is raised.  The faces of the chosen core are shrunk by
+elementary collapses, and ranks over the rationals, by fraction-free
+integer elimination, finish the job.  The Euler characteristic is taken
+from the face counts of the input when they fit the budget, and otherwise
+from those of the chosen core before its elementary collapses; its
 agreement with the Betti numbers checks the reductions.  Elementary
 collapses have one kernel on faces numbered in (dimension, mask) order,
 with two pop orders: a stack for the reduction and a heap, smallest free
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -38,7 +44,6 @@ from .groups import mask_to_indices
 from .lattice import CharacteristicSubgroups, Lattice
 
 DEFAULT_FACE_BUDGET = 2_000_000
-MAX_FACET_VERTICES = 21  # larger facets are not enumerated face by face
 
 
 @dataclass(frozen=True)
@@ -106,11 +111,12 @@ class SimplicialComplex:
         return len(self.facets) == 1 and self.facets[0].bit_count() == self.n_vertices
 
     def faces(self, budget: int = DEFAULT_FACE_BUDGET) -> set[int]:
-        """All non-empty faces.  Raises BudgetExceeded past the budget."""
+        """All non-empty faces.  Raises BudgetExceeded past the budget, at
+        once for a facet that alone has more faces than the budget."""
         out: set[int] = set()
         for f in self.facets:
-            if f.bit_count() > MAX_FACET_VERTICES:
-                raise BudgetExceeded("facet too large to enumerate faces",
+            if (1 << f.bit_count()) - 1 > budget:
+                raise BudgetExceeded("facet has more faces than the budget",
                                      partial=len(out))
             sub = f
             while True:
@@ -124,11 +130,20 @@ class SimplicialComplex:
         return out
 
     def f_vector(self, budget: int = DEFAULT_FACE_BUDGET) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for face in self.faces(budget):
-            k = face.bit_count() - 1
-            counts[k] = counts.get(k, 0) + 1
-        return tuple(counts.get(k, 0) for k in range(self.dim() + 1))
+        return _f_vector(self.faces(budget))
+
+    def on_used_vertices(self) -> "SimplicialComplex":
+        """The same complex on the vertices its facets use, renumbered in
+        ascending order, which keeps the (dimension, mask) order of faces
+        and so the collapse kernel's numbering, on narrower keys."""
+        union = 0
+        for f in self.facets:
+            union |= f
+        used = mask_to_indices(union)
+        new = {v: 1 << k for k, v in enumerate(used)}
+        return SimplicialComplex(
+            vertex_labels=tuple(self.vertex_labels[v] for v in used),
+            facets=tuple(sum(new[v] for v in mask_to_indices(f)) for f in self.facets))
 
     def edges(self) -> set[tuple[int, int]]:
         out = set()
@@ -456,110 +471,70 @@ def _boundary_ranks(faces: set[int], top_dim: int) -> list[int]:
     return ranks
 
 
+def _f_vector(faces) -> tuple[int, ...]:
+    """Faces per dimension, 0 up to the largest face."""
+    counts = Counter(map(int.bit_count, faces))  # faces per vertex count
+    return tuple(counts[k] for k in range(1, max(counts, default=0) + 1))
+
+
 def _reduced_betti(faces: set[int], top_dim: int) -> tuple[int, ...]:
     """Reduced Betti numbers b_0..b_top_dim of the complex spanned by
     ``faces`` (closed under taking subfaces): elementary collapses, then
     exact ranks of the boundary maps on what is left."""
     faces = reduce_by_collapses(faces)
-    counts: dict[int, int] = {}
-    for f in faces:
-        k = f.bit_count() - 1
-        counts[k] = counts.get(k, 0) + 1
-    return _betti_from_ranks(counts, _boundary_ranks(faces, top_dim))
-
-
-def _betti_from_ranks(counts: dict[int, int], ranks: list[int]) -> tuple[int, ...]:
-    """Reduced Betti numbers b_0..b_{len(ranks)-1} from the face counts per
-    dimension and ranks[k-1] = rank d_k."""
-    b = [counts.get(k, 0) - (ranks[k - 1] if k else 0) - ranks[k]
-         for k in range(len(ranks))]
+    counts = _f_vector(faces) + (0,) * (top_dim + 1)
+    ranks = [0] + _boundary_ranks(faces, top_dim)  # ranks[k] = rank d_k
+    b = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
     b[0] -= 1  # reduced homology
     return tuple(b)
+
+
+def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
+    """The faces of the complex, or None when they exceed the budget."""
+    try:
+        return complex_.faces(budget)
+    except BudgetExceeded:
+        return None
 
 
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
           model: str = "") -> HomologyProfile:
     """Reduced rational Betti numbers and Euler characteristic.
 
-    The dimension and the Euler characteristic come from the face counts
-    of the complex itself, and a complex with more faces than the budget
-    gets a truncated profile.  The homology is computed on the complex's
-    strong-collapse core (``SimplicialComplex.strong_core``): its faces
-    are reduced by elementary collapses before the exact rank
-    computations.  Agreement of the Euler characteristic with the
-    alternating Betti sum is asserted.
+    The homology is computed on the complex's strong-collapse core
+    (``SimplicialComplex.strong_core``), or, when the core has more faces
+    than the budget, on the strong core of the nerve of the core's facets,
+    which is homotopy equivalent to it; BudgetExceeded is raised when
+    neither fits.  The faces used are reduced by elementary collapses
+    before the exact rank computations.  The dimension comes from the
+    facets.  The Euler characteristic and the f-vector come from the face
+    counts of the complex itself when they fit the budget; otherwise the
+    f-vector is None and the Euler characteristic comes from the face
+    counts of the core used.  Agreement of the Euler characteristic with
+    the alternating Betti sum is asserted.
     """
-    if complex_.is_empty():
+    return _betti_of_faces(complex_, _faces_within(complex_, face_budget),
+                           face_budget, model)
+
+
+def _betti_of_faces(complex_: SimplicialComplex, faces: set[int] | None,
+                    face_budget: int, model: str) -> HomologyProfile:
+    """``betti`` of a complex whose faces are given, None past the budget."""
+    dim = complex_.dim()
+    if dim < 0:
         return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model,
                                f_vector=())
-    if len(complex_.facets) == 1:
-        # a single facet is a full simplex: contractible, chi = 1; its faces
-        # are counted, not enumerated, within the limits of ``faces``
-        k = complex_.facets[0].bit_count()
-        f_vector = None
-        if k <= MAX_FACET_VERTICES and 2 ** k - 1 <= face_budget:
-            f_vector = tuple(comb(k, j + 1) for j in range(k))
-        return HomologyProfile(betti=(0,) * k, euler=1, dim=k - 1,
-                               complete=True, model=model, f_vector=f_vector)
-    try:
-        faces = complex_.faces(face_budget)
-    except BudgetExceeded:
-        return _betti_truncated(complex_, face_budget, model)
-    return _betti_of_faces(complex_, faces, face_budget, model)
-
-
-def _betti_of_faces(complex_: SimplicialComplex, faces: set[int], face_budget: int,
-                    model: str) -> HomologyProfile:
-    """``betti`` of a complex of two or more facets whose faces are given."""
-    f_counts: dict[int, int] = {}
-    for f in faces:
-        k = f.bit_count() - 1
-        f_counts[k] = f_counts.get(k, 0) + 1
-    dim = max(f_counts)
-    euler = sum((-1) ** k * c for k, c in f_counts.items())
-
-    b = _reduced_betti(complex_.strong_core().faces(face_budget), dim)
+    core = complex_.strong_core()
+    used = _faces_within(core.on_used_vertices(), face_budget)
+    if used is None:
+        used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(face_budget)
+    f_vector = None if faces is None else _f_vector(faces)
+    euler = sum((-1) ** k * c for k, c in enumerate(f_vector or _f_vector(used)))
+    b = _reduced_betti(used, dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
     return HomologyProfile(betti=b, euler=euler, dim=dim, complete=True, model=model,
-                           f_vector=tuple(f_counts.get(k, 0) for k in range(dim + 1)))
-
-
-def _betti_truncated(complex_: SimplicialComplex, face_budget: int,
-                     model: str) -> HomologyProfile:
-    """Best-effort profile when full face enumeration blows the budget:
-    enumerate by increasing dimension and stop at the last complete one."""
-    from itertools import combinations
-
-    facet_bits = [mask_to_indices(f) for f in complex_.facets]
-    per_dim: list[set[int]] = []
-    total = 0
-    k = 0
-    while True:
-        sk: set[int] = set()
-        for fb in facet_bits:
-            if len(fb) < k + 1:
-                continue
-            for combo in combinations(fb, k + 1):
-                m = 0
-                for v in combo:
-                    m |= 1 << v
-                sk.add(m)
-        if not sk:
-            break
-        total += len(sk)
-        if total > face_budget:
-            break
-        per_dim.append(sk)
-        k += 1
-    if len(per_dim) < 2:
-        return HomologyProfile(betti=(), euler=0, dim=-1, complete=False, model=model)
-    # complete dims: 0..len(per_dim)-1; ranks d_1..d_{len-1} computable
-    faces = set().union(*per_dim)
-    top = len(per_dim) - 2  # betti reported through this dimension
-    b = _betti_from_ranks({k: len(sk) for k, sk in enumerate(per_dim)},
-                          _boundary_ranks(faces, top))
-    return HomologyProfile(betti=b, euler=0, dim=top, complete=False, model=model)
+                           f_vector=f_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -611,32 +586,25 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
                  "intersection": None, "order": None}
     profiles: dict[str, HomologyProfile | None] = {}
 
-    def safe_betti(cx, name):
+    def safe_betti(cx, name, faces):
         try:
-            return betti(cx, face_budget, model=name)
+            return _betti_of_faces(cx, faces, face_budget, name)
         except BudgetExceeded:
             return None
 
-    profiles["atom_nerve"] = safe_betti(na, "atom_nerve")
-    profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve")
+    profiles["atom_nerve"] = safe_betti(na, "atom_nerve", _faces_within(na, face_budget))
+    profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve", _faces_within(nm, face_budget))
     kg = complexes["intersection"] = intersection_complex(L)
-    try:  # one enumeration for the profile and the probe
-        faces = kg.faces(face_budget)
-    except BudgetExceeded:
-        faces = None
-    if faces is None or len(kg.facets) < 2:
-        profiles["intersection"] = safe_betti(kg, "intersection")
-    else:
-        profiles["intersection"] = _betti_of_faces(kg, faces, face_budget,
-                                                   "intersection")
+    faces = _faces_within(kg, face_budget)  # one enumeration for the profile and the probe
+    profiles["intersection"] = safe_betti(kg, "intersection", faces)
     collapse = _collapse_probe(faces) if faces else None
     try:
         oc = complexes["order"] = order_complex(L, max_chains=face_budget)
-        profiles["order"] = safe_betti(oc, "order")
+        profiles["order"] = safe_betti(oc, "order", _faces_within(oc, face_budget))
     except BudgetExceeded:
         profiles["order"] = None
 
-    complete = [p for p in profiles.values() if p is not None and p.complete]
+    complete = [p for p in profiles.values() if p is not None]
     agree: bool | None
     if len(complete) < 2:
         agree = None
@@ -650,7 +618,7 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
     betti_vanish: bool | None = None
     if gamma_is_one:
         preferred = profiles.get("intersection") or profiles["atom_nerve"]
-        if preferred is not None and preferred.complete:
+        if preferred is not None:
             betti_vanish = all(bk == 0 for bk in preferred.betti)
 
     checks = {

@@ -88,6 +88,24 @@ class TestOtherCommands:
         assert parse(out)["result"]["report"]["collapse"] == {
             "collapsed_to_point": True, "remaining_faces": 1, "steps": 7}
 
+    def test_complex_past_the_face_budget(self, capsys):
+        # the atom nerve and the intersection complex of S5 have more faces
+        # than the budget: their homology comes from the facet nerve of
+        # their strong cores, and their documents carry no face counts
+        code, out, _ = run(capsys, "complex", "S5")
+        assert code == 0
+        result = parse(out)["result"]
+        assert result["models"]["atom_nerve"]["f_vector"] is None
+        assert result["models"]["intersection"]["f_vector"] is None
+        for name, profile in result["report"]["profiles"].items():
+            betti = profile["betti"]
+            while betti and betti[-1] == 0:
+                betti.pop()
+            assert betti == [0, 0, 60], name
+            assert profile["complete"] is True
+            assert result["models"][name]["euler"] == 61, name
+        assert result["report"]["profiles_agree"] is True
+
     def test_corpus(self, capsys):
         code, out, _ = run(capsys, "--order-max", "12", "corpus")
         doc = parse(out)

@@ -11,6 +11,7 @@ from groupdom.complexes import (SimplicialComplex, _collapse, _exact_rank,
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups
+from mobius_reference import mobius_one_to_top
 from rank_reference import reference_rank
 
 MODELS = [("intersection", intersection_complex), ("order", order_complex),
@@ -162,6 +163,17 @@ class TestHomologyAgreement:
         # rank-4 binary space: order complex is a wedge of 64 two-spheres
         L = lattice("C2xC2xC2xC2")
         assert betti(order_complex(L)).reduced() == (0, 0, 64)
+
+    # μ(1, G) of the subgroup lattice; for the elementary abelian groups it
+    # is Hall's (-1)^n p^(n(n-1)/2) (P. Hall 1936, "The Eulerian functions
+    # of a group", Q. J. Math.)
+    @pytest.mark.parametrize("label,mu", [
+        ("S4", -12), ("A5", -60), ("C3xC3xC3", -27), ("C2xC2xC2xC2", 64)])
+    def test_reduced_euler_is_mobius_one_to_top(self, lattice, label, mu):
+        L = lattice(label)
+        assert mobius_one_to_top(L) == mu
+        for name, build in MODELS:
+            assert betti(build(L)).euler - 1 == mu, (label, name)
 
     def test_euler_from_faces_equals_betti_sum(self, lattice):
         for label in ["Q8", "S4", "C2xC2xC2", "D24"]:
