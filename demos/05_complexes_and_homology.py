@@ -20,6 +20,9 @@ L = enumerate_subgroups(build_group(parse_group_spec("Q8")))
 kq = intersection_complex(L)
 print("K(Q8) facets:", [[kq.vertex_labels[v] for v in range(4) if f >> v & 1]
                         for f in kq.facets])
+# The collapse probe removes the smallest free face first.  greedy_collapse
+# runs it on every face of K; topology_report (below) starts it from K's
+# strong core, which K collapses to, and still counts the collapses of K.
 print("collapse:", greedy_collapse(kq))
 
 # The elementary abelian group of order 8: all four models are homotopy
@@ -54,4 +57,5 @@ for text in ["Q8", "D8", "C2xC2", "S4", "C12"]:
           f"Phi>1={rep.frattini_nontrivial!s:5s} | "
           f"N(A) simplex={rep.simplex_atom_nerve!s:5s} "
           f"gamma=1={rep.gamma_is_one!s:5s} | checks pass: "
-          f"{all(rep.checks.values())}")
+          f"{all(rep.checks.values())} | collapses to a point: "
+          f"{rep.collapse['collapsed_to_point']}")

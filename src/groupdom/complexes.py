@@ -22,10 +22,11 @@ from those of the chosen core before its elementary collapses; its
 agreement with the Betti numbers checks the reductions.  Elementary
 collapses have one kernel on faces numbered in (dimension, mask) order,
 with two pop orders: a stack for the reduction and a heap, smallest free
-face first, for the collapse probe.  The kernel numbers the faces by
-sorted byte keys, builds their boundaries with array operations one
-vertex at a time, and marks a removed face by a negative coface count
-(see ``_collapse``).
+face first, for the collapse probe, which starts from the strong core
+(strong collapses are collapses; see ``_core_collapse_probe``).  The
+kernel numbers the faces by sorted byte keys, builds their boundaries
+with array operations one vertex at a time, and marks a removed face by
+a negative coface count (see ``_collapse``).
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ class SimplicialComplex:
         A vertex v is dominated when the facets containing v share a
         vertex other than v.  Deleting it (clearing v in every facet and
         keeping the inclusion-maximal results) is a strong collapse, which
-        preserves the homotopy type.  Vertices are scanned lowest index
-        first until none is dominated; the core is unique up to
-        isomorphism whatever the order.  Deleted vertices keep their
-        labels but lie in no facet.
+        preserves the homotopy type and is a sequence of elementary
+        collapses; the result is the subcomplex induced on the vertices
+        left.  Vertices are scanned lowest index first until none is
+        dominated; the core is unique up to isomorphism whatever the
+        order.  Deleted vertices keep their labels but lie in no facet.
         """
         facets = list(self.facets)
         deleted = True
@@ -92,7 +94,10 @@ class SimplicialComplex:
                 facets = without_v + [g for g in with_v
                                       if not any(g & ~h == 0 for h in without_v)]
                 deleted = True
-        return SimplicialComplex.from_facets(self.vertex_labels, facets)
+        # already maximal and distinct (g < g' among with_v would give f < f'):
+        # only from_facets' order is needed, not its O(F^2) filter
+        return SimplicialComplex(self.vertex_labels,
+                                 tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
 
     @property
     def n_vertices(self) -> int:
@@ -390,18 +395,42 @@ def reduce_by_collapses(faces: set[int]) -> set[int]:
 
 
 def _collapse_probe(faces: set[int]) -> dict:
+    """The collapse probe on every face given, the oracle for the probe
+    through the strong core (``_core_collapse_probe``)."""
     rest, steps = _collapse(faces, lowest_first=True)
     return {"collapsed_to_point": len(rest) == 1, "steps": steps,
             "remaining_faces": len(rest)}
 
 
+def _core_collapse_probe(n_faces: int, core_faces: set[int]) -> tuple[dict, list[int]]:
+    """The collapse probe of a complex K of ``n_faces`` faces, run on the
+    faces of its strong core (``core_faces``, on any vertex numbering);
+    returns the probe's block and the faces left.
+
+    Deleting a dominated vertex is a sequence of elementary collapses
+    (Barmak-Minian 2012), and the core is the subcomplex that K induces on
+    the vertices left, so K collapses to the core and the heap probe then
+    collapses the core to the faces left.  Each collapse removes two faces,
+    so every collapse sequence from K to those faces has
+    (|K| - |left|) / 2 steps: ``steps`` counts the collapses of K, not
+    only those of the core."""
+    rest, _ = _collapse(core_faces, lowest_first=True)
+    removed = n_faces - len(rest)
+    if removed % 2:
+        raise AssertionError("a collapse sequence removes faces in pairs")
+    return {"collapsed_to_point": len(rest) == 1, "steps": removed // 2,
+            "remaining_faces": len(rest)}, rest
+
+
 def greedy_collapse(complex_: SimplicialComplex,
                     budget: int = DEFAULT_FACE_BUDGET) -> dict:
-    """Deterministic collapse probe: repeatedly remove the free face of
-    minimal dimension with the smallest mask (the collapse kernel with its
-    heap).  Full collapse to a point certifies contractibility; anything
-    else is inconclusive, since some collapse orders get stuck even on
-    collapsible complexes."""
+    """Deterministic collapse probe on every face of the complex:
+    repeatedly remove the free face of minimal dimension with the smallest
+    mask (the collapse kernel with its heap).  Full collapse to a point
+    certifies contractibility; anything else is inconclusive, since some
+    collapse orders get stuck even on collapsible complexes.  It does not
+    go through the strong core, so it is the oracle for the probe that
+    ``topology_report`` runs there."""
     return _collapse_probe(complex_.faces(budget))
 
 
@@ -514,17 +543,18 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     the alternating Betti sum is asserted.
     """
     return _betti_of_faces(complex_, _faces_within(complex_, face_budget),
-                           face_budget, model)
+                           complex_.strong_core(), face_budget, model)
 
 
 def _betti_of_faces(complex_: SimplicialComplex, faces: set[int] | None,
-                    face_budget: int, model: str) -> HomologyProfile:
-    """``betti`` of a complex whose faces are given, None past the budget."""
+                    core: SimplicialComplex, face_budget: int,
+                    model: str) -> HomologyProfile:
+    """``betti`` of a complex whose faces (None past the budget) and strong
+    core are given."""
     dim = complex_.dim()
     if dim < 0:
         return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model,
                                f_vector=())
-    core = complex_.strong_core()
     used = _faces_within(core.on_used_vertices(), face_budget)
     if used is None:
         used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(face_budget)
@@ -553,7 +583,10 @@ class TopologyReport:
     gamma_is_one: bool
     profiles_agree: bool | None
     betti_vanish: bool | None   # for gamma = 1 groups, on the preferred model
-    collapse: dict | None       # greedy collapse probe of the intersection complex
+    # greedy collapse probe of the intersection complex K, run on K's strong
+    # core (``_core_collapse_probe``; ``steps`` counts collapses of K), None
+    # when K's faces are past the budget
+    collapse: dict | None
     checks: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -586,9 +619,10 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
                  "intersection": None, "order": None}
     profiles: dict[str, HomologyProfile | None] = {}
 
-    def safe_betti(cx, name, faces):
+    def safe_betti(cx, name, faces, core=None):
         try:
-            return _betti_of_faces(cx, faces, face_budget, name)
+            return _betti_of_faces(cx, faces, cx.strong_core() if core is None else core,
+                                   face_budget, name)
         except BudgetExceeded:
             return None
 
@@ -596,8 +630,12 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
     profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve", _faces_within(nm, face_budget))
     kg = complexes["intersection"] = intersection_complex(L)
     faces = _faces_within(kg, face_budget)  # one enumeration for the profile and the probe
-    profiles["intersection"] = safe_betti(kg, "intersection", faces)
-    collapse = _collapse_probe(faces) if faces else None
+    core = kg.strong_core()  # one core for the profile and the probe
+    profiles["intersection"] = safe_betti(kg, "intersection", faces, core)
+    collapse = None
+    if faces:  # the core's faces, a subset of K's, fit the budget too
+        collapse, _ = _core_collapse_probe(
+            len(faces), core.on_used_vertices().faces(face_budget))
     try:
         oc = complexes["order"] = order_complex(L, max_chains=face_budget)
         profiles["order"] = safe_betti(oc, "order", _faces_within(oc, face_budget))

@@ -5,6 +5,9 @@ The reference is the path ``betti`` took before it reduced to the
 strong-collapse core: elementary collapses and exact ranks on every face
 of the input; under a small face budget the homology comes from the
 nerve of the core's facets, which must give the same numbers.  The
+strong core's facets must come out maximal, distinct and sorted, and the
+collapse probe through the core must leave a complex with the input's
+Euler characteristic, two faces fewer per step.  The
 collapse kernel is checked against the dict-driven collapses it replaced
 (``collapse_reference``), also with vertices spread over masks wider than
 8 bytes, and the integer rank against the rank over Fraction
@@ -19,7 +22,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from collapse_reference import (reference_greedy_collapse,  # noqa: E402
                                 reference_reduce_by_collapses)
-from groupdom.complexes import (SimplicialComplex, _exact_rank,  # noqa: E402
+from groupdom.complexes import (SimplicialComplex,  # noqa: E402
+                                _core_collapse_probe, _exact_rank, _f_vector,
                                 _reduced_betti, betti, greedy_collapse, nerve,
                                 reduce_by_collapses)
 from groupdom.errors import BudgetExceeded  # noqa: E402
@@ -88,6 +92,38 @@ def test_strong_core_matches_whole_face_set(cx):
             if f >> v & 1:
                 common &= f
         assert common == 1 << v, (cx.facets, core.facets, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets())
+def test_strong_core_facets_are_maximal_distinct_and_sorted(cx):
+    core = cx.strong_core()
+    assert core == SimplicialComplex.from_facets(cx.vertex_labels, core.facets), cx.facets
+
+
+def _euler(faces) -> int:
+    return sum((-1) ** k * c for k, c in enumerate(_f_vector(faces)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets())
+def test_core_collapse_probe_certificate(cx):
+    """K collapses to its strong core and the probe collapses the core on:
+    the faces left form a complex with K's Euler characteristic, and every
+    collapse removed two of K's faces."""
+    faces = cx.faces()
+    core = cx.strong_core().on_used_vertices()
+    core_faces = core.faces()
+    probe, rest = _core_collapse_probe(len(faces), core_faces)
+    assert len(faces) - probe["remaining_faces"] == 2 * probe["steps"], cx.facets
+    assert probe["remaining_faces"] == len(rest) <= len(core_faces), cx.facets
+    left = set(rest)
+    assert left <= core_faces
+    assert all(f ^ (1 << v) in left for f in left if f.bit_count() > 1
+               for v in mask_to_indices(f)), cx.facets
+    assert _euler(left) == _euler(faces), cx.facets
+    if core.n_vertices == 1:
+        assert probe["collapsed_to_point"], cx.facets
 
 
 @settings(max_examples=300, deadline=None)
