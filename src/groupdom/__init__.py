@@ -4,7 +4,8 @@ domination numbers, Burnside ring arithmetic, and subgroup complexes."""
 from .burnside import BurnsideRing, DoubleCosetSet, GSetDecomposition, double_cosets
 from .complexes import (HomologyProfile, SimplicialComplex, atom_nerve, betti,
                         coatom_nerve, greedy_collapse, intersection_complex,
-                        nerve, order_complex, topology_report)
+                        intersection_f_vector, nerve, order_complex,
+                        topology_report)
 from .domination import (ALEPH0, CoverResult, DominationCertificate, Gamma,
                          domination_oracle, gamma_exact, gamma_graph,
                          is_dominating, min_set_cover, set_cover_lower_bound,
@@ -22,6 +23,6 @@ from .lattice import (CharacteristicSubgroups, GroupClassification, Lattice,
                       Subgroup, SubgroupClass, characteristic_subgroups,
                       classify_group, close_subset, enumerate_subgroups,
                       enumerate_subgroups_allpairs, generated_subgroup,
-                      subgroup_classes, subgroups_bruteforce)
+                      mobius, subgroup_classes, subgroups_bruteforce)
 
 __version__ = "0.1.0"

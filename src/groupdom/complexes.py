@@ -19,7 +19,11 @@ elementary collapses, and ranks over the rationals, by fraction-free
 integer elimination, finish the job.  The Euler characteristic is taken
 from the face counts of the input when they fit the budget, and otherwise
 from those of the chosen core before its elementary collapses; its
-agreement with the Betti numbers checks the reductions.  Elementary
+agreement with the Betti numbers checks the reductions.  The per-group
+report never enumerates the intersection complex's faces: it counts them
+from the Möbius function of the subgroup lattice
+(``intersection_f_vector``), whatever their number, so there the Betti
+numbers check μ(1, G).  Elementary
 collapses have one kernel on faces numbered in (dimension, mask) order,
 with two pop orders: a stack for the reduction and a heap, smallest free
 face first, for the collapse probe, which starts from the strong core
@@ -35,14 +39,14 @@ import heapq
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
 from .domination import Gamma
 from .errors import BudgetExceeded
 from .groups import mask_to_indices
-from .lattice import CharacteristicSubgroups, Lattice
+from .lattice import CharacteristicSubgroups, Lattice, mobius
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
@@ -167,8 +171,10 @@ class HomologyProfile:
     dim: int
     complete: bool
     model: str = ""
-    # faces per dimension; None when they were not enumerated within the
-    # face budget (``SimplicialComplex.f_vector`` would raise)
+    # faces per dimension; None when the complex has more faces than the
+    # face budget (``SimplicialComplex.f_vector`` would raise), except in
+    # ``topology_report``'s intersection profile, whose counts come from
+    # the lattice (``intersection_f_vector``) and are never None
     f_vector: tuple[int, ...] | None = None
 
     def reduced(self) -> tuple[int, ...]:
@@ -211,6 +217,29 @@ def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) ->
                                          _atom_upsets(L, verts))
 
 
+def intersection_f_vector(L: Lattice) -> tuple[int, ...]:
+    """Faces per dimension of ``intersection_complex(L)``, counted from the
+    lattice without enumerating a face.
+
+    A set of k+1 vertices is a face unless its intersection is trivial.
+    The (k+1)-sets whose vertices all contain E number C(u(E), k+1), where
+    u(E) counts the proper non-trivial subgroups containing E; Möbius
+    inversion over the lattice counts those whose intersection is exactly
+    1 as Σ_E μ(1, E)·C(u(E), k+1), so
+    f_k = -Σ_{1<E<G} μ(1, E)·C(u(E), k+1).  The alternating sum is
+    -Σ_{1<E<G} μ(1, E), which is 1 + μ(1, G) when G is not trivial, as
+    μ(1, ·) sums to 0 over the lattice.  The largest face is the set of
+    vertices above an atom, which has μ(1, atom) = -1, so the counts stop
+    at the dimension.
+    """
+    mu = mobius(L)
+    top = len(mu) - 1
+    up = L.containment[:, 1:top].sum(axis=1).tolist()
+    terms = [(mu[e], up[e]) for e in range(1, top) if mu[e]]
+    width = max((u for _, u in terms), default=0)
+    return tuple(-sum(m * comb(u, k + 1) for m, u in terms) for k in range(width))
+
+
 def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
                   max_chains: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
     """Facets are the maximal chains of the chosen subposet (default: all
@@ -241,7 +270,10 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
 
     for v in minimal:
         extend(1 << pos[v], v)
-    return SimplicialComplex.from_facets(_vertex_labels(L, verts), facets)
+    # saturated chains from a minimal to a maximal element are maximal and
+    # distinct: only from_facets' order is needed, not its O(F^2) filter
+    return SimplicialComplex(_vertex_labels(L, verts),
+                             tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
 
 
 def nerve(cover_sets: list[int], labels: tuple[str, ...] | None = None) -> SimplicialComplex:
@@ -526,6 +558,22 @@ def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
         return None
 
 
+def _f_vector_within(complex_: SimplicialComplex, budget: int) -> tuple[int, ...] | None:
+    """The f-vector of the complex, or None when its faces exceed the budget."""
+    faces = _faces_within(complex_, budget)
+    return None if faces is None else _f_vector(faces)
+
+
+def _homology_faces(core: SimplicialComplex, budget: int) -> set[int]:
+    """The faces the homology is computed on: those of the strong core on
+    its used vertices, or, past the budget, those of the strong core of
+    the nerve of the core's facets; BudgetExceeded when neither fits."""
+    used = _faces_within(core.on_used_vertices(), budget)
+    if used is None:
+        used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(budget)
+    return used
+
+
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
           model: str = "") -> HomologyProfile:
     """Reduced rational Betti numbers and Euler characteristic.
@@ -542,23 +590,18 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     counts of the core used.  Agreement of the Euler characteristic with
     the alternating Betti sum is asserted.
     """
-    return _betti_of_faces(complex_, _faces_within(complex_, face_budget),
-                           complex_.strong_core(), face_budget, model)
+    return _betti_of_faces(complex_, _f_vector_within(complex_, face_budget),
+                           _homology_faces(complex_.strong_core(), face_budget), model)
 
 
-def _betti_of_faces(complex_: SimplicialComplex, faces: set[int] | None,
-                    core: SimplicialComplex, face_budget: int,
-                    model: str) -> HomologyProfile:
-    """``betti`` of a complex whose faces (None past the budget) and strong
-    core are given."""
+def _betti_of_faces(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
+                    used: set[int], model: str) -> HomologyProfile:
+    """``betti`` of a complex whose f-vector (None past the budget) and
+    homology faces (``_homology_faces``) are given."""
     dim = complex_.dim()
     if dim < 0:
         return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model,
                                f_vector=())
-    used = _faces_within(core.on_used_vertices(), face_budget)
-    if used is None:
-        used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(face_budget)
-    f_vector = None if faces is None else _f_vector(faces)
     euler = sum((-1) ** k * c for k, c in enumerate(f_vector or _f_vector(used)))
     b = _reduced_betti(used, dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
@@ -585,7 +628,7 @@ class TopologyReport:
     betti_vanish: bool | None   # for gamma = 1 groups, on the preferred model
     # greedy collapse probe of the intersection complex K, run on K's strong
     # core (``_core_collapse_probe``; ``steps`` counts collapses of K), None
-    # when K's faces are past the budget
+    # when K has no faces or more than the budget
     collapse: dict | None
     checks: dict = field(default_factory=dict)
 
@@ -619,26 +662,30 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
                  "intersection": None, "order": None}
     profiles: dict[str, HomologyProfile | None] = {}
 
-    def safe_betti(cx, name, faces, core=None):
+    def safe_betti(cx, name):
         try:
-            return _betti_of_faces(cx, faces, cx.strong_core() if core is None else core,
-                                   face_budget, name)
+            return _betti_of_faces(cx, _f_vector_within(cx, face_budget),
+                                   _homology_faces(cx.strong_core(), face_budget), name)
         except BudgetExceeded:
             return None
 
-    profiles["atom_nerve"] = safe_betti(na, "atom_nerve", _faces_within(na, face_budget))
-    profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve", _faces_within(nm, face_budget))
+    profiles["atom_nerve"] = safe_betti(na, "atom_nerve")
+    profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve")
     kg = complexes["intersection"] = intersection_complex(L)
-    faces = _faces_within(kg, face_budget)  # one enumeration for the profile and the probe
-    core = kg.strong_core()  # one core for the profile and the probe
-    profiles["intersection"] = safe_betti(kg, "intersection", faces, core)
+    f_vector = intersection_f_vector(L)  # K's faces are never enumerated
+    n_faces = sum(f_vector)
+    used = None
+    try:  # one enumeration of the core's faces for the profile and the probe
+        used = _homology_faces(kg.strong_core(), face_budget)
+        profiles["intersection"] = _betti_of_faces(kg, f_vector, used, "intersection")
+    except BudgetExceeded:
+        profiles["intersection"] = None
     collapse = None
-    if faces:  # the core's faces, a subset of K's, fit the budget too
-        collapse, _ = _core_collapse_probe(
-            len(faces), core.on_used_vertices().faces(face_budget))
+    if 0 < n_faces <= face_budget:  # the core's faces, a subset of K's, are `used`
+        collapse, _ = _core_collapse_probe(n_faces, used)
     try:
         oc = complexes["order"] = order_complex(L, max_chains=face_budget)
-        profiles["order"] = safe_betti(oc, "order", _faces_within(oc, face_budget))
+        profiles["order"] = safe_betti(oc, "order")
     except BudgetExceeded:
         profiles["order"] = None
 

@@ -153,6 +153,33 @@ class Lattice:
         top = len(self.subgroups) - 1
         return tuple(i for i in range(len(self.subgroups)) if 0 < i < top)
 
+    @cached_property
+    def containment(self) -> np.ndarray:
+        """Boolean matrix, [i, j] true iff subgroup i lies in subgroup j:
+        no word of i's packed mask outside j's.  Upper triangular, since a
+        subgroup's subgroups come before it in (order, mask) order."""
+        packed = _pack([s.mask for s in self.subgroups], self.group.order)
+        out = np.zeros((len(packed), len(packed)), dtype=bool)
+        for j in range(len(packed)):
+            out[:j + 1, j] = ~(packed[:j + 1] & ~packed[j]).any(axis=1)
+        return out
+
+
+def mobius(L: Lattice) -> list[int]:
+    """μ(1, H) of the subgroup lattice for every subgroup H, by index.
+
+    μ(1, 1) = 1 and μ(1, H) = -Σ_{K<H} μ(1, K), over exact containment
+    (``Lattice.containment``), in Python ints.  P. Hall (1936, "The
+    Eulerian functions of a group", Q. J. Math.) showed that μ(1, G) is
+    the reduced Euler characteristic of the order complex of the proper
+    non-trivial subgroups, and so of each complex homotopy equivalent to it.
+    """
+    below = L.containment
+    mu = [1]
+    for h in range(1, len(below)):
+        mu.append(-sum(mu[k] for k in np.flatnonzero(below[:h, h]).tolist()))
+    return mu
+
 
 def _is_prime_power(n: int) -> bool:
     if n < 2:

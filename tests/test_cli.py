@@ -91,12 +91,20 @@ class TestOtherCommands:
     def test_complex_past_the_face_budget(self, capsys):
         # the atom nerve and the intersection complex of S5 have more faces
         # than the budget: their homology comes from the facet nerve of
-        # their strong cores, and their documents carry no face counts
+        # their strong cores.  The atom nerve's document carries no face
+        # counts; the intersection complex's are counted from μ(1, ·) on the
+        # lattice, 6,560,835 faces in all, none of them enumerated
         code, out, _ = run(capsys, "complex", "S5")
         assert code == 0
         result = parse(out)["result"]
         assert result["models"]["atom_nerve"]["f_vector"] is None
-        assert result["models"]["intersection"]["f_vector"] is None
+        f_vector = result["models"]["intersection"]["f_vector"]
+        assert f_vector == [154, 3371, 20774, 78076, 216480, 466130, 796790, 1094400,
+                            1215600, 1093960, 795600, 464100, 214200, 76500, 20400,
+                            3825, 450, 25]
+        assert sum(f_vector) == 6_560_835
+        assert result["models"]["intersection"]["euler"] == 61
+        assert result["report"]["collapse"] is None
         for name, profile in result["report"]["profiles"].items():
             betti = profile["betti"]
             while betti and betti[-1] == 0:

@@ -6,11 +6,12 @@ import groupdom.complexes
 from collapse_reference import reference_greedy_collapse, reference_reduce_by_collapses
 from groupdom.complexes import (SimplicialComplex, _collapse, _core_collapse_probe,
                                 _exact_rank, _reduced_betti, atom_nerve, betti, coatom_nerve,
-                                greedy_collapse, intersection_complex, nerve,
-                                order_complex, reduce_by_collapses, topology_report)
+                                greedy_collapse, intersection_complex,
+                                intersection_f_vector, nerve, order_complex,
+                                reduce_by_collapses, topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
-from groupdom.lattice import characteristic_subgroups
+from groupdom.lattice import characteristic_subgroups, mobius
 from mobius_reference import mobius_one_to_top
 from rank_reference import reference_rank
 
@@ -183,6 +184,14 @@ class TestHomologyAgreement:
                 p = betti(cx)
                 assert p.euler == 1 + sum((-1) ** k * b
                                           for k, b in enumerate(p.betti))
+
+    @pytest.mark.parametrize("label", [e.label for e in corpus()
+                                       if e.order and e.order <= 24])
+    def test_f_vector_from_mobius_counts_the_faces(self, lattice, label):
+        L = lattice(label)
+        f_vector = intersection_f_vector(L)
+        assert f_vector == intersection_complex(L).f_vector()
+        assert sum((-1) ** k * c for k, c in enumerate(f_vector)) == 1 + mobius(L)[-1]
 
     def test_subposet_complex_matches_subposet_order_complex(self, lattice):
         # the intersection complex of the p-subgroup poset has the same
@@ -383,6 +392,20 @@ class TestTopologyReport:
         rep = self.report(lattice, gamma_of, label)
         kg = intersection_complex(lattice(label))
         assert rep.collapse == (greedy_collapse(kg) if kg.facets else None)
+
+    @pytest.mark.parametrize("label", BENCHMARK_COMPLEX_GROUPS + ("S5",))
+    def test_intersection_complex_faces_are_never_enumerated(self, lattice, gamma_of,
+                                                             monkeypatch, label):
+        # K's face counts come from μ(1, ·): the report enumerates the faces
+        # of its strong core and of the other models, never K's
+        enumerated = []
+        faces = SimplicialComplex.faces
+        monkeypatch.setattr(SimplicialComplex, "faces",
+                            lambda cx, *args: enumerated.append(cx) or faces(cx, *args))
+        rep = self.report(lattice, gamma_of, label)
+        kg = rep.complexes["intersection"]
+        assert enumerated and all(cx.facets != kg.facets for cx in enumerated)
+        assert rep.profiles["intersection"].f_vector == intersection_f_vector(lattice(label))
 
     def test_prime_cyclic_degenerate(self, lattice, gamma_of):
         rep = self.report(lattice, gamma_of, "C5")

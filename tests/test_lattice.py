@@ -7,8 +7,9 @@ from groupdom import lattice as lattice_module
 from groupdom.groups import build_group, is_prime, parse_group_spec
 from groupdom.lattice import (characteristic_subgroups, classify_group,
                               enumerate_subgroups, enumerate_subgroups_allpairs,
-                              generated_subgroup, subgroup_classes,
+                              generated_subgroup, mobius, subgroup_classes,
                               subgroups_bruteforce, sylow_counts)
+from mobius_reference import mobius_from_marks, mobius_one_to_top
 
 
 def built(text):
@@ -102,6 +103,42 @@ class TestJoinWork:
         G, L = built(label)
         assert len(L) == subgroups
         assert len(calls) == joins
+
+
+class TestMobius:
+    # μ(1, G) by the recursion over exact containment, by route A (the
+    # reference recursion over masks) and by route B (the table of marks)
+    @pytest.mark.parametrize("label, mu", [
+        ("S4", -12), ("A5", -60), ("S5", 60), ("A6", 720), ("S6", -720),
+        ("C2xC2xC2xC2", 64), ("C2xC2xC2xC2xC2", -1024), ("C6xC6", 6),
+        ("C3xC2xC2xC2", 8)])
+    def test_mobius_of_the_group_by_two_routes(self, lattice, label, mu):
+        L = lattice(label)
+        assert mobius(L)[-1] == mu
+        assert mobius_one_to_top(L) == mu
+        assert mobius_from_marks(L) == mu
+
+    # P. Hall (1936, "The Eulerian functions of a group", Q. J. Math.):
+    # μ(1, C_p^n) = (-1)^n p^(n(n-1)/2)
+    @pytest.mark.parametrize("p, n", [(p, n) for p in range(2, 65) if is_prime(p)
+                                      for n in range(1, 7) if p ** n <= 64])
+    def test_elementary_abelian_is_halls_formula(self, p, n):
+        _, L = built("x".join([f"C{p}"] * n))
+        assert mobius(L)[-1] == (-1) ** n * p ** (n * (n - 1) // 2)
+
+    def test_every_interval_from_the_trivial_subgroup(self, lattice):
+        # μ(1, H) of the lattice of G is μ(1, H) of the lattice of H
+        L = lattice("S4")
+        mu = mobius(L)
+        for i, s in enumerate(L.subgroups):
+            below = [t.mask for t in L.subgroups if t.mask & ~s.mask == 0]
+            sub = lattice_module.Lattice(L.group, set(below))
+            assert mobius(sub)[-1] == mu[i] == mobius_one_to_top(sub), i
+
+    def test_containment_is_leq(self, lattice):
+        L = lattice("D24")
+        C = L.containment
+        assert C.tolist() == [[L.leq(i, j) for j in range(len(L))] for i in range(len(L))]
 
 
 class TestGeneratedSubgroup:

@@ -19,8 +19,9 @@ from residual_quotient_reference import (reference_residual_quotient,  # noqa: E
                                          residual_quotient_report)
 
 from groupdom.burnside import BurnsideRing, double_cosets  # noqa: E402
-from groupdom.complexes import (atom_nerve, betti, coatom_nerve,  # noqa: E402
-                                intersection_complex, order_complex)
+from groupdom.complexes import (SimplicialComplex, atom_nerve,  # noqa: E402
+                                betti, coatom_nerve, intersection_complex,
+                                intersection_f_vector, order_complex)
 from groupdom.domination import gamma_exact  # noqa: E402
 from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.formulas import verify_bounds  # noqa: E402
@@ -29,7 +30,7 @@ from groupdom.groups import (GroupSpec, build_group, is_normal,  # noqa: E402
 from groupdom.lattice import (characteristic_subgroups, classify_group,  # noqa: E402
                               close_subset, conjugates, cyclic_subgroup_masks,
                               enumerate_subgroups, enumerate_subgroups_allpairs,
-                              lower_central_series, subgroup_classes,
+                              lower_central_series, mobius, subgroup_classes,
                               subgroups_bruteforce)
 
 MAX_ORDER = 60
@@ -122,6 +123,32 @@ def test_euler_is_alternating_betti_sum(spec):
             assert p.f_vector is None, spec
             continue
         assert p.euler == sum((-1) ** k * c for k, c in enumerate(f_vector)), spec
+
+
+@PROPERTY
+@given(perm_specs())
+@example("perm:6:(1,2,3,4);(1,2);(5,6)")  # S4xC2: K past the enumeration budget
+def test_intersection_f_vector_counts_the_faces(spec):
+    # the face counts of K from μ(1, ·) on the lattice, against the faces
+    # themselves wherever they fit a budget small enough to list quickly
+    L = enumerate_subgroups(small_group(spec))
+    f_vector = intersection_f_vector(L)
+    assert mobius(L)[-1] == mobius_one_to_top(L), spec
+    euler = sum((-1) ** k * c for k, c in enumerate(f_vector))
+    assert euler == (1 + mobius_one_to_top(L) if len(L) > 1 else 0), spec
+    try:
+        assert f_vector == intersection_complex(L).f_vector(200_000), spec
+    except BudgetExceeded:
+        assert sum(f_vector) > 200_000, spec
+
+
+@PROPERTY
+@given(perm_specs())
+def test_order_complex_facets_are_maximal_distinct_and_sorted(spec):
+    # order_complex skips from_facets' maximality filter
+    L = enumerate_subgroups(small_group(spec))
+    oc = order_complex(L)
+    assert oc == SimplicialComplex.from_facets(oc.vertex_labels, oc.facets), spec
 
 
 @PROPERTY
