@@ -23,7 +23,7 @@ from .formulas import VIOLATION, verify_bounds
 from .graphs import intersection_graph, to_dot
 from .groups import (DEFAULT_ELEMENT_CAP, build_group, mask_to_indices,
                      parse_group_spec)
-from .lattice import (characteristic_subgroups, classify_group,
+from .lattice import (characteristic_subgroups, classify_group, derived_series,
                       enumerate_subgroups, subgroup_classes)
 
 EXIT_OK = 0
@@ -179,8 +179,9 @@ def _verify_one(label: str, cap: int, budget_ms) -> dict:
     entry = find_entry(label)
     G = get_group(label, cap=cap)
     L = get_lattice(label, cap=cap)
-    cls = classify_group(G, L)
-    chars = characteristic_subgroups(G, L)
+    series = derived_series(G)
+    cls = classify_group(G, L, series)
+    chars = characteristic_subgroups(G, L, series)
     classes = subgroup_classes(G, L)
     cert = get_gamma(label, cap=cap)
     reports = verify_bounds(G, L, cls, chars, cert, classes=classes)

@@ -1,18 +1,17 @@
 """Subgroup lattice enumeration and subgroup-level invariants.
 
 Subgroups are bitmasks over element indices (bit 0, the identity, is always
-set).  The enumeration seeds with all cyclic subgroups and closes under
-"join with a cyclic subgroup", which reaches every subgroup because each
-subgroup is generated by its cyclic subgroups.  Only conjugacy class
-representatives H are extended, each with one cyclic subgroup C per
-N_G(H)-orbit: for n in N_G(H), <H, nCn^-1> = n<H, C>n^-1, and every
-subgroup found enters with its whole conjugacy orbit.  Every subgroup it
-finds carries a short generating set, so a join <H, C> is closed by a
-breadth-first search under right multiplication by those generators; in
-an abelian group the join is the product set HC and needs no search.
-Conjugacy orbits and normalizers come from one vectorised kernel,
-``conjugates``, which reads the orbit of H from the left cosets of
-N_G(H).
+set).  An abelian group's subgroups are built by cyclic extension: each
+subgroup K > 1 is H u Hg u ... u Hg^(p-1) for a subgroup H of prime index
+p in K and any g in K outside H, so from the trivial subgroup up, the
+subgroups of each order are read off smaller ones as unions of cosets,
+with no closure search.  A non-abelian group's enumeration seeds with all
+cyclic subgroups and closes under "join with a cyclic subgroup", extending
+only conjugacy class representatives, each with one cyclic subgroup per
+N_G(H)-orbit; a join is closed by a breadth-first search under the
+subgroup's carried generators.  Conjugacy orbits and normalizers come from
+one vectorised kernel, ``conjugates``, which reads the orbit of H from the
+left cosets of N_G(H).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -83,17 +83,23 @@ def generated_subgroup(G: GroupTable, seed_mask: int) -> Subgroup:
 
 def _cyclic_generators(G: GroupTable) -> tuple[dict[int, int], list[int]]:
     """Mask of every non-trivial cyclic subgroup -> its smallest generator,
-    and the mask of <g> for every element g (1 for the identity)."""
+    and the mask of <g> for every element g (1 for the identity).  The
+    generators of <g> are the g^k with k prime to |g|, so each cyclic
+    subgroup is walked once, from its smallest generator."""
+    n = G.order
     out: dict[int, int] = {}
-    of_element = [1]
-    for g in range(1, G.order):
-        m = 1 | (1 << g)
-        x = g
-        while x != 0:
-            x = int(G.mul[x, g])
-            m |= 1 << x
-        out.setdefault(m, g)
-        of_element.append(m)
+    of_element = [1] * n
+    for g in range(1, n):
+        if of_element[g] != 1:
+            continue
+        powers = [0, g]
+        while (x := int(G.mul[powers[-1], g])) != 0:
+            powers.append(x)
+        m = array_to_mask(powers, n)
+        out[m] = g
+        for k, x in enumerate(powers):
+            if gcd(k, len(powers)) == 1:
+                of_element[x] = m
     return out, of_element
 
 
@@ -218,19 +224,16 @@ def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
 
 
 def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
-          gens: tuple[int, ...], abelian: bool) -> int:
+          gens: tuple[int, ...]) -> int:
     """Mask of <H, C> for subgroups H and C given by their members, where
     ``gens`` generate H and include a generator of C.
 
-    Starts from the product set HC, which is the join when G is abelian,
-    and otherwise closes it by a breadth-first search under right
-    multiplication by ``gens``, so each element is multiplied once per
-    generator.
+    Starts from the product set HC and closes it by a breadth-first search
+    under right multiplication by ``gens``, so each element is multiplied
+    once per generator.
     """
     n = G.order
     prods = G.mul[h_members[:, None], c_members].ravel()
-    if abelian:
-        return array_to_mask(prods, n)
     gens = np.array(gens)
     in_set = np.zeros(n, dtype=bool)
     in_set[h_members] = True
@@ -251,9 +254,92 @@ def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
     return _bools_to_mask(in_set)
 
 
-def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
-                        max_subgroups: int | None = None) -> Lattice:
-    """All subgroups of G via cyclic seeds plus join-with-cyclic closure.
+def _cyclic_extensions(G: GroupTable, members: np.ndarray, inside: np.ndarray,
+                       gens: np.ndarray, tops: np.ndarray, cosets: np.ndarray,
+                       rank: np.ndarray) -> np.ndarray:
+    """Members of every K = <H, g> of index p over a subgroup H of one
+    order in an abelian group, one row per covering pair H < K.
+
+    Row h of ``inside`` is H's membership and row h of ``members`` lists
+    H's elements.  ``gens`` holds one generator g of each cyclic p-subgroup,
+    ``tops`` their p-th powers, and row j of ``cosets`` is 1, g, ...,
+    g^(p-1).  g has order p modulo H iff g is not in H and g^p is, and then
+    K is the union of the cosets H g^i for i < p.  Since K/H has order p,
+    every element of K outside H whose order is a prime power is a
+    p-element, so each K over H is kept once: from the pair whose g has
+    the least ``rank`` (its position in ``gens``) outside H.
+    """
+    hs, js = np.nonzero(inside[:, tops] & ~inside[:, gens])
+    rows = G.mul[members[hs][:, None, :], cosets[js][:, :, None]].reshape(len(hs), -1)
+    first = rank[rows[:, members.shape[1]:]].min(axis=1)
+    return rows[first == js]
+
+
+def _abelian_subgroups(G: GroupTable, known: set[int], check) -> None:
+    """Add every subgroup of the abelian group G to ``known`` by cyclic
+    extension (Neubüser 1960; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, section 3).
+
+    Every subgroup K > 1 has a subgroup H of prime index p, and
+    K = <H, g> = H u Hg u ... u Hg^(p-1) for any g in K outside H, so no
+    closure search is needed.  The subgroups of one order are one layer:
+    layers are taken in increasing order, each extended by every prime p
+    (``_cyclic_extensions``), and the extensions of order |H| p found from
+    different H and p are merged into their layer by mask.  ``check`` runs
+    after each layer.
+    """
+    n = G.order
+    # per prime p, the smallest generator g of each cyclic p-subgroup, g^p,
+    # and the powers 1, g, ..., g^(p-1)
+    steps: dict[int, tuple[list, list, list]] = {}
+    for mask, g in _cyclic_generators(G)[0].items():
+        factors = prime_factors(mask.bit_count())
+        if len(factors) > 1:
+            continue
+        p = factors[0]
+        powers = [0, g]
+        while len(powers) <= p:
+            powers.append(int(G.mul[powers[-1], g]))
+        gens, tops, cosets = steps.setdefault(p, ([], [], []))
+        gens.append(g)
+        tops.append(powers.pop())
+        cosets.append(powers)
+    rank = np.full(n, n)
+    for p, (gens, tops, cosets) in steps.items():
+        rank[gens] = np.arange(len(gens))
+        steps[p] = (np.array(gens), np.array(tops), np.array(cosets, dtype=G.mul.dtype))
+
+    members = np.zeros((1, 1), dtype=G.mul.dtype)
+    inside = np.zeros((1, n), dtype=bool)
+    inside[0, 0] = True
+    size = 1
+    found: dict[int, list[np.ndarray]] = {}
+    while True:
+        for p, step in steps.items():
+            if n % (size * p) == 0:
+                found.setdefault(size * p, []).append(
+                    _cyclic_extensions(G, members, inside, *step, rank))
+        if not found:
+            return
+        size = min(found)
+        rows = np.concatenate(found.pop(size))
+        inside = np.zeros((len(rows), n), dtype=bool)
+        inside[np.arange(len(rows))[:, None], rows] = True
+        data = np.packbits(inside, axis=1, bitorder="little").tobytes()
+        width = len(data) // len(rows)
+        first_row: dict[int, int] = {}
+        for r in range(len(rows)):
+            first_row.setdefault(int.from_bytes(data[r * width:(r + 1) * width], "little"), r)
+        known.update(first_row)
+        check()
+        keep = list(first_row.values())
+        members, inside = rows[keep], inside[keep]
+
+
+def _join_closure(G: GroupTable, known: set[int], check) -> None:
+    """Add every subgroup of the non-abelian group G to ``known`` by
+    join-with-cyclic closure from its cyclic subgroups; ``check`` runs
+    after each new subgroup and each extended representative.
 
     Three shortcuts keep this tractable: joining with prime-power cyclic
     subgroups suffices (every cyclic subgroup is the join of the
@@ -272,14 +358,11 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
     subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated along
     with the subgroup when the orbit's representative is a conjugate of
     the join found.  Its normalizer is conjugated the same way from the
-    one ``conjugates`` returns.  A join is closed by ``_join``: the
-    product set HC in an abelian group, a breadth-first search under those
-    generators otherwise.
+    one ``conjugates`` returns.  A join is closed by ``_join``, a
+    breadth-first search under those generators.
     """
-    t0 = time.monotonic()
     n = G.order
     full = (1 << n) - 1
-    abelian = G.is_abelian()
     cyclic, cyclic_of = _cyclic_generators(G)
     seeds = sorted(cyclic, key=lambda m: (m.bit_count(), m))
     joiners = [(c, c.bit_count(), cyclic[c], mask_to_array(c, n)) for c in seeds
@@ -290,7 +373,6 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
     joiner_gens = np.array([c_gen for _, _, c_gen, _ in joiners], dtype=np.int64)
     first_in_orbit = np.arange(len(joiners))
 
-    known = {1, full}
     gens_of: dict[int, tuple[int, ...]] = {}
     normalizer_of: dict[int, np.ndarray] = {}
 
@@ -298,10 +380,6 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         """Add a subgroup and its conjugacy orbit, which is not yet known;
         return the orbit rep, whose generating set is recorded in
         ``gens_of`` and whose normalizer's members in ``normalizer_of``."""
-        if abelian:
-            known.add(mask)
-            gens_of[mask] = gens
-            return mask
         orbit, normalizer = conjugates(G, mask)
         known.update(orbit)
         rep = min(orbit)
@@ -310,25 +388,17 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
         normalizer_of[rep] = conjugate_rows(G, mask_to_array(normalizer, n), g)[0]
         return rep
 
-    def check_size():
-        if max_subgroups is not None and len(known) > max_subgroups:
-            raise BudgetExceeded(
-                f"subgroup count exceeded {max_subgroups}", partial=len(known))
-
     frontier = [admit(c, (cyclic[c],)) for c in seeds if c not in known]
-    check_size()
+    check()
     seen_seeds = set()
     while frontier:
         next_frontier = []
         for h in frontier:
             h_count = h.bit_count()
             h_members = None
-            h_joiners = joiners
-            if not abelian:
-                images = joiner_of[conjugate_rows(G, joiner_gens, normalizer_of[h])]
-                kept = np.flatnonzero(images.min(axis=0) == first_in_orbit)
-                h_joiners = [joiners[j] for j in kept]
-            for c, c_count, c_gen, c_members in h_joiners:
+            images = joiner_of[conjugate_rows(G, joiner_gens, normalizer_of[h])]
+            kept = np.flatnonzero(images.min(axis=0) == first_in_orbit)
+            for c, c_count, c_gen, c_members in (joiners[j] for j in kept):
                 if c & ~h == 0:
                     continue
                 seed = h | c
@@ -345,14 +415,37 @@ def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
                 else:
                     if h_members is None:
                         h_members = mask_to_array(h, n)
-                    j = _join(G, h_members, c_members, gens, abelian)
+                    j = _join(G, h_members, c_members, gens)
                 if j not in known:
                     next_frontier.append(admit(j, gens))
-                    check_size()
-            if budget_ms is not None and (time.monotonic() - t0) * 1000 > budget_ms:
-                raise BudgetExceeded(
-                    f"lattice enumeration exceeded {budget_ms} ms", partial=len(known))
+                    check()
+            check()
         frontier = next_frontier
+
+
+def enumerate_subgroups(G: GroupTable, budget_ms: float | None = None,
+                        max_subgroups: int | None = None) -> Lattice:
+    """All subgroups of G: by cyclic extension when G is abelian
+    (``_abelian_subgroups``), by join-with-cyclic closure otherwise
+    (``_join_closure``).  Past ``max_subgroups`` subgroups or
+    ``budget_ms`` milliseconds this raises ``BudgetExceeded`` with the
+    number of subgroups found so far.
+    """
+    t0 = time.monotonic()
+    known = {1, (1 << G.order) - 1}
+
+    def check():
+        if max_subgroups is not None and len(known) > max_subgroups:
+            raise BudgetExceeded(
+                f"subgroup count exceeded {max_subgroups}", partial=len(known))
+        if budget_ms is not None and (time.monotonic() - t0) * 1000 > budget_ms:
+            raise BudgetExceeded(
+                f"lattice enumeration exceeded {budget_ms} ms", partial=len(known))
+
+    if G.is_abelian():
+        _abelian_subgroups(G, known, check)
+    else:
+        _join_closure(G, known, check)
     return Lattice(G, known)
 
 
@@ -474,21 +567,40 @@ def _commutator_mask(G: GroupTable, a_mask: int, b_mask: int) -> int:
     return close_subset(G, array_to_mask(comms.ravel(), n))
 
 
-def lower_central_series(G: GroupTable) -> list[int]:
+def derived_series(G: GroupTable) -> list[int]:
+    """Masks of the derived series G = D_0 > D_1 = [D_0, D_0] > ..., down
+    to its stable term, which is 1 iff G is solvable.  ``classify_group``
+    and ``characteristic_subgroups`` take it as an argument, so a caller
+    that needs both computes it once."""
+    series = [(1 << G.order) - 1]
+    while series[-1] != 1:
+        nxt = _commutator_mask(G, series[-1], series[-1])
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def lower_central_series(G: GroupTable, commutator: int | None = None) -> list[int]:
     """Masks of the lower central series G = g_1 > g_2 = [g_1, G] > ...,
-    down to its stable term."""
+    down to its stable term.  ``commutator`` is g_2 = [G, G] when the
+    caller already has it."""
     full = (1 << G.order) - 1
     series = [full]
-    while True:
-        nxt = _commutator_mask(G, series[-1], full)
-        if nxt == series[-1]:
-            return series
+    nxt = _commutator_mask(G, full, full) if commutator is None else commutator
+    while nxt != series[-1]:
         series.append(nxt)
         if nxt == 1:
-            return series
+            break
+        nxt = _commutator_mask(G, nxt, full)
+    return series
 
 
-def characteristic_subgroups(G: GroupTable, L: Lattice) -> CharacteristicSubgroups:
+def characteristic_subgroups(G: GroupTable, L: Lattice,
+                              series: list[int] | None = None) -> CharacteristicSubgroups:
+    """``series`` is G's ``derived_series``, computed here when not given."""
+    series = series or derived_series(G)
+    commutator = series[1] if len(series) > 1 else series[0]  # [G, G]
     atom_mask = 1
     for i in L.atoms:
         atom_mask |= L.subgroups[i].mask
@@ -499,16 +611,12 @@ def characteristic_subgroups(G: GroupTable, L: Lattice) -> CharacteristicSubgrou
         frat &= L.subgroups[i].mask
     frattini = Subgroup.from_mask(frat)
 
-    series = lower_central_series(G)
-    residual = Subgroup.from_mask(series[-1])
-
-    full = (1 << G.order) - 1
+    residual = Subgroup.from_mask(lower_central_series(G, commutator)[-1])
     center_mask = _bools_to_mask((G.mul == G.mul.T).all(axis=1))
-    derived = Subgroup.from_mask(_commutator_mask(G, full, full))
     return CharacteristicSubgroups(
         atom_join=atom_join, frattini=frattini, nilpotent_residual=residual,
-        center=Subgroup.from_mask(center_mask), derived=derived,
-        atom_elements=atom_mask)
+        center=Subgroup.from_mask(center_mask),
+        derived=Subgroup.from_mask(commutator), atom_elements=atom_mask)
 
 
 def sylow_counts(G: GroupTable, L: Lattice) -> dict[int, int]:
@@ -523,7 +631,9 @@ def sylow_counts(G: GroupTable, L: Lattice) -> dict[int, int]:
     return counts
 
 
-def classify_group(G: GroupTable, L: Lattice) -> GroupClassification:
+def classify_group(G: GroupTable, L: Lattice,
+                   series: list[int] | None = None) -> GroupClassification:
+    """``series`` is G's ``derived_series``, computed here when not given."""
     n = G.order
     primes = prime_factors(n)
     abelian = G.is_abelian()
@@ -533,11 +643,7 @@ def classify_group(G: GroupTable, L: Lattice) -> GroupClassification:
     # nilpotent: every Sylow subgroup is normal, i.e. unique
     nilpotent = all(c == 1 for c in sylow_counts(G, L).values()) if n > 1 else True
 
-    # solvable: the derived series D_{i+1} = [D_i, D_i] reaches 1
-    mask = (1 << n) - 1
-    while (nxt := _commutator_mask(G, mask, mask)) != mask:
-        mask = nxt
-    solvable = mask == 1
+    solvable = (series or derived_series(G))[-1] == 1
 
     # supersolvable: every maximal subgroup has prime index
     supersolvable = n > 1 and all(

@@ -20,8 +20,10 @@ def test_lattice_size_budget_reports_partial():
 
 @pytest.mark.parametrize("label", ["C2xC2", "Q8", "C12", "C3xC3"])
 def test_size_budget_counts_cyclic_seeds(label):
-    # every subgroup of these groups is cyclic or the whole group, so no
-    # join ever finds a new one
+    # every subgroup of these groups is cyclic or the whole group, so the
+    # count must be checked as soon as the cyclic subgroups are known: after
+    # the first layer of cyclic extension in the abelian groups, before any
+    # join in Q8
     G = build_group(parse_group_spec(label))
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_subgroups(G, max_subgroups=1)
@@ -32,6 +34,20 @@ def test_lattice_time_budget():
     G = build_group(parse_group_spec("S5"))
     with pytest.raises(BudgetExceeded):
         enumerate_subgroups(G, budget_ms=0.0)
+
+
+def test_abelian_lattice_time_budget():
+    G = build_group(parse_group_spec("C2xC2xC2xC2xC2"))
+    with pytest.raises(BudgetExceeded):
+        enumerate_subgroups(G, budget_ms=0.0)
+
+
+def test_abelian_lattice_size_budget_reports_partial():
+    # C2^5 has 31 subgroups of order 2, all found in the first layer
+    G = build_group(parse_group_spec("C2xC2xC2xC2xC2"))
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_subgroups(G, max_subgroups=10)
+    assert exc.value.partial is not None and exc.value.partial > 10
 
 
 def test_solver_budget_returns_incumbent():

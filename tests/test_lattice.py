@@ -105,6 +105,55 @@ class TestJoinWork:
         assert len(calls) == joins
 
 
+def gaussian_binomial(n, k, p):
+    """[n, k]_p, the number of k-dimensional subspaces of GF(p)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+class TestExtensionWork:
+    # An abelian group's lattice is built by cyclic extension, and exactly
+    # one (H, K) extension is kept per covering pair H < K.  In C_p^n a
+    # k-dimensional subspace lies in (p^(n-k) - 1)/(p - 1) subspaces of
+    # dimension k + 1, so the count is
+    # sum_k [n, k]_p (p^(n-k) - 1)/(p - 1): C2^5 2,077 and C3^3 78.
+    # Closing the same lattices by joins instead took 8,525 _join calls on
+    # C2^5, so a lost deduplication shows up here as a count.
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """Row count of every ``_cyclic_extensions`` result."""
+        counts = []
+        extend = lattice_module._cyclic_extensions
+
+        def counted(*args):
+            rows = extend(*args)
+            counts.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(lattice_module, "_cyclic_extensions", counted)
+        return counts
+
+    @pytest.mark.parametrize("label, subgroups, extensions",
+                             [("C2xC2xC2xC2xC2", 374, 2077), ("C3xC3xC3", 28, 78),
+                              ("C6xC6", 30, 76)])
+    def test_extension_count(self, monkeypatch, kept, label, subgroups, extensions):
+        joins = []
+        monkeypatch.setattr(lattice_module, "_join", lambda *args: joins.append(args))
+        G, L = built(label)
+        assert len(L) == subgroups
+        assert sum(kept) == extensions
+        assert joins == []
+
+    @pytest.mark.parametrize("p, n", [(2, 5), (3, 3), (2, 4), (5, 2), (7, 1)])
+    def test_elementary_abelian_count_is_covering_pairs(self, kept, p, n):
+        built("x".join([f"C{p}"] * n))
+        assert sum(kept) == sum(gaussian_binomial(n, k, p) * (p ** (n - k) - 1) // (p - 1)
+                                for k in range(n))
+
+
 class TestMobius:
     # μ(1, G) by the recursion over exact containment, by route A (the
     # reference recursion over masks) and by route B (the table of marks)
