@@ -5,6 +5,16 @@ Every command prints one JSON document to stdout with the shape
 numbers serialize as an integer or the string "aleph0".  Exit codes:
 0 success, 1 a verification verdict was "violation", 2 usage or spec
 error, 3 budget or element-cap abort.
+
+``--budget-ms`` is one deadline for the whole command, counted from its
+start: ``main`` turns it into a ``time.monotonic()`` instant that every
+stage checking time reads.  Past it the lattice stage exits 3 (as
+``--budget-ms 0`` does, by design); the set-cover solve of ``gamma``,
+``sum`` and ``complex`` answers from its best cover with ``exceeded``
+set (``sum`` adds a bracket); the Burnside product loop exits 3;
+``verify`` exits 3, between groups or in a sum-number solve.  Group
+building, complexes and homology, and the bound reports do not check
+the deadline.
 """
 
 from __future__ import annotations
@@ -46,21 +56,15 @@ def _emit(group, command, result, started, args, exceeded=False) -> None:
     print(json.dumps(doc, sort_keys=True, indent=indent))
 
 
-def _past_deadline(args, started) -> bool:
-    """Has the command run past ``--budget-ms``, counted from ``started``?"""
-    return (args.budget_ms is not None
-            and time.monotonic() > started + args.budget_ms / 1000.0)
-
-
-def _built(args):
+def _built(args, deadline):
     spec = parse_group_spec(args.spec)
     G = build_group(spec, cap=args.cap)
-    L = enumerate_subgroups(G, budget_ms=args.budget_ms)
+    L = enumerate_subgroups(G, deadline=deadline)
     return G, L
 
 
-def cmd_subgroups(args, started) -> int:
-    G, L = _built(args)
+def cmd_subgroups(args, started, deadline) -> int:
+    G, L = _built(args, deadline)
     by_order: dict[str, int] = {}
     for s in L.subgroups:
         by_order[str(s.order)] = by_order.get(str(s.order), 0) + 1
@@ -76,8 +80,8 @@ def cmd_subgroups(args, started) -> int:
     return EXIT_OK
 
 
-def cmd_graph(args, started) -> int:
-    G, L = _built(args)
+def cmd_graph(args, started, deadline) -> int:
+    G, L = _built(args, deadline)
     graph = intersection_graph(L)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -92,9 +96,9 @@ def cmd_graph(args, started) -> int:
     return EXIT_OK
 
 
-def cmd_gamma(args, started) -> int:
-    G, L = _built(args)
-    cert = gamma_exact(L, budget_ms=args.budget_ms)
+def cmd_gamma(args, started, deadline) -> int:
+    G, L = _built(args, deadline)
+    cert = gamma_exact(L, deadline=deadline)
     result = {
         "gamma": cert.gamma.to_json(),
         "witness": list(cert.witness),
@@ -106,9 +110,9 @@ def cmd_gamma(args, started) -> int:
     return EXIT_OK
 
 
-def cmd_sum(args, started) -> int:
-    G, L = _built(args)
-    res = sum_number(G, L, budget_ms=args.budget_ms)
+def cmd_sum(args, started, deadline) -> int:
+    G, L = _built(args, deadline)
+    res = sum_number(G, L, deadline=deadline)
     result = {
         "sum_number": res.value.to_json(),
         "witness": list(res.witness),
@@ -120,15 +124,15 @@ def cmd_sum(args, started) -> int:
     return EXIT_OK
 
 
-def cmd_burnside(args, started) -> int:
-    G, L = _built(args)
+def cmd_burnside(args, started, deadline) -> int:
+    G, L = _built(args, deadline)
     ring = BurnsideRing(G, L)
     labels = ring.labels()
     marks = ring.marks_matrix()
     products = {}
     for a in range(len(labels)):
         for b in range(a, len(labels)):
-            if _past_deadline(args, started):
+            if deadline is not None and time.monotonic() >= deadline:
                 raise BudgetExceeded(
                     f"Burnside products exceeded {args.budget_ms} ms",
                     partial=len(products))
@@ -148,10 +152,10 @@ def cmd_burnside(args, started) -> int:
     return EXIT_OK
 
 
-def cmd_complex(args, started) -> int:
-    G, L = _built(args)
+def cmd_complex(args, started, deadline) -> int:
+    G, L = _built(args, deadline)
     chars = characteristic_subgroups(G, L)
-    cert = gamma_exact(L, budget_ms=args.budget_ms)
+    cert = gamma_exact(L, deadline=deadline)
     report = topology_report(G, L, chars, cert.gamma)
     models = {}
     for name, cx in report.complexes.items():
@@ -175,7 +179,7 @@ def cmd_complex(args, started) -> int:
     return EXIT_OK
 
 
-def _verify_one(label: str, cap: int, budget_ms) -> dict:
+def _verify_one(label: str, cap: int, deadline) -> dict:
     entry = find_entry(label)
     G = get_group(label, cap=cap)
     L = get_lattice(label, cap=cap)
@@ -190,7 +194,11 @@ def _verify_one(label: str, cap: int, budget_ms) -> dict:
         if name == "gamma":
             actual = cert.gamma.to_json()
         elif name == "sum_number":
-            actual = sum_number(G, L, budget_ms=budget_ms).value.to_json()
+            res = sum_number(G, L, deadline=deadline)
+            if not res.optimal:  # a cut-off solve is not checked against the pin
+                raise BudgetExceeded(f"verify ran past the deadline in the sum-number "
+                                     f"solve of {label}")
+            actual = res.value.to_json()
         elif name == "subgroup_count":
             actual = len(L.subgroups)
         else:
@@ -207,15 +215,15 @@ def _verify_one(label: str, cap: int, budget_ms) -> dict:
     }
 
 
-def cmd_verify(args, started) -> int:
+def cmd_verify(args, started, deadline) -> int:
     labels = [e.label for e in corpus()
               if e.order and e.order <= args.order_max]
     groups = []
     for label in labels:
-        if _past_deadline(args, started):
+        if deadline is not None and time.monotonic() >= deadline:
             raise BudgetExceeded(f"verify exceeded {args.budget_ms} ms",
                                  partial=len(groups))
-        groups.append(_verify_one(label, args.cap, args.budget_ms))
+        groups.append(_verify_one(label, args.cap, deadline))
     violations = []
     for g in groups:
         for r in g["reports"]:
@@ -234,7 +242,7 @@ def cmd_verify(args, started) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_corpus(args, started) -> int:
+def cmd_corpus(args, started, deadline) -> int:
     entries = [{"label": e.label, "order": e.order,
                 "spec": e.spec_text, "expected": e.expected_dict()}
                for e in corpus() if e.order <= args.order_max]
@@ -252,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order-max", type=int, default=48,
                         help="corpus order limit for verify/corpus (default 48)")
     parser.add_argument("--budget-ms", type=float, default=None,
-                        help="time budget per expensive computation")
+                        help="one deadline for the whole command, in ms from its start")
     parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
                         help=f"element cap for closures (default {DEFAULT_ELEMENT_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,8 +294,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    deadline = None if args.budget_ms is None else started + args.budget_ms / 1000.0
     try:
-        return _COMMANDS[args.command](args, started)
+        return _COMMANDS[args.command](args, started, deadline)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,17 +70,6 @@ class CoverResult:
     bracket: tuple[int, int] | None = None  # (lower, upper) when not optimal
 
 
-class _Budget:
-    def __init__(self, budget_ms):
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        self.hit = False
-
-    def exceeded(self) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.hit = True
-        return self.hit
-
-
 class _Instance:
     """A set-cover instance reduced by point dominance.
 
@@ -160,12 +149,14 @@ def set_cover_lower_bound(universe_size: int, sets: list[int]) -> int:
 
 
 def min_set_cover(universe_size: int, sets: list[int],
-                  budget_ms: float | None = None) -> tuple[list[int], bool]:
+                  deadline: float | None = None) -> tuple[list[int], bool]:
     """Minimum set cover by branch and bound.
 
     ``sets`` are bitmasks over a universe of ``universe_size`` points.
-    Returns (chosen indices, optimal); ``optimal`` is False only when the
-    budget ran out, and the chosen sets are then the best cover found.
+    ``deadline`` is a ``time.monotonic()`` instant, checked at every search
+    node.  Returns (chosen indices, optimal); ``optimal`` is False only
+    when the deadline passed, and the chosen sets are then the best cover
+    found.
 
     The incumbent starts as a greedy cover of the whole universe.  The
     search then runs over the points kept by the dominance reduction of
@@ -181,7 +172,7 @@ def min_set_cover(universe_size: int, sets: list[int],
     larger of the k-largest coverage bound and the packing bound, or
     infeasible when a point it visits has only banned sets), or when the
     failure memo holds ``fail[U] >= allowed``.  A subtree searched to the
-    end without improving the incumbent and without a budget abort shows
+    end without improving the incumbent and before the deadline shows
     that U has no cover of ``allowed`` sets, and records
     ``fail[U] = allowed``.
 
@@ -222,7 +213,6 @@ def min_set_cover(universe_size: int, sets: list[int],
             uncovered &= ~sets[best]
         return chosen
 
-    budget = _Budget(budget_ms)
     incumbent = greedy((1 << universe_size) - 1)
     best_size = len(incumbent)
     optimal = True
@@ -235,7 +225,7 @@ def min_set_cover(universe_size: int, sets: list[int],
                 best_size = len(chosen)
                 incumbent = list(chosen)
             return
-        if budget.exceeded():
+        if not optimal or (deadline is not None and time.monotonic() >= deadline):
             optimal = False
             return
         allowed = best_size - 1 - len(chosen)
@@ -253,19 +243,20 @@ def min_set_cover(universe_size: int, sets: list[int],
             branch(uncovered & ~reduced[si], banned, chosen)
             chosen.pop()
             banned |= low
-        if best_size == size_before and not budget.hit:
+        if best_size == size_before and optimal:
             fail[uncovered] = allowed
 
     branch(inst.full, 0, [])
     return sorted(incumbent), optimal
 
 
-def gamma_exact(L: Lattice, budget_ms: float | None = None) -> DominationCertificate:
+def gamma_exact(L: Lattice, deadline: float | None = None) -> DominationCertificate:
     """Exact domination number of the full intersection graph.
 
     Returns aleph-0 when there are no proper non-trivial subgroups.  The
     witness holds lattice indices of maximal subgroups forming an optimal
-    dominating set.
+    dominating set; past ``deadline`` it is the best found and
+    ``optimal`` is False.
     """
     if not L.vertex_set:
         return DominationCertificate(gamma=ALEPH0, witness=(), optimal=True, method="setcover")
@@ -280,7 +271,7 @@ def gamma_exact(L: Lattice, budget_ms: float | None = None) -> DominationCertifi
             if L.subgroups[a].mask & ~cm == 0:
                 s |= 1 << atom_pos[a]
         sets.append(s)
-    chosen, optimal = min_set_cover(len(atoms), sets, budget_ms=budget_ms)
+    chosen, optimal = min_set_cover(len(atoms), sets, deadline=deadline)
     witness = tuple(sorted(coatoms[i] for i in chosen))
     return DominationCertificate(gamma=Gamma.of(len(chosen)), witness=witness,
                                  optimal=optimal, method="setcover")
@@ -327,15 +318,15 @@ def domination_oracle(graph: IntersectionGraph, k_max: int) -> Gamma | None:
     return None
 
 
-def sum_number(G, L: Lattice, budget_ms: float | None = None) -> CoverResult:
+def sum_number(G, L: Lattice, deadline: float | None = None) -> CoverResult:
     """Least number of proper subgroups whose union is the whole group;
     aleph-0 for cyclic groups.  Solved exactly over the maximal subgroups.
-    On a budget abort the result carries a (lower, upper) bracket."""
+    Past ``deadline`` the result carries a (lower, upper) bracket."""
     if G.exponent == G.order:
         return CoverResult(value=ALEPH0, witness=(), optimal=True)
     n = G.order
     sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]  # drop the identity bit
-    chosen, optimal = min_set_cover(n - 1, sets, budget_ms=budget_ms)
+    chosen, optimal = min_set_cover(n - 1, sets, deadline=deadline)
     witness = tuple(sorted(L.coatoms[i] for i in chosen))
     bracket = None
     if not optimal:

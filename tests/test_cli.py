@@ -1,6 +1,7 @@
 """Command-line interface: JSON shape, exit codes, determinism, DOT."""
 
 import json
+import time
 
 import pytest
 
@@ -155,7 +156,7 @@ class TestBudgetFlag:
         # enumerate without a budget and let the solve run out
         enumerate_subgroups = cli.enumerate_subgroups
         monkeypatch.setattr(cli, "enumerate_subgroups",
-                            lambda G, budget_ms=None: enumerate_subgroups(G))
+                            lambda G, deadline=None: enumerate_subgroups(G))
         for command in ("sum", "gamma"):
             code, out, _ = run(capsys, "--budget-ms", "0", command, "C2xC2xC2xC2")
             doc = parse(out)
@@ -168,7 +169,7 @@ class TestBudgetFlag:
         # enumerate without a budget so that the product loop aborts
         enumerate_subgroups = cli.enumerate_subgroups
         monkeypatch.setattr(cli, "enumerate_subgroups",
-                            lambda G, budget_ms=None: enumerate_subgroups(G))
+                            lambda G, deadline=None: enumerate_subgroups(G))
         code, out, err = run(capsys, "--budget-ms", "0", "burnside", "S4")
         assert code == 3 and out == ""
         assert "Burnside products" in err
@@ -195,12 +196,41 @@ class TestBudgetFlag:
         # verifies none of them
         verified = []
         verify_one = cli._verify_one
-        monkeypatch.setattr(cli, "_verify_one", lambda label, cap, budget_ms:
-                            verified.append(label) or verify_one(label, cap, budget_ms))
+        monkeypatch.setattr(cli, "_verify_one", lambda label, cap, deadline:
+                            verified.append(label) or verify_one(label, cap, deadline))
         code, out, err = run(capsys, "--budget-ms", "0", "--order-max", "48", "verify")
         assert code == 3 and out == ""
         assert "verify exceeded" in err
         assert verified == []
+
+    def test_stages_share_one_deadline(self, capsys, monkeypatch):
+        import groupdom.cli as cli
+
+        # the lattice stage ignores the deadline but spends 60 ms of the
+        # 50 ms budget, so the solve starts past it instead of with a fresh
+        # 50 ms of its own
+        enumerate_subgroups = cli.enumerate_subgroups
+
+        def slow_enumerate(G, deadline=None):
+            L = enumerate_subgroups(G)
+            time.sleep(0.06)
+            return L
+
+        monkeypatch.setattr(cli, "enumerate_subgroups", slow_enumerate)
+        code, out, _ = run(capsys, "--budget-ms", "50", "sum", "C2xC2xC2xC2")
+        doc = parse(out)
+        assert code == 0 and doc["result"]["optimal"] is False
+        assert doc["budget"]["exceeded"] is True
+
+    def test_verify_solve_abort_is_not_a_violation(self):
+        import groupdom.cli as cli
+        from groupdom.errors import BudgetExceeded
+        from groupdom.groups import DEFAULT_ELEMENT_CAP
+
+        # a greedy sigma(A6) is 18, not Cohn's 16: a solve cut off by the
+        # deadline must abort verify, never fail the pinned check
+        with pytest.raises(BudgetExceeded, match="A6"):
+            cli._verify_one("A6", DEFAULT_ELEMENT_CAP, time.monotonic())
 
     def test_default_run_not_exceeded(self, capsys):
         for command in ("sum", "gamma"):
@@ -244,7 +274,7 @@ class TestViolationExit:
     def test_violation_verdict_exits_1(self, capsys, monkeypatch):
         import groupdom.cli as cli
 
-        def fake_verify_one(label, cap, budget_ms):
+        def fake_verify_one(label, cap, deadline):
             return {"group": label, "order": 1, "gamma": 1,
                     "reports": [{"theorem": "fake", "verdict": "violation"}],
                     "expected_checks": []}
