@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import GroupTable
-from .lattice import Lattice, conjugates, subgroup_classes
+from .lattice import Lattice, class_of_subgroup, subgroup_classes
 
 
 @dataclass(frozen=True)
@@ -121,21 +121,18 @@ def gset_intersection_graph(G: GroupTable, L: Lattice,
     subgroups.  Stabilizers of points of G/H are the conjugates of H; the
     whole group and the trivial subgroup contribute no vertices.
     """
+    classes = subgroup_classes(G, L)
     if bases == "sigma":
-        base_indices = [c.rep for c in subgroup_classes(G, L)]
+        base_indices = [c.rep for c in classes]
     else:
         base_indices = list(bases)
-    full = (1 << G.order) - 1
-    stab_masks = set()
-    for i in base_indices:
-        h = L.subgroups[i].mask
-        if h == full or h == 1:
-            continue
-        stab_masks.update(conjugates(G, h)[0])
-    masks = tuple(sorted(stab_masks, key=lambda m: (m.bit_count(), m)))
-    verts = tuple(L.index.get(m, -1) for m in masks)
-    labels = tuple(f"H{m.bit_count()}_{v}" if v >= 0 else f"H{m.bit_count()}_x"
-                   for m, v in zip(masks, verts))
+    class_of = class_of_subgroup(L, classes)
+    top = len(L.subgroups) - 1
+    # lattice order is (order, mask) order, so sorted indices sort the masks
+    verts = tuple(sorted({j for i in base_indices if 0 < i < top
+                          for j in classes[class_of[i]].members}))
+    masks = tuple(L.subgroups[v].mask for v in verts)
+    labels = tuple(f"H{m.bit_count()}_{v}" for m, v in zip(masks, verts))
     return IntersectionGraph(vertices=verts, masks=masks,
                              adjacency=_adjacency_from_masks(masks),
                              mode="gset", labels=labels)

@@ -300,14 +300,19 @@ def _finalize(mul: np.ndarray, label: str, spec, generators) -> GroupTable:
     inv = np.empty(n, dtype=np.int32)
     rows, cols = np.nonzero(mul == 0)
     inv[rows] = cols
-    orders = np.empty(n, dtype=np.int32)
-    for g in range(n):
-        k, x = 1, g
-        while x != 0:
-            x = int(mul[x, g])
-            k += 1
-        orders[g] = k
-    if any(n % int(k) for k in orders):
+    # one walk for all elements: x_g <- x_g g until x_g is the identity; an
+    # element of a group of order n has order at most n
+    orders = np.ones(n, dtype=np.int32)
+    live = np.arange(1, n)
+    x = live
+    for k in range(2, n + 1):
+        if live.size == 0:
+            break
+        x = mul[x, live]
+        done = x == 0
+        orders[live[done]] = k
+        live, x = live[~done], x[~done]
+    if live.size or (n % orders).any():
         raise SpecError("element order does not divide group order; table is not a group")
     return GroupTable(order=n, mul=mul, inv=inv, elem_order=orders, label=label,
                       spec=spec, generators=tuple(generators))
@@ -319,7 +324,7 @@ def _validate_table(mul: np.ndarray) -> None:
         raise SpecError("multiplication table is not square")
     if not np.array_equal(mul[0], np.arange(n)) or not np.array_equal(mul[:, 0], np.arange(n)):
         raise SpecError("index 0 does not act as the identity")
-    if not all((np.sort(mul[i]) == np.arange(n)).all() for i in range(n)):
+    if not (np.sort(mul, axis=1) == np.arange(n)).all():
         raise SpecError("table rows are not permutations")
     # Associativity: full check is cubic, so sample beyond order 64.
     if n <= 64:

@@ -1,22 +1,26 @@
 """Subgroup lattice enumeration and subgroup-level invariants.
 
 Subgroups are bitmasks over element indices (bit 0, the identity, is always
-set).  An abelian group's subgroups are built by cyclic extension: each
-subgroup K > 1 is H u Hg u ... u Hg^(p-1) for a subgroup H of prime index
-p in K and any g in K outside H, so from the trivial subgroup up, the
-subgroups of each order are read off smaller ones as unions of cosets,
-with no closure search.  A non-abelian group's enumeration seeds with all
-cyclic subgroups and closes under "join with a cyclic subgroup", extending
-only conjugacy class representatives, each with one cyclic subgroup per
-N_G(H)-orbit; a join is closed by a breadth-first search under the
-subgroup's carried generators.  Conjugacy orbits and normalizers come from
-one vectorised kernel, ``conjugates``, which reads the orbit of H from the
-left cosets of N_G(H).
+set).  Subgroups are built by cyclic extension (Neubüser 1960; Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, section 3): a
+subgroup K with a normal subgroup H of prime index p is
+H u Hg u ... u Hg^(p-1) for any g in K outside H, so from the trivial
+subgroup up, the subgroups of each order are read off the conjugacy class
+representatives of smaller ones as unions of cosets, with no closure
+search.  That reaches every solvable subgroup.  The perfect subgroups all
+lie in the solvable residual G^(∞); when G is not solvable, a
+join-with-cyclic closure inside it finds them, each join closed by a
+breadth-first search under the subgroup's carried generators, and cyclic
+extension continues from there.  Conjugacy orbits and normalizers come
+from one vectorised kernel, ``conjugates``, which reads the orbit of H
+from the left cosets of N_G(H); the enumeration calls it once per class
+and records the classes on the lattice.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -120,13 +124,19 @@ class Lattice:
     """The complete subgroup lattice of a group.
 
     ``subgroups`` is sorted by (order, mask): index 0 is the trivial
-    subgroup and the last index is the whole group.  Immutable once built.
+    subgroup and the last index is the whole group.  ``orbits`` maps the
+    representative (smallest mask) of each conjugacy class of subgroups of
+    a non-abelian group to (its orbit, the normalizer mask of the
+    representative), as ``enumerate_subgroups`` records them; the orbit
+    maps each conjugate m to an element conjugating one fixed member onto
+    m.  Immutable once built.
     """
 
-    def __init__(self, G: GroupTable, masks: set[int]):
+    def __init__(self, G: GroupTable, masks, orbits=None):
         self.group = G
         self.subgroups = [Subgroup.from_mask(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
         self.index = {s.mask: i for i, s in enumerate(self.subgroups)}
+        self.orbits = orbits
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -224,15 +234,16 @@ def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
 
 
 def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
-          gens: tuple[int, ...]) -> int:
-    """Mask of <H, C> for subgroups H and C given by their members, where
-    ``gens`` generate H and include a generator of C.
+          gens: tuple[int, ...], top: int) -> int:
+    """Mask of <H, C> for subgroups H and C of the subgroup ``top`` given by
+    their members, where ``gens`` generate H and include a generator of C.
 
     Starts from the product set HC and closes it by a breadth-first search
     under right multiplication by ``gens``, so each element is multiplied
     once per generator.
     """
     n = G.order
+    half = top.bit_count() // 2
     prods = G.mul[h_members[:, None], c_members].ravel()
     gens = np.array(gens)
     in_set = np.zeros(n, dtype=bool)
@@ -246,53 +257,49 @@ def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
         fresh[novel] = True
         frontier = fresh.nonzero()[0]
         size += frontier.size
-        # a subgroup of order greater than n/2 is the whole group
-        if size > n // 2:
-            return (1 << n) - 1
+        # a subgroup of top of order greater than |top|/2 is top
+        if size > half:
+            return top
         in_set |= fresh
         prods = G.mul[frontier[:, None], gens].ravel()
     return _bools_to_mask(in_set)
 
 
 def _cyclic_extensions(G: GroupTable, members: np.ndarray, inside: np.ndarray,
-                       gens: np.ndarray, tops: np.ndarray, cosets: np.ndarray,
-                       rank: np.ndarray) -> np.ndarray:
-    """Members of every K = <H, g> of index p over a subgroup H of one
-    order in an abelian group, one row per covering pair H < K.
+                       normal: np.ndarray, gens: np.ndarray, tops: np.ndarray,
+                       cosets: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Members of every K = <H, g> in which H is normal of prime index p,
+    over class representatives H of one order, one row per covering pair
+    H < K.
 
-    Row h of ``inside`` is H's membership and row h of ``members`` lists
-    H's elements.  ``gens`` holds one generator g of each cyclic p-subgroup,
-    ``tops`` their p-th powers, and row j of ``cosets`` is 1, g, ...,
-    g^(p-1).  g has order p modulo H iff g is not in H and g^p is, and then
-    K is the union of the cosets H g^i for i < p.  Since K/H has order p,
-    every element of K outside H whose order is a prime power is a
-    p-element, so each K over H is kept once: from the pair whose g has
-    the least ``rank`` (its position in ``gens``) outside H.
+    Row h of ``inside`` is H's membership, row h of ``normal`` N_G(H)'s
+    (``normal`` is None when G is abelian, so every N_G(H) is G), and row
+    h of ``members`` lists H's elements.  ``gens`` holds one
+    generator g of each cyclic p-subgroup, ``tops`` their p-th powers, and
+    row j of ``cosets`` is 1, g, ..., g^(p-1).  When g normalizes H, is not
+    in H and g^p is, K is the union of the cosets H g^i for i < p.  Since
+    K/H has order p, every element of K outside H whose order is a prime
+    power is a p-element, so each K over H is kept once: from the pair
+    whose g has the least ``rank`` (its position in ``gens``) outside H.
     """
-    hs, js = np.nonzero(inside[:, tops] & ~inside[:, gens])
-    rows = G.mul[members[hs][:, None, :], cosets[js][:, :, None]].reshape(len(hs), -1)
-    first = rank[rows[:, members.shape[1]:]].min(axis=1)
+    size = members.shape[1]
+    fits = inside[:, tops] > inside[:, gens]  # g^p in H, g not in H
+    if normal is not None:
+        fits &= normal[:, gens]
+    hs, js = np.nonzero(fits)
+    rows = G.mul[members[hs][:, None, :], cosets[js][:, :, None]]
+    rows = rows.reshape(len(hs), cosets.shape[1] * size)
+    first = rank[rows[:, size:]].min(axis=1)
     return rows[first == js]
 
 
-def _abelian_subgroups(G: GroupTable, known: set[int], check) -> None:
-    """Add every subgroup of the abelian group G to ``known`` by cyclic
-    extension (Neubüser 1960; Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005, section 3).
-
-    Every subgroup K > 1 has a subgroup H of prime index p, and
-    K = <H, g> = H u Hg u ... u Hg^(p-1) for any g in K outside H, so no
-    closure search is needed.  The subgroups of one order are one layer:
-    layers are taken in increasing order, each extended by every prime p
-    (``_cyclic_extensions``), and the extensions of order |H| p found from
-    different H and p are merged into their layer by mask.  ``check`` runs
-    after each layer.
-    """
+def _extension_steps(G: GroupTable, cyclic: dict[int, int]):
+    """Per prime p, the smallest generator g of each cyclic p-subgroup, g^p
+    and the powers 1, g, ..., g^(p-1) as arrays, and every element's
+    position among its prime's generators (n for the other elements)."""
     n = G.order
-    # per prime p, the smallest generator g of each cyclic p-subgroup, g^p,
-    # and the powers 1, g, ..., g^(p-1)
     steps: dict[int, tuple[list, list, list]] = {}
-    for mask, g in _cyclic_generators(G)[0].items():
+    for mask, g in cyclic.items():
         factors = prime_factors(mask.bit_count())
         if len(factors) > 1:
             continue
@@ -308,38 +315,92 @@ def _abelian_subgroups(G: GroupTable, known: set[int], check) -> None:
     for p, (gens, tops, cosets) in steps.items():
         rank[gens] = np.arange(len(gens))
         steps[p] = (np.array(gens), np.array(tops), np.array(cosets, dtype=G.mul.dtype))
+    return steps, rank
 
-    members = np.zeros((1, 1), dtype=G.mul.dtype)
-    inside = np.zeros((1, n), dtype=bool)
-    inside[0, 0] = True
-    size = 1
-    found: dict[int, list[np.ndarray]] = {}
-    while True:
+
+def _unpack(masks: list[int], n: int) -> np.ndarray:
+    """Membership rows of subgroup masks, one bool row of length n each."""
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(data.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _new_class(G: GroupTable, mask: int, known: dict[int, int],
+               orbits: dict[int, tuple[dict[int, int], int]]) -> int:
+    """Record the conjugacy class of a subgroup not yet in ``known`` and
+    return its representative, the smallest mask in the orbit.  The
+    representative's normalizer is conjugated from the one ``conjugates``
+    returns, so the class costs one call."""
+    orbit, normalizer = conjugates(G, mask)
+    rep = min(orbit)
+    if rep != mask:
+        normalizer = array_to_mask(
+            conjugate_rows(G, mask_to_array(normalizer, G.order), [orbit[rep]])[0], G.order)
+    orbits[rep] = (orbit, normalizer)
+    known.update(dict.fromkeys(orbit, rep))
+    return rep
+
+
+def _extend(G: GroupTable, layers: dict[int, list], steps, rank,
+            known: dict[int, int], orbits, check) -> bool:
+    """Extend class representatives by cyclic extension, layer by layer.
+
+    ``layers`` maps an order to the representatives of that order still to
+    be extended: their masks, or for an abelian group (``orbits`` None,
+    every subgroup its own class with normalizer G) arrays of their
+    membership rows.  Layers are taken in increasing order; each is
+    extended by every prime p (``_cyclic_extensions``), and every subgroup
+    found that is not in ``known`` enters it with its whole conjugacy
+    class, whose representative joins the layer of its order.  ``check``
+    runs after each layer.  Returns whether G itself was reached, which is
+    the case exactly when G is solvable.
+    """
+    n = G.order
+    width = (n + 7) // 8
+    reached = False
+    normal = None
+    while layers:
+        size = min(layers)
+        reps = layers.pop(size)
+        if orbits is None:
+            inside = np.concatenate(reps)
+        else:
+            inside = _unpack(reps, n)
+            normal = _unpack([orbits[h][1] for h in reps], n)
+        members = np.nonzero(inside)[1].reshape(len(inside), size)
         for p, step in steps.items():
-            if n % (size * p) == 0:
-                found.setdefault(size * p, []).append(
-                    _cyclic_extensions(G, members, inside, *step, rank))
-        if not found:
-            return
-        size = min(found)
-        rows = np.concatenate(found.pop(size))
-        inside = np.zeros((len(rows), n), dtype=bool)
-        inside[np.arange(len(rows))[:, None], rows] = True
-        data = np.packbits(inside, axis=1, bitorder="little").tobytes()
-        width = len(data) // len(rows)
-        first_row: dict[int, int] = {}
-        for r in range(len(rows)):
-            first_row.setdefault(int.from_bytes(data[r * width:(r + 1) * width], "little"), r)
-        known.update(first_row)
+            if n % (size * p):
+                continue
+            rows = _cyclic_extensions(G, members, inside, normal, *step, rank)
+            reached |= size * p == n and len(rows) > 0
+            found = np.zeros((len(rows), n), dtype=bool)
+            found[np.arange(len(rows))[:, None], rows] = True
+            data = np.packbits(found, axis=1, bitorder="little").tobytes()
+            keep = []
+            for r in range(len(rows)):
+                mask = int.from_bytes(data[r * width:(r + 1) * width], "little")
+                if mask in known:
+                    continue
+                if orbits is None:
+                    known[mask] = mask
+                    keep.append(r)
+                else:
+                    layers.setdefault(size * p, []).append(_new_class(G, mask, known, orbits))
+            if keep:
+                layers.setdefault(size * p, []).append(found[keep])
         check()
-        keep = list(first_row.values())
-        members, inside = rows[keep], inside[keep]
+    return reached
 
 
-def _join_closure(G: GroupTable, known: set[int], check) -> None:
-    """Add every subgroup of the non-abelian group G to ``known`` by
-    join-with-cyclic closure from its cyclic subgroups; ``check`` runs
-    after each new subgroup and each extended representative.
+def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
+                  cyclic_of: list[int], known: dict[int, int], orbits,
+                  check) -> dict[int, list[int]]:
+    """Find every subgroup of ``top``, a normal subgroup of the
+    non-abelian group G, by join-with-cyclic closure from the cyclic
+    subgroups inside it; classes not in ``known`` are recorded, and their
+    representatives are returned by order.  ``check`` runs after each new
+    subgroup and each extended representative.
 
     Three shortcuts keep this tractable: joining with prime-power cyclic
     subgroups suffices (every cyclic subgroup is the join of the
@@ -347,24 +408,23 @@ def _join_closure(G: GroupTable, known: set[int], check) -> None:
     representatives, because a conjugate of a join is the join of the
     conjugates and conjugates of cyclics are cyclic; and a representative
     H needs only one joiner C from each N_G(H)-orbit, because
-    <H, nCn^-1> = n<H, C>n^-1 for n in N_G(H).  Every discovered
-    subgroup's whole conjugacy orbit is added, so the pruned joins find
-    nothing new.  The joiner kept from an orbit is the one listed first:
-    the generators of all joiners are conjugated by every element of
-    N_G(H) in one fancy-index, mapped to joiner positions, and joiner j is
-    kept iff its column's minimum is j.
+    <H, nCn^-1> = n<H, C>n^-1 for n in N_G(H).  Every subgroup reached
+    brings its whole conjugacy orbit, so the pruned joins find nothing new.
+    The joiner kept from an orbit is the one listed first: the generators
+    of all joiners are conjugated by every element of N_G(H) in one
+    fancy-index, mapped to joiner positions, and joiner j is kept iff its
+    column's minimum is j.
 
     Each representative carries a generating set: (g,) for a cyclic
-    subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated along
-    with the subgroup when the orbit's representative is a conjugate of
-    the join found.  Its normalizer is conjugated the same way from the
-    one ``conjugates`` returns.  A join is closed by ``_join``, a
-    breadth-first search under those generators.
+    subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated onto the
+    representative when the orbit's representative is a conjugate of the
+    subgroup reached.  A join is closed by ``_join``, a breadth-first
+    search under those generators.  Which subgroups the closure has
+    reached is kept apart from ``known``, so its frontier does not depend
+    on what cyclic extension found before it.
     """
     n = G.order
-    full = (1 << n) - 1
-    cyclic, cyclic_of = _cyclic_generators(G)
-    seeds = sorted(cyclic, key=lambda m: (m.bit_count(), m))
+    seeds = sorted((c for c in cyclic if c & ~top == 0), key=lambda m: (m.bit_count(), m))
     joiners = [(c, c.bit_count(), cyclic[c], mask_to_array(c, n)) for c in seeds
                if _is_prime_power(c.bit_count())]
     # joiner position of <g> for every element g; other elements map past the end
@@ -373,24 +433,34 @@ def _join_closure(G: GroupTable, known: set[int], check) -> None:
     joiner_gens = np.array([c_gen for _, _, c_gen, _ in joiners], dtype=np.int64)
     first_in_orbit = np.arange(len(joiners))
 
+    new: dict[int, list[int]] = {}
+    if top not in known:  # top is normal: its class is itself
+        known[top] = top
+        orbits[top] = ({top: 0}, (1 << n) - 1)
+        new[top.bit_count()] = [top]
+    reached = {1, top}
     gens_of: dict[int, tuple[int, ...]] = {}
     normalizer_of: dict[int, np.ndarray] = {}
 
     def admit(mask: int, gens: tuple[int, ...]) -> int:
-        """Add a subgroup and its conjugacy orbit, which is not yet known;
-        return the orbit rep, whose generating set is recorded in
-        ``gens_of`` and whose normalizer's members in ``normalizer_of``."""
-        orbit, normalizer = conjugates(G, mask)
-        known.update(orbit)
-        rep = min(orbit)
-        g = [orbit[rep]]
+        """Reach a subgroup and its conjugacy orbit; return the orbit rep,
+        whose generating set is recorded in ``gens_of`` and whose
+        normalizer's members in ``normalizer_of``."""
+        if mask not in known:
+            new.setdefault(mask.bit_count(), []).append(_new_class(G, mask, known, orbits))
+        rep = known[mask]
+        orbit, normalizer = orbits[rep]
+        reached.update(orbit)
+        # orbit[m] conjugates one fixed member onto m, so this maps mask onto rep
+        g = [G.mul[orbit[rep], G.inv[orbit[mask]]]]
         gens_of[rep] = tuple(int(x) for x in conjugate_rows(G, list(gens), g)[0])
-        normalizer_of[rep] = conjugate_rows(G, mask_to_array(normalizer, n), g)[0]
+        normalizer_of[rep] = mask_to_array(normalizer, n)
         return rep
 
-    frontier = [admit(c, (cyclic[c],)) for c in seeds if c not in known]
+    frontier = [admit(c, (cyclic[c],)) for c in seeds if c not in reached]
     check()
     seen_seeds = set()
+    half = top.bit_count() // 2
     while frontier:
         next_frontier = []
         for h in frontier:
@@ -405,43 +475,55 @@ def _join_closure(G: GroupTable, known: set[int], check) -> None:
                 if seed in seen_seeds:
                     continue
                 seen_seeds.add(seed)
-                if seed in known:
+                if seed in reached:
                     continue
                 gens = gens_of[h] + (c_gen,)
-                # |<H,C>| >= |HC| = |H||C|/|H&C|, and a subgroup of order
-                # greater than n/2 is the whole group
-                if h_count * c_count // (h & c).bit_count() > n // 2:
-                    j = full
+                # |<H,C>| >= |HC| = |H||C|/|H&C|, and a subgroup of top of
+                # order greater than |top|/2 is top
+                if h_count * c_count // (h & c).bit_count() > half:
+                    j = top
                 else:
                     if h_members is None:
                         h_members = mask_to_array(h, n)
-                    j = _join(G, h_members, c_members, gens)
-                if j not in known:
+                    j = _join(G, h_members, c_members, gens, top)
+                if j not in reached:
                     next_frontier.append(admit(j, gens))
                     check()
             check()
         frontier = next_frontier
+    return new
 
 
 def enumerate_subgroups(G: GroupTable, deadline: float | None = None) -> Lattice:
-    """All subgroups of G: by cyclic extension when G is abelian
-    (``_abelian_subgroups``), by join-with-cyclic closure otherwise
-    (``_join_closure``).  Past ``deadline``, a ``time.monotonic()``
-    instant, this raises ``BudgetExceeded`` with the number of subgroups
-    found so far.
+    """All subgroups of G, with the conjugacy classes of a non-abelian G.
+
+    Cyclic extension from the trivial subgroup (``_extend``) finds every
+    solvable subgroup, and reaches G iff G is solvable.  Otherwise every
+    perfect subgroup P lies in the solvable residual R = G^(∞), since
+    P = P^(k) <= G^(k); ``_join_closure`` finds the subgroups of R, and
+    cyclic extension continues from the classes it adds, because every
+    subgroup K is reached from the perfect group K^(∞) by normal steps of
+    prime index.  Past ``deadline``, a ``time.monotonic()`` instant, this
+    raises ``BudgetExceeded`` with the number of subgroups found so far.
     """
-    known = {1, (1 << G.order) - 1}
+    n = G.order
+    full = (1 << n) - 1
+    known = {1: 1, full: full}  # subgroup mask -> its class representative
+    orbits = None if G.is_abelian() else {1: ({1: 0}, full), full: ({full: 0}, full)}
 
     def check():
         if deadline is not None and time.monotonic() >= deadline:
             raise BudgetExceeded("lattice enumeration ran past the deadline",
                                  partial=len(known))
 
-    if G.is_abelian():
-        _abelian_subgroups(G, known, check)
-    else:
-        _join_closure(G, known, check)
-    return Lattice(G, known)
+    cyclic, cyclic_of = _cyclic_generators(G)
+    steps, rank = _extension_steps(G, cyclic)
+    trivial = [np.eye(1, n, dtype=bool)] if orbits is None else [1]
+    if not _extend(G, {1: trivial}, steps, rank, known, orbits, check) and n > 1:
+        residual = derived_series(G)[-1]
+        new = _join_closure(G, residual, cyclic, cyclic_of, known, orbits, check)
+        _extend(G, new, steps, rank, known, orbits, check)
+    return Lattice(G, known, orbits)
 
 
 def enumerate_subgroups_allpairs(G: GroupTable) -> set[int]:
@@ -482,24 +564,27 @@ def enumerate_subgroups_allpairs(G: GroupTable) -> set[int]:
 
 def subgroups_bruteforce(G: GroupTable) -> set[int]:
     """Brute-force oracle: every subgroup is a union of cyclic subgroups, so
-    try all unions and keep the ones that are closed.  Only sane for small
-    groups (|G| <= 24 or so)."""
+    try all unions and keep the ones that are closed.  The unions are
+    walked depth first, each one OR from its prefix, and a union already
+    tried is not closed again.  Only sane for small groups (at most 20
+    cyclic subgroups)."""
     cyclic = cyclic_subgroup_masks(G)
     if len(cyclic) > 20:
         raise ValueError(f"too many cyclic subgroups ({len(cyclic)}) for brute force")
     n = G.order
     found = {1, (1 << n) - 1}
-    for bits in range(1, 1 << len(cyclic)):
-        m = 1
-        b = bits
-        while b:
-            low = b & -b
-            m |= cyclic[low.bit_length() - 1]
-            b ^= low
-        if m in found or n % m.bit_count():
-            continue
-        if close_subset(G, m) == m:
-            found.add(m)
+    tried = set(found)
+    stack = [(0, 1)]  # (first cyclic subgroup still to add, union so far)
+    while stack:
+        start, prefix = stack.pop()
+        for i in range(start, len(cyclic)):
+            m = prefix | cyclic[i]
+            stack.append((i + 1, m))
+            if m in tried:
+                continue
+            tried.add(m)
+            if n % m.bit_count() == 0 and close_subset(G, m) == m:
+                found.add(m)
     return found
 
 
@@ -615,14 +700,16 @@ def characteristic_subgroups(G: GroupTable, L: Lattice,
 
 
 def sylow_counts(G: GroupTable, L: Lattice) -> dict[int, int]:
-    """Number of Sylow p-subgroups per prime p dividing |G|."""
+    """Number of Sylow p-subgroups per prime p dividing |G|, from one count
+    of the subgroup orders."""
     n = G.order
+    per_order = Counter(s.order for s in L.subgroups)
     counts = {}
     for p in prime_factors(n):
         pa = 1
         while n % (pa * p) == 0:
             pa *= p
-        counts[p] = sum(1 for s in L.subgroups if s.order == pa)
+        counts[p] = per_order[pa]
     return counts
 
 
@@ -664,26 +751,17 @@ class SubgroupClass:
 
 
 def subgroup_classes(G: GroupTable, L: Lattice) -> list[SubgroupClass]:
-    """Conjugacy classes of subgroups; classes sorted by (order, rep mask)."""
+    """Conjugacy classes of subgroups, read from the orbits the enumeration
+    recorded on ``L``; classes sorted by (order, rep mask)."""
     if G.is_abelian():
         full = Subgroup.from_mask((1 << G.order) - 1)
         return [SubgroupClass(rep=i, members=(i,), normalizer=full)
                 for i in range(len(L.subgroups))]
-
-    assigned = [False] * len(L.subgroups)
-    classes = []
-    for i, s in enumerate(L.subgroups):
-        if assigned[i]:
-            continue
-        # subgroups are sorted by (order, mask), so the first unassigned
-        # member of a class is its smallest mask and classes come out sorted
-        orbit, norm = conjugates(G, s.mask)
-        member_idx = tuple(sorted(L.index[m] for m in orbit))
-        for j in member_idx:
-            assigned[j] = True
-        classes.append(SubgroupClass(rep=i, members=member_idx,
-                                     normalizer=Subgroup.from_mask(norm)))
-    return classes
+    # subgroups are sorted by (order, mask), so sorting classes by their
+    # smallest member's index sorts them by (order, rep mask)
+    return sorted((SubgroupClass(rep=L.index[rep], members=tuple(sorted(L.index[m] for m in orbit)),
+                                 normalizer=Subgroup.from_mask(norm))
+                   for rep, (orbit, norm) in L.orbits.items()), key=lambda c: c.rep)
 
 
 def class_of_subgroup(L: Lattice, classes: list[SubgroupClass]) -> np.ndarray:

@@ -13,8 +13,8 @@ from groupdom.lattice import enumerate_subgroups
 
 
 def test_lattice_size_budget_reports_partial():
-    # the deadline is checked right after the cyclic seeding, which finds
-    # 16 cyclic subgroups of S4
+    # the deadline is first checked after the first layer of cyclic
+    # extension, which finds the 9 subgroups of order 2 in S4
     G = build_group(parse_group_spec("S4"))
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_subgroups(G, deadline=time.monotonic())
@@ -25,8 +25,8 @@ def test_lattice_size_budget_reports_partial():
 def test_size_budget_counts_cyclic_seeds(label):
     # every subgroup of these groups is cyclic or the whole group, so the
     # deadline must be checked as soon as the cyclic subgroups are known:
-    # after the first layer of cyclic extension in the abelian groups,
-    # before any join in Q8
+    # after the first layer of cyclic extension, which finds the subgroups
+    # of the least prime order
     G = build_group(parse_group_spec(label))
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_subgroups(G, deadline=time.monotonic())

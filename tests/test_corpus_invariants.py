@@ -10,7 +10,8 @@ from groupdom.domination import Gamma, is_dominating, sum_number
 from groupdom.formulas import VIOLATION, verify_bounds
 from groupdom.graphs import intersection_graph
 from groupdom.lattice import (array_to_mask, characteristic_subgroups,
-                              classify_group, mask_to_array)
+                              classify_group, mask_to_array, subgroup_classes)
+from classes_reference import reference_classes
 
 LEQ48 = [e.label for e in corpus() if e.order <= 48]
 ALL = [e.label for e in corpus()]
@@ -31,6 +32,14 @@ def test_product_formula_all_pairs_leq_48():
                 if array_to_mask(prod, n) in L.index:
                     inter = (x.mask & y.mask).bit_count()
                     assert len(prod) * inter == x.order * y.order, (label, i, j)
+
+
+def test_subgroup_classes_match_one_conjugates_call_per_class_all():
+    # the classes recorded during enumeration, against conjugates called
+    # afresh on every class representative in lattice order
+    for label in ALL:
+        L = get_lattice(label)
+        assert subgroup_classes(L.group, L) == reference_classes(L.group, L), label
 
 
 def test_every_proper_subgroup_below_a_coatom_leq_48():

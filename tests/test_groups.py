@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from groupdom import groups as groups_module
 from groupdom.errors import CapExceeded, SpecError
 from groupdom.groups import (Permutation, build_group, is_normal,
                              parse_group_spec, quotient_group)
@@ -92,6 +93,26 @@ class TestBuilders:
     def test_element_cap(self):
         with pytest.raises(CapExceeded):
             build("S6", cap=100)
+
+    def test_element_orders_match_power_walk(self):
+        # the one-walk orders against each element's powers, one at a time
+        for text in ["C12", "D24", "S4", "Q8", "SD(7,3)", "A5", "C2xC4xC3"]:
+            G = build(text)
+            for g in range(G.order):
+                k, x = 1, g
+                while x != 0:
+                    x = int(G.mul[x, g])
+                    k += 1
+                assert G.elem_order[g] == k, (text, g)
+
+    def test_power_walk_stops_on_a_malformed_table(self, monkeypatch):
+        # rows are permutations and 0 is the identity, but 1 1 = 2 and
+        # 2 1 = 1, so the powers of 1 never return to 0; the table fails
+        # the associativity check, which is skipped here
+        monkeypatch.setattr(groups_module, "_validate_table", lambda mul: None)
+        mul = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+        with pytest.raises(SpecError):
+            groups_module._finalize(mul, "bad", None, [1])
 
     def test_determinism(self):
         a = build("S4")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from groupdom import lattice as lattice_module
+from groupdom.corpus import corpus, get_group
 from groupdom.groups import build_group, is_prime, parse_group_spec
-from groupdom.lattice import (characteristic_subgroups, classify_group,
-                              enumerate_subgroups, enumerate_subgroups_allpairs,
-                              generated_subgroup, mobius, subgroup_classes,
-                              subgroups_bruteforce, sylow_counts)
+from groupdom.lattice import (characteristic_subgroups, class_of_subgroup,
+                              classify_group, enumerate_subgroups,
+                              enumerate_subgroups_allpairs, generated_subgroup,
+                              mobius, subgroup_classes, subgroups_bruteforce,
+                              sylow_counts)
 from mobius_reference import mobius_from_marks, mobius_one_to_top
 
 
@@ -89,12 +91,14 @@ class TestEnumeration:
 
 
 class TestJoinWork:
-    # Each class representative H is joined with one prime-power cyclic
-    # subgroup per N_G(H)-orbit.  Joining it with every prime-power cyclic
-    # subgroup instead took 771 _join calls on S5 and 3,010 on A6, so a
-    # lost pruning shows up here as a count rather than as a timing.
+    # Joins run only inside the solvable residual G^(∞) (A5 in S5, A6 in
+    # A6 and S6), and each class representative H there is joined with one
+    # prime-power cyclic subgroup per N_G(H)-orbit.  Joining it with every
+    # prime-power cyclic subgroup instead took 771 _join calls on S5 and
+    # 3,010 on A6, and joining inside all of S5 took 144, so a lost
+    # pruning shows up here as a count rather than as a timing.
     @pytest.mark.parametrize("label, subgroups, joins",
-                             [("S5", 156, 144), ("A6", 501, 383)])
+                             [("S5", 156, 27), ("A6", 501, 383), ("S6", 1455, 289)])
     def test_join_count(self, monkeypatch, label, subgroups, joins):
         calls = []
         join = lattice_module._join
@@ -103,6 +107,43 @@ class TestJoinWork:
         G, L = built(label)
         assert len(L) == subgroups
         assert len(calls) == joins
+
+
+class TestClassWork:
+    # Cyclic extension reaches every subgroup of a solvable group, so its
+    # lattice needs no join.  Each class is recorded once, with one
+    # conjugates call, except the classes known from the start (1, G and,
+    # when G is not solvable, its solvable residual R, which is normal);
+    # subgroup_classes reads the records and calls it no more.
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_join": [], "conjugates": []}
+        for name, seen in calls.items():
+            original = getattr(lattice_module, name)
+            monkeypatch.setattr(lattice_module, name,
+                                lambda *args, o=original, s=seen: s.append(args[1]) or o(*args))
+        return calls
+
+    def assert_one_call_per_class(self, label, calls, preset):
+        G = get_group(label)
+        calls["conjugates"].clear()
+        L = enumerate_subgroups(G)
+        classes = subgroup_classes(G, L)
+        class_of = class_of_subgroup(L, classes)
+        called = [class_of[L.index[m]] for m in calls["conjugates"]]
+        assert len(set(called)) == len(called) == len(classes) - preset, label
+
+    def test_solvable_groups_need_no_join(self, calls):
+        labels = [e.label for e in corpus() if e.order <= 48] + ["D200"]
+        nonabelian = [label for label in labels if not get_group(label).is_abelian()]
+        assert len(nonabelian) == 33 and "S4" in nonabelian
+        for label in nonabelian:
+            self.assert_one_call_per_class(label, calls, 2)
+        assert calls["_join"] == []
+
+    @pytest.mark.parametrize("label, preset", [("A5", 2), ("S5", 3), ("A6", 2), ("S6", 3)])
+    def test_non_solvable_groups(self, calls, label, preset):
+        self.assert_one_call_per_class(label, calls, preset)
 
 
 def gaussian_binomial(n, k, p):
