@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupTable, array_to_mask, mask_to_array
-from .lattice import (Lattice, Subgroup, class_of_subgroup, conjugate_rows,
-                      subgroup_classes)
+from .lattice import Lattice, Subgroup, conjugate_rows
 
 # index_bound searches families of up to three classes exhaustively among
 # this many classes of least normalizer index
@@ -67,8 +66,7 @@ class BurnsideRing:
     def __init__(self, G: GroupTable, L: Lattice):
         self.G = G
         self.L = L
-        self.classes = subgroup_classes(G, L)
-        self.class_of = class_of_subgroup(L, self.classes)
+        self.classes = L.classes
         self.abelian = G.is_abelian()
         self._product_cache: dict[tuple[int, int], GSetDecomposition] = {}
         self._marks: np.ndarray | None = None
@@ -82,7 +80,7 @@ class BurnsideRing:
         return self.rep_subgroup(ci).order
 
     def class_index_of_mask(self, mask: int) -> int:
-        return int(self.class_of[self.L.index[mask]])
+        return self.L.class_of[self.L.index[mask]]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(f"K{self.class_order(ci)}_{ci}" for ci in range(len(self.classes)))

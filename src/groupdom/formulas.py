@@ -14,8 +14,7 @@ from math import comb, gcd
 from .domination import DominationCertificate, Gamma
 from .groups import GroupTable, _bools_to_mask, is_prime, mask_to_array
 from .lattice import (CharacteristicSubgroups, GroupClassification, Lattice,
-                      SubgroupClass, class_of_subgroup, prime_factors,
-                      subgroup_classes)
+                      prime_factors)
 
 MATCH = "match"
 BOUND_HOLDS = "bound-holds"
@@ -95,8 +94,7 @@ class FrobeniusStructure:
     q: int                 # complement is cyclic of prime order q
 
 
-def detect_frobenius(G: GroupTable, L: Lattice,
-                     classes: list[SubgroupClass]) -> FrobeniusStructure | None:
+def detect_frobenius(G: GroupTable, L: Lattice) -> FrobeniusStructure | None:
     """Find a Frobenius structure with minimal normal kernel (C_p)^r and
     prime cyclic complement C_q, or None.
 
@@ -105,8 +103,8 @@ def detect_frobenius(G: GroupTable, L: Lattice,
     """
     n = G.order
     full = (1 << n) - 1
-    normal_masks = {L.subgroups[c.rep].mask for c in classes if len(c.members) == 1}
-    for c in classes:
+    normal_masks = {L.subgroups[c.rep].mask for c in L.classes if len(c.members) == 1}
+    for c in L.classes:
         nm = L.subgroups[c.rep].mask
         if nm == 1 or nm == full or nm not in normal_masks:
             continue
@@ -157,15 +155,12 @@ def _bound_verdict(gamma: Gamma, bound: int) -> str:
 
 def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
                   chars: CharacteristicSubgroups,
-                  cert: DominationCertificate,
-                  classes: list[SubgroupClass] | None = None) -> list[TheoremReport]:
+                  cert: DominationCertificate) -> list[TheoremReport]:
     """Run every applicable structural claim against the computed gamma."""
     reports = []
     gamma = cert.gamma
     label = G.label
     has_vertices = bool(L.vertex_set)
-    if classes is None:
-        classes = subgroup_classes(G, L)
 
     def na(theorem, **wit):
         reports.append(TheoremReport(theorem, label, None, _gamma_str(gamma),
@@ -220,7 +215,7 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     # (d) solvable: for each coprime pair of maximal subgroups,
     #     gamma <= |G:N(H)| + |G:N(K)|
     if cls.is_solvable and has_vertices and not cls.is_p_group:
-        class_of = class_of_subgroup(L, classes)
+        classes, class_of = L.classes, L.class_of
         seen_pairs = set()
         for i in L.coatoms:
             for j in L.coatoms:
@@ -246,7 +241,7 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
         na("solvable-coprime-pair")
 
     # (e) Frobenius with elementary abelian minimal kernel and prime complement
-    frob = detect_frobenius(G, L, classes)
+    frob = detect_frobenius(G, L)
     if frob is not None and has_vertices:
         predicted = frob.p ** frob.r + 1
         verdict = MATCH if gamma == Gamma.of(predicted) else VIOLATION

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import GroupTable
-from .lattice import Lattice, class_of_subgroup, subgroup_classes
+from .lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,11 @@ def gset_intersection_graph(G: GroupTable, L: Lattice,
     subgroups.  Stabilizers of points of G/H are the conjugates of H; the
     whole group and the trivial subgroup contribute no vertices.
     """
-    classes = subgroup_classes(G, L)
+    classes, class_of = L.classes, L.class_of
     if bases == "sigma":
         base_indices = [c.rep for c in classes]
     else:
         base_indices = list(bases)
-    class_of = class_of_subgroup(L, classes)
     top = len(L.subgroups) - 1
     # lattice order is (order, mask) order, so sorted indices sort the masks
     verts = tuple(sorted({j for i in base_indices if 0 < i < top

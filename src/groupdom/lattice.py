@@ -129,7 +129,9 @@ class Lattice:
     a non-abelian group to (its orbit, the normalizer mask of the
     representative), as ``enumerate_subgroups`` records them; the orbit
     maps each conjugate m to an element conjugating one fixed member onto
-    m.  Immutable once built.
+    m.  The facts its readers share are read-only cached properties, each
+    computed once: ``classes``, ``class_of``, ``containment`` and
+    ``derived_series``, which the enumeration of a non-solvable G hands over.
     """
 
     def __init__(self, G: GroupTable, masks, orbits=None):
@@ -178,7 +180,36 @@ class Lattice:
         out = np.zeros((len(packed), len(packed)), dtype=bool)
         for j in range(len(packed)):
             out[:j + 1, j] = ~(packed[:j + 1] & ~packed[j]).any(axis=1)
+        out.flags.writeable = False
         return out
+
+    @cached_property
+    def derived_series(self) -> tuple[int, ...]:
+        """G's ``derived_series``."""
+        return tuple(derived_series(self.group))
+
+    @cached_property
+    def classes(self) -> tuple[SubgroupClass, ...]:
+        """Conjugacy classes of subgroups, sorted by (order, rep mask): for
+        a non-abelian G read from ``orbits``, and for an abelian G one
+        class per subgroup, with normalizer G."""
+        if self.group.is_abelian():
+            full = self.subgroups[-1]
+            return tuple(SubgroupClass(rep=i, members=(i,), normalizer=full)
+                         for i in range(len(self.subgroups)))
+        # subgroups are sorted by (order, mask), so sorting classes by their
+        # smallest member's index sorts them by (order, rep mask)
+        return tuple(sorted((SubgroupClass(rep=self.index[rep],
+                                           members=tuple(sorted(self.index[m] for m in orbit)),
+                                           normalizer=Subgroup.from_mask(norm))
+                             for rep, (orbit, norm) in self.orbits.items()),
+                            key=lambda c: c.rep))
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """The index in ``classes`` of each subgroup's class, by lattice index."""
+        of = {j: ci for ci, c in enumerate(self.classes) for j in c.members}
+        return tuple(of[j] for j in range(len(self.subgroups)))
 
 
 def mobius(L: Lattice) -> list[int]:
@@ -519,11 +550,15 @@ def enumerate_subgroups(G: GroupTable, deadline: float | None = None) -> Lattice
     cyclic, cyclic_of = _cyclic_generators(G)
     steps, rank = _extension_steps(G, cyclic)
     trivial = [np.eye(1, n, dtype=bool)] if orbits is None else [1]
+    series = None
     if not _extend(G, {1: trivial}, steps, rank, known, orbits, check) and n > 1:
-        residual = derived_series(G)[-1]
-        new = _join_closure(G, residual, cyclic, cyclic_of, known, orbits, check)
+        series = derived_series(G)
+        new = _join_closure(G, series[-1], cyclic, cyclic_of, known, orbits, check)
         _extend(G, new, steps, rank, known, orbits, check)
-    return Lattice(G, known, orbits)
+    L = Lattice(G, known, orbits)
+    if series is not None:  # a cached property takes a value set before its first read
+        L.derived_series = tuple(series)
+    return L
 
 
 def enumerate_subgroups_allpairs(G: GroupTable) -> set[int]:
@@ -649,9 +684,8 @@ def _commutator_mask(G: GroupTable, a_mask: int, b_mask: int) -> int:
 
 def derived_series(G: GroupTable) -> list[int]:
     """Masks of the derived series G = D_0 > D_1 = [D_0, D_0] > ..., down
-    to its stable term, which is 1 iff G is solvable.  ``classify_group``
-    and ``characteristic_subgroups`` take it as an argument, so a caller
-    that needs both computes it once."""
+    to its stable term, which is 1 iff G is solvable.  Its readers take it
+    from ``Lattice.derived_series``, which computes it once per group."""
     series = [(1 << G.order) - 1]
     while series[-1] != 1:
         nxt = _commutator_mask(G, series[-1], series[-1])
@@ -676,10 +710,8 @@ def lower_central_series(G: GroupTable, commutator: int | None = None) -> list[i
     return series
 
 
-def characteristic_subgroups(G: GroupTable, L: Lattice,
-                              series: list[int] | None = None) -> CharacteristicSubgroups:
-    """``series`` is G's ``derived_series``, computed here when not given."""
-    series = series or derived_series(G)
+def characteristic_subgroups(G: GroupTable, L: Lattice) -> CharacteristicSubgroups:
+    series = L.derived_series
     commutator = series[1] if len(series) > 1 else series[0]  # [G, G]
     atom_mask = 1
     for i in L.atoms:
@@ -713,9 +745,7 @@ def sylow_counts(G: GroupTable, L: Lattice) -> dict[int, int]:
     return counts
 
 
-def classify_group(G: GroupTable, L: Lattice,
-                   series: list[int] | None = None) -> GroupClassification:
-    """``series`` is G's ``derived_series``, computed here when not given."""
+def classify_group(G: GroupTable, L: Lattice) -> GroupClassification:
     n = G.order
     primes = prime_factors(n)
     abelian = G.is_abelian()
@@ -725,7 +755,7 @@ def classify_group(G: GroupTable, L: Lattice,
     # nilpotent: every Sylow subgroup is normal, i.e. unique
     nilpotent = all(c == 1 for c in sylow_counts(G, L).values()) if n > 1 else True
 
-    solvable = (series or derived_series(G))[-1] == 1
+    solvable = L.derived_series[-1] == 1
 
     # supersolvable: every maximal subgroup has prime index
     supersolvable = n > 1 and all(
@@ -751,23 +781,6 @@ class SubgroupClass:
 
 
 def subgroup_classes(G: GroupTable, L: Lattice) -> list[SubgroupClass]:
-    """Conjugacy classes of subgroups, read from the orbits the enumeration
-    recorded on ``L``; classes sorted by (order, rep mask)."""
-    if G.is_abelian():
-        full = Subgroup.from_mask((1 << G.order) - 1)
-        return [SubgroupClass(rep=i, members=(i,), normalizer=full)
-                for i in range(len(L.subgroups))]
-    # subgroups are sorted by (order, mask), so sorting classes by their
-    # smallest member's index sorts them by (order, rep mask)
-    return sorted((SubgroupClass(rep=L.index[rep], members=tuple(sorted(L.index[m] for m in orbit)),
-                                 normalizer=Subgroup.from_mask(norm))
-                   for rep, (orbit, norm) in L.orbits.items()), key=lambda c: c.rep)
-
-
-def class_of_subgroup(L: Lattice, classes: list[SubgroupClass]) -> np.ndarray:
-    """Array mapping lattice index -> class index."""
-    out = np.full(len(L.subgroups), -1, dtype=np.int64)
-    for ci, cls in enumerate(classes):
-        for j in cls.members:
-            out[j] = ci
-    return out
+    """Conjugacy classes of subgroups, sorted by (order, rep mask): a list
+    of ``Lattice.classes``."""
+    return list(L.classes)

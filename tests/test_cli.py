@@ -1,11 +1,16 @@
 """Command-line interface: JSON shape, exit codes, determinism, DOT."""
 
 import json
+import sys
 import time
 
 import pytest
 
+from groupdom import cli
+from groupdom import corpus as corpus_module
+from groupdom import lattice as lattice_module
 from groupdom.cli import main
+from groupdom.groups import DEFAULT_ELEMENT_CAP
 
 
 def run(capsys, *argv):
@@ -146,6 +151,23 @@ class TestVerify:
         code, out, _ = run(capsys, "--order-max", "4", "verify")
         assert after == parse(out)["result"]
         assert after["order_max"] == 4
+
+
+@pytest.mark.parametrize("label", ["A5", "S4"])
+def test_verify_step_computes_the_derived_series_once(monkeypatch, label):
+    """The enumeration of a non-solvable group (A5) hands its series to the
+    lattice, and for a solvable one (S4) the lattice computes it on first
+    use; classification and the characteristic subgroups read it there."""
+    for cache in ("_GROUPS", "_LATTICES", "_GAMMAS"):
+        monkeypatch.setattr(corpus_module, cache, {})
+    calls = []
+    original = lattice_module.derived_series
+    for module in [m for name, m in sys.modules.items() if name.startswith("groupdom.")]:
+        if getattr(module, "derived_series", None) is original:  # under any import
+            monkeypatch.setattr(module, "derived_series",
+                                lambda G: calls.append(G) or original(G))
+    cli._verify_one(label, DEFAULT_ELEMENT_CAP, None)
+    assert len(calls) == 1
 
 
 class TestBudgetFlag:

@@ -10,8 +10,7 @@ from groupdom.formulas import (BOUND_HOLDS, MATCH, VIOLATION,
                                detect_frobenius, gamma_abelian_formula,
                                gamma_dihedral_formula, symmetric_cover_bound,
                                verify_bounds)
-from groupdom.lattice import (characteristic_subgroups, classify_group,
-                              subgroup_classes)
+from groupdom.lattice import characteristic_subgroups, classify_group
 
 
 def reports_for(label, lattice, gamma_of):
@@ -85,20 +84,20 @@ class TestSymmetricBound:
 class TestFrobeniusDetection:
     def test_a4(self, lattice):
         L = lattice("A4")
-        frob = detect_frobenius(L.group, L, subgroup_classes(L.group, L))
+        frob = detect_frobenius(L.group, L)
         assert frob is not None
         assert (frob.p, frob.r, frob.q) == (2, 2, 3)
 
     def test_semidirect(self, lattice):
         L = lattice("SD(7,3)")
-        frob = detect_frobenius(L.group, L, subgroup_classes(L.group, L))
+        frob = detect_frobenius(L.group, L)
         assert frob is not None
         assert (frob.p, frob.r, frob.q) == (7, 1, 3)
 
     def test_non_frobenius(self, lattice):
         for label in ["S4", "Q8", "C12", "D8"]:
             L = lattice(label)
-            assert detect_frobenius(L.group, L, subgroup_classes(L.group, L)) is None
+            assert detect_frobenius(L.group, L) is None
 
 
 class TestVerifyBounds:

@@ -6,11 +6,10 @@ import pytest
 from groupdom import lattice as lattice_module
 from groupdom.corpus import corpus, get_group
 from groupdom.groups import build_group, is_prime, parse_group_spec
-from groupdom.lattice import (characteristic_subgroups, class_of_subgroup,
-                              classify_group, enumerate_subgroups,
-                              enumerate_subgroups_allpairs, generated_subgroup,
-                              mobius, subgroup_classes, subgroups_bruteforce,
-                              sylow_counts)
+from groupdom.lattice import (characteristic_subgroups, classify_group,
+                              enumerate_subgroups, enumerate_subgroups_allpairs,
+                              generated_subgroup, mobius, subgroup_classes,
+                              subgroups_bruteforce, sylow_counts)
 from mobius_reference import mobius_from_marks, mobius_one_to_top
 
 
@@ -128,10 +127,8 @@ class TestClassWork:
         G = get_group(label)
         calls["conjugates"].clear()
         L = enumerate_subgroups(G)
-        classes = subgroup_classes(G, L)
-        class_of = class_of_subgroup(L, classes)
-        called = [class_of[L.index[m]] for m in calls["conjugates"]]
-        assert len(set(called)) == len(called) == len(classes) - preset, label
+        called = [L.class_of[L.index[m]] for m in calls["conjugates"]]
+        assert len(set(called)) == len(called) == len(L.classes) - preset, label
 
     def test_solvable_groups_need_no_join(self, calls):
         labels = [e.label for e in corpus() if e.order <= 48] + ["D200"]
@@ -394,3 +391,14 @@ class TestSubgroupClasses:
             L = lattice(label)
             for c in subgroup_classes(L.group, L):
                 assert len(c.members) * c.normalizer.order == L.group.order
+
+    def test_shared_facts_are_read_only(self, lattice):
+        # every reader gets the lattice's own objects, so none may change them
+        L = lattice("S4")
+        assert subgroup_classes(L.group, L) == list(L.classes)
+        assert subgroup_classes(L.group, L) is not subgroup_classes(L.group, L)
+        assert isinstance(L.classes, tuple) and isinstance(L.class_of, tuple)
+        assert isinstance(L.derived_series, tuple)
+        with pytest.raises(ValueError):
+            L.containment[0, 0] = False
+        assert [L.classes[ci].members.count(i) for i, ci in enumerate(L.class_of)] == [1] * len(L)
