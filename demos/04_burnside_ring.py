@@ -3,9 +3,9 @@ Burnside ring arithmetic
 ========================
 
 Transitive G-sets are coset spaces G/H indexed by subgroup conjugacy
-classes.  Products decompose through double cosets, and the table of
-marks (fixed-point counts) embeds the ring into a product of integers,
-giving an independent check on every product.
+classes.  The table of marks (fixed-point counts) embeds the ring into a
+product of integers, and products are computed through it; double cosets
+decompose the same products independently.
 """
 
 import numpy as np

@@ -1,11 +1,11 @@
 """Burnside ring arithmetic over the conjugacy classes of subgroups.
 
-Transitive G-sets are coset spaces G/H up to conjugacy of H; products
-decompose through double cosets: [G/H][G/K] is the sum of [G/(H meet gKg^-1)]
-over (H,K)-double coset representatives g.  The table of marks (fixed-point
-counts of class representatives on each coset space) is a ring embedding
-and serves as an independent oracle: marks of a product must equal the
-pointwise product of marks.
+Transitive G-sets are coset spaces G/H up to conjugacy of H.  The table of
+marks (fixed-point counts of class representatives on each coset space) is
+a ring embedding (Burnside 1911) and the product engine: a product is peeled
+off the pointwise product of two rows (Pfeiffer 1997, Experiment. Math. 6).
+Double cosets, [G/H][G/K] = sum of [G/(H meet gKg^-1)] over (H,K)-double
+coset representatives g, are the independent check on products.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, array_to_mask, mask_to_array
-from .lattice import Lattice, Subgroup, conjugate_rows
+from .groups import GroupTable, mask_to_array
+from .lattice import Lattice, Subgroup
 
 # index_bound searches families of up to three classes exhaustively among
 # this many classes of least normalizer index
@@ -88,26 +88,35 @@ class BurnsideRing:
     # -- products ----------------------------------------------------------
 
     def product(self, ca: int, cb: int) -> GSetDecomposition:
-        """[G/H][G/K] for class indices ca (H-class) and cb (K-class)."""
+        """[G/H][G/K] for class indices ca (H-class) and cb (K-class).  A
+        non-abelian product is peeled off v = M[ca] * M[cb] from the last
+        class down (c_i = v_i / M[i, i], then v -= c_i M[i]); a peel that is
+        not exact raises ``ArithmeticError``."""
         key = (ca, cb)
         got = self._product_cache.get(key)
         if got is not None:
             return got
-        n = self.G.order
-        h = self.rep_subgroup(ca)
-        k = self.rep_subgroup(cb)
         counts: dict[int, int] = {}
         if self.abelian:
             # double cosets are the |G:HK| cosets of HK, every term is H&K
+            h = self.rep_subgroup(ca)
+            k = self.rep_subgroup(cb)
             inter = h.mask & k.mask
             hk = h.order * k.order // inter.bit_count()
-            ci = self.class_index_of_mask(inter)
-            counts[ci] = n // hk
+            counts[self.class_index_of_mask(inter)] = self.G.order // hk
         else:
-            reps = np.array(double_cosets(self.G, h, k).reps)
-            for row in conjugate_rows(self.G, mask_to_array(k.mask, n), reps):
-                ci = self.class_index_of_mask(h.mask & array_to_mask(row, n))
-                counts[ci] = counts.get(ci, 0) + 1
+            M = self.marks_matrix()
+            v = M[ca] * M[cb]
+            for i in range(len(v) - 1, -1, -1):
+                if v[i]:
+                    c, r = divmod(int(v[i]), int(M[i, i]))
+                    if r or c < 0:
+                        raise ArithmeticError(
+                            f"marks of [G/{ca}][G/{cb}] do not peel at class {i}")
+                    v -= c * M[i]
+                    counts[i] = c
+            if v.any():
+                raise ArithmeticError(f"marks of [G/{ca}][G/{cb}] leave a residual")
         dec = GSetDecomposition(coeffs=tuple(sorted(counts.items())))
         self._product_cache[key] = dec
         if ca != cb:
@@ -125,7 +134,8 @@ class BurnsideRing:
         """M[i, j] = number of cosets of G/K_i fixed by H_j (class reps).
 
         Lower triangular because a fixed coset forces H_j inside a
-        conjugate of K_i.
+        conjugate of K_i.  Counted on the cosets, never read from
+        ``Lattice.containment``, so the marks stay a check on the lattice.
         """
         if self._marks is not None:
             return self._marks
@@ -140,22 +150,15 @@ class BurnsideRing:
                     H = self.rep_subgroup(j)
                     M[i, j] = index if H.mask & ~K.mask == 0 else 0
                 continue
-            k_members = mask_to_array(K.mask, n)
-            coset_of = np.full(n, -1, dtype=np.int64)
-            reps = []
-            for g in range(n):
-                if coset_of[g] == -1:
-                    coset = self.G.mul[g, k_members]
-                    coset_of[coset] = len(reps)
-                    reps.append(g)
-            reps = np.array(reps)
+            # label each g with min gK; the labels are the coset reps
+            coset_min = self.G.mul[:, mask_to_array(K.mask, n)].min(axis=1)
+            reps = np.unique(coset_min)
             for j in range(m):
                 if self.class_order(j) > K.order:
                     continue
                 h_members = mask_to_array(self.rep_subgroup(j).mask, n)
-                acted = coset_of[self.G.mul[np.ix_(h_members, reps)]]
-                fixed = (acted == coset_of[reps][None, :]).all(axis=0)
-                M[i, j] = int(fixed.sum())
+                acted = coset_min[self.G.mul[np.ix_(h_members, reps)]]
+                M[i, j] = int((acted == reps[None, :]).all(axis=0).sum())
         self._marks = M
         return M
 
@@ -168,12 +171,6 @@ class BurnsideRing:
 
     # -- the three characterization predicates ------------------------------
 
-    def product_set_size(self, a_mask: int, b_mask: int) -> int:
-        n = self.G.order
-        am = mask_to_array(a_mask, n)
-        bm = mask_to_array(b_mask, n)
-        return len(np.unique(self.G.mul[np.ix_(am, bm)].ravel()))
-
     def predicate_normal(self, cn: int) -> tuple[bool, list[int]]:
         """[G/K][G/N] = |G:NK| [G/(N meet K)] for every class K."""
         n = self.G.order
@@ -181,7 +178,7 @@ class BurnsideRing:
         failures = []
         for ck in range(len(self.classes)):
             K = self.rep_subgroup(ck)
-            nk = self.product_set_size(N.mask, K.mask)
+            nk = N.order * K.order // (N.mask & K.mask).bit_count()  # |NK|
             dec = self.product(ck, cn)
             if n % nk != 0:
                 failures.append(ck)
@@ -249,14 +246,11 @@ class BurnsideRing:
 
     def meets_matrix(self) -> np.ndarray:
         """meets[k, h]: does [G/K][G/H] have a summand off the regular class
-        (equivalently, K meets some conjugate of H non-trivially)?"""
-        m = len(self.classes)
-        out = np.zeros((m, m), dtype=bool)
-        for a in range(m):
-            for b in range(a, m):
-                val = not self.product(a, b).is_regular_multiple()
-                out[a, b] = out[b, a] = val
-        return out
+        (equivalently, K meets some conjugate of H non-trivially)?  As
+        M[0] = (|G|, 0, ..., 0), it does iff M[k, j] M[h, j] > 0 for a j > 0.
+        The count of such j is a float32 product, exact below 2^24 classes."""
+        fixed = (self.marks_matrix()[:, 1:] > 0).astype(np.float32)
+        return fixed @ fixed.T > 0
 
     def index_bound(self) -> dict:
         """Smallest found family of classes meeting every vertex class, and

@@ -1,5 +1,7 @@
 """Subgroup lattices: enumeration, characteristic subgroups, classes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ class TestEnumeration:
     def test_s4_has_30_subgroups(self, lattice):
         L = lattice("S4")
         assert len(L.subgroups) == 30
+
+    # No oracle is fast enough for these two lattices (all-pairs takes
+    # about 50 s on A6), so their masks at the CLI labelling are pinned:
+    # sha256 of the ascending masks in decimal, joined by commas
+    @pytest.mark.parametrize("label, count, digest", [
+        ("A6", 501, "4528dd7c47a59b9caf21fb86a635a90bb39984c08a50fdd5ba380a748d146cfc"),
+        ("S6", 1455, "b567dfd1c8ac352fdf9b2800a95cb6b5486353dd87395546fc1c06bb67bf1931")],
+        ids=["A6", "S6"])
+    def test_large_lattice_masks_pinned(self, label, count, digest):
+        _, L = built(label)
+        masks = sorted(s.mask for s in L.subgroups)
+        assert len(masks) == count
+        assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == digest
 
     def test_elementary_abelian_8(self, lattice):
         # subspace counts of a 3-dimensional binary space: 1 + 7 + 7 + 1
