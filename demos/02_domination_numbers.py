@@ -41,7 +41,7 @@ for text in ["D36", "C2xC2", "C3xC3", "C12"]:
 G = build_group(parse_group_spec("D10"))
 L = enumerate_subgroups(G)
 refl = next(i for i in L.vertex_set if L.subgroups[i].order == 2)
-pentagon = gset_intersection_graph(G, L, [refl])
+pentagon = gset_intersection_graph(L, [refl])
 print(f"\npentagon action: {pentagon.n} stabilizers, "
       f"{pentagon.edge_count()} edges")
 

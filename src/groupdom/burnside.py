@@ -152,7 +152,7 @@ class BurnsideRing:
                 continue
             # label each g with min gK; the labels are the coset reps
             coset_min = self.G.mul[:, mask_to_array(K.mask, n)].min(axis=1)
-            reps = np.unique(coset_min)
+            reps = np.flatnonzero(coset_min == np.arange(n))
             for j in range(m):
                 if self.class_order(j) > K.order:
                     continue

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import GroupTable
 from .lattice import Lattice
 
 
@@ -112,8 +111,7 @@ def p_subgroup_indices(L: Lattice, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gset_intersection_graph(G: GroupTable, L: Lattice,
-                            bases: Sequence[int] | str) -> IntersectionGraph:
+def gset_intersection_graph(L: Lattice, bases: Sequence[int] | str) -> IntersectionGraph:
     """Intersection graph of a G-set given as a disjoint union of coset
     spaces G/H for the subgroups listed in ``bases`` (lattice indices).
 

@@ -3,14 +3,17 @@
 Elements are dense indices 0..n-1 with index 0 the identity, so subgroups
 can live in bitmasks and multiplication is a table lookup.  Groups built
 from permutation generators enumerate elements by breadth-first closure in
-lexicographic image order, which makes indexing reproducible.
+lexicographic image order, which makes indexing reproducible; their table
+is filled from the right action of the generators that the closure
+records.  A quotient labels each element with the least element of its
+coset, and cyclic groups are built as abelian groups with one factor.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -258,14 +261,12 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
 
     perm_gens = None
     gens = None
-    if spec.kind == "cyclic":
-        mul = _cyclic_table(spec.n)
-        gens = [1] if spec.n > 1 else [0]
-    elif spec.kind == "abelian":
-        mul = _abelian_table(spec.factors)
+    if spec.kind in ("cyclic", "abelian"):
+        factors = (spec.n,) if spec.kind == "cyclic" else spec.factors
+        mul = _abelian_table(factors)
         weight = 1
         gens = []
-        for f in reversed(spec.factors):
+        for f in reversed(factors):
             if f > 1:
                 gens.append(weight)
             weight *= f
@@ -340,34 +341,18 @@ def _validate_table(mul: np.ndarray) -> None:
             raise SpecError("table failed sampled associativity check")
 
 
-def _cyclic_table(n: int) -> np.ndarray:
-    if n < 1:
-        raise SpecError(f"cyclic order {n} must be positive")
-    i = np.arange(n, dtype=np.int32)
-    return (i[:, None] + i[None, :]) % n
-
-
 def _abelian_table(factors: tuple[int, ...]) -> np.ndarray:
-    n = 1
-    for f in factors:
-        n *= f
-    if n > 250_000:
+    if prod(factors) > 250_000:
         raise SpecError("abelian group too large to tabulate")
-    # mixed-radix digits, identity (0,...,0) is index 0
-    digits = np.zeros((n, len(factors)), dtype=np.int64)
-    idx = np.arange(n)
-    rem = idx.copy()
-    for pos in range(len(factors) - 1, -1, -1):
-        digits[:, pos] = rem % factors[pos]
-        rem //= factors[pos]
-    weights = np.ones(len(factors), dtype=np.int64)
-    for pos in range(len(factors) - 2, -1, -1):
-        weights[pos] = weights[pos + 1] * factors[pos + 1]
-    mods = np.array(factors, dtype=np.int64)
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        s = (digits[i] + digits) % mods
-        table[i] = s @ weights
+    # mixed-radix digits with the last factor least significant, identity
+    # (0,...,0) at index 0: (a, x)(b, y) = (ab, x + y mod f) for each factor f
+    table = np.zeros((1, 1), dtype=np.int32)
+    for f in factors:
+        digit = np.arange(f, dtype=np.int32)
+        add = np.add.outer(digit, digit)
+        add %= f
+        m = table.shape[0] * f
+        table = (table[:, None, :, None] * f + add[None, :, None, :]).reshape(m, m)
     return table
 
 
@@ -443,46 +428,50 @@ def _perm_closure_table(gens: list[Permutation], degree: int, cap: int):
     """Breadth-first closure over right multiplication by generators.
 
     New elements are appended level by level sorted by image tuple, so the
-    indexing depends only on the generating set.  Returns the table and the
-    indices of the generators.
+    indexing depends only on the generating set.  Each level is composed
+    with every generator at once as image arrays (x·g has images x[g]) and
+    looked up among the elements found so far by its image bytes.  This
+    gives the right action x·g of the generators on all elements, and each
+    new element j is recorded with the (k, g) that first reached it.  Since
+    i·j = (i·k)·g, the table is then filled one level at a time from
+    columns already filled.  Returns the table and the indices of the
+    generators.
     """
     if degree < 1:
         raise SpecError("degenerate spec: degree 0")
-    ident = Permutation.identity(degree)
-    seen = {ident.images: 0}
-    elems = [ident.images]
-    level = [ident]
-    while level:
-        nxt = []
-        for x in level:
-            for g in gens:
-                y = x * g
-                if y.images not in seen:
-                    seen[y.images] = -1
-                    nxt.append(y)
-        nxt.sort(key=lambda perm: perm.images)
-        for y in nxt:
-            seen[y.images] = len(elems)
-            elems.append(y.images)
-            if len(elems) > cap:
-                raise CapExceeded(cap, len(elems))
-        level = nxt
+    images = np.array([g.images for g in gens])
+    # big-endian bytes compare as the image tuples do
+    key = np.dtype((np.void, 4 * degree))
 
-    n = len(elems)
-    arr = np.array(elems, dtype=np.int64)
-    # encode image tuples into single keys for vectorized lookup
-    base = degree + 1
-    powers = base ** np.arange(degree, dtype=np.int64)
-    keys = arr @ powers
-    sorting = np.argsort(keys)
-    sorted_keys = keys[sorting]
+    def keys(perms):
+        return np.ascontiguousarray(perms, dtype=">u4").view(key).ravel()
+
+    level, start, n = np.arange(degree)[None, :], 0, 1
+    elems = keys(level)  # every element found so far, in index order
+    rights, steps = [], []
+    while len(level):
+        prods = level[:, images].reshape(-1, degree)  # x·g for x in level, g in gens
+        # a key's first occurrence among elems + prods is its element index
+        # if it is known; unique keys come sorted, so new ones in image order
+        _, first, inverse = np.unique(np.concatenate([elems, keys(prods)]),
+                                      return_index=True, return_inverse=True)
+        new = first >= n
+        reached_by = first[new] - n
+        if n + len(reached_by) > cap:
+            raise CapExceeded(cap, cap + 1)
+        first[new] = np.arange(n, n + len(reached_by))
+        rights.append(first[inverse[n:]])
+        k, g = divmod(reached_by, len(gens))
+        steps.append((slice(n, n + len(reached_by)), start + k, g))
+        level, start, n = prods[reached_by], n, n + len(reached_by)
+        elems = np.concatenate([elems, keys(level)])
+
+    right = np.concatenate(rights).reshape(n, len(gens)).astype(np.int32)
     table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        comp = arr[i][arr]          # (p_i . p_j)(x) = p_i[p_j[x]]
-        ck = comp @ powers
-        table[i] = sorting[np.searchsorted(sorted_keys, ck)]
-    gen_indices = [seen[g.images] for g in gens]
-    return table, gen_indices
+    table[:, 0] = np.arange(n)
+    for js, ks, gs in steps:
+        table[:, js] = right[table[:, ks], gs]
+    return table, right[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +544,16 @@ def quotient_group(G: GroupTable, normal_mask: int) -> tuple[GroupTable, np.ndar
         raise SpecError("subgroup is not normal; cannot form quotient")
     n = G.order
     members = mask_to_array(normal_mask, n)
-    coset_rep = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_rep[g] == -1:
-            coset = G.mul[g, members]
-            coset_rep[coset] = g
-            reps.append(g)
-    reps = np.array(sorted(reps))
-    rep_to_idx = {int(r): i for i, r in enumerate(reps)}
-    projection = np.array([rep_to_idx[int(coset_rep[g])] for g in range(n)], dtype=np.int32)
-    q = len(reps)
-    mul_q = np.empty((q, q), dtype=np.int32)
-    for a in range(q):
-        mul_q[a] = projection[G.mul[reps[a], reps]]
+    # label each g with min gN; the representatives are their own labels
+    coset_min = G.mul[:, members].min(axis=1)
+    reps = np.flatnonzero(coset_min == np.arange(n))
+    projection = np.searchsorted(reps, coset_min).astype(np.int32)
+    mul_q = projection[G.mul[np.ix_(reps, reps)]]
     if n <= 64:
         i = np.repeat(np.arange(n), n)
         j = np.tile(np.arange(n), n)
         if not np.array_equal(projection[G.mul[i, j]], mul_q[projection[i], projection[j]]):
             raise SpecError("projection is not a homomorphism")
     label = f"{G.label}/N{len(members)}"
-    quot = _finalize(mul_q, label, None, range(q))
+    quot = _finalize(mul_q, label, None, range(len(reps)))
     return quot, projection

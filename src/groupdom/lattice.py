@@ -51,9 +51,11 @@ def close_subset(G: GroupTable, seed_mask: int) -> int:
     while True:
         if size > n // 2:
             return full
-        prod = np.unique(G.mul[np.ix_(members, members)])
+        closed = np.zeros(n, dtype=bool)
+        closed[G.mul[np.ix_(members, members)]] = True
+        prod = np.flatnonzero(closed)
         if len(prod) == size:
-            return array_to_mask(prod, n)
+            return _bools_to_mask(closed)
         members = prod
         size = len(members)
 
@@ -259,7 +261,8 @@ def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     in_h = np.zeros(n, dtype=bool)
     in_h[members] = True
     normalizes = in_h[rows].all(axis=1)
-    firsts = np.unique(G.mul[:, normalizes].min(axis=1))
+    coset_min = G.mul[:, normalizes].min(axis=1)
+    firsts = np.flatnonzero(coset_min == np.arange(n))
     orbit = {array_to_mask(rows[g], n): int(g) for g in firsts}
     return orbit, _bools_to_mask(normalizes)
 

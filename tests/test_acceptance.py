@@ -209,7 +209,7 @@ def test_criterion_7_burnside(acceptance_record):
             assert ib["bound"] is not None, label
             assert gamma <= Gamma.of(ib["bound"]), label
             assert ib["gamma1_criterion"] == (gamma == Gamma.of(1)), label
-        assert graphs_equal(gset_intersection_graph(G, L, "sigma"),
+        assert graphs_equal(gset_intersection_graph(L, "sigma"),
                             intersection_graph(L)), label
     acceptance_record(7, "Burnside ring, order <= 48", True, f"{len(labels)} groups")
 

@@ -228,5 +228,5 @@ class TestSigmaGraph:
     def test_sigma_equals_full(self, lattice):
         for label in ["S4", "D12", "Q8", "SD(7,3)", "C2xC2xC2"]:
             L = lattice(label)
-            assert graphs_equal(gset_intersection_graph(L.group, L, "sigma"),
+            assert graphs_equal(gset_intersection_graph(L, "sigma"),
                                 intersection_graph(L)), label

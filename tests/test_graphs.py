@@ -77,25 +77,24 @@ class TestGSetGraph:
     def test_pentagon_action_is_isolated_vertices(self, lattice):
         # D10 on the pentagon: point stabilizers are the 5 reflections
         L = lattice("D10")
-        G = L.group
         refl = next(i for i in L.vertex_set
                     if L.subgroups[i].order == 2)
-        g = gset_intersection_graph(G, L, [refl])
+        g = gset_intersection_graph(L, [refl])
         assert g.n == 5
         assert g.adjacency.sum() == 0
 
     def test_sigma_equals_full_graph(self, lattice):
         for label in ["S3", "S4", "D12", "Q8", "C2xC2xC3"]:
             L = lattice(label)
-            sig = gset_intersection_graph(L.group, L, "sigma")
+            sig = gset_intersection_graph(L, "sigma")
             full = intersection_graph(L)
             assert graphs_equal(sig, full), label
 
     def test_coset_space_of_whole_group_is_empty(self, lattice):
         L = lattice("C6")
-        g = gset_intersection_graph(L.group, L, [len(L.subgroups) - 1])
+        g = gset_intersection_graph(L, [len(L.subgroups) - 1])
         assert g.n == 0
-        g = gset_intersection_graph(L.group, L, [0])
+        g = gset_intersection_graph(L, [0])
         assert g.n == 0
 
 

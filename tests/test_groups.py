@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from groups_reference import reference_quotient, reference_table
 
 from groupdom import groups as groups_module
+from groupdom.corpus import corpus
 from groupdom.errors import CapExceeded, SpecError
 from groupdom.groups import (Permutation, build_group, is_normal,
                              parse_group_spec, quotient_group)
@@ -93,6 +95,13 @@ class TestBuilders:
     def test_element_cap(self):
         with pytest.raises(CapExceeded):
             build("S6", cap=100)
+
+    def test_cap_boundary(self):
+        # a closure that reaches exactly ``cap`` elements is within the cap
+        assert build("S5", cap=120).order == 120
+        with pytest.raises(CapExceeded) as exc:
+            build("S5", cap=119)
+        assert exc.value.reached == 120
 
     def test_element_orders_match_power_walk(self):
         # the one-walk orders against each element's powers, one at a time
@@ -200,3 +209,42 @@ class TestQuotients:
             assert Q.label == "S4/N"
             quotient_orders.add(Q.order)
         assert quotient_orders == {1, 6}
+
+
+class TestAgainstReference:
+    """Tables byte for byte against the row-by-row builders and the coset
+    walk in ``groups_reference``."""
+
+    def test_corpus_tables(self, group):
+        checked = 0
+        for entry in corpus():
+            if entry.spec_text is None:
+                continue
+            expected = reference_table(parse_group_spec(entry.spec_text))
+            if expected is None:
+                continue
+            table, gens = expected
+            G = group(entry.label)
+            assert G.mul.dtype == table.dtype, entry.label
+            assert G.mul.tobytes() == table.tobytes(), entry.label
+            assert G.generators == tuple(gens), entry.label
+            checked += 1
+        assert checked > 150
+
+    def test_quotients_of_corpus_groups(self, group, lattice):
+        checked = 0
+        for entry in corpus():
+            if entry.order > 48:
+                continue
+            G = group(entry.label)
+            for s in lattice(entry.label).subgroups:
+                if not is_normal(G, s.mask):
+                    continue
+                table, projection = reference_quotient(G, s.mask)
+                Q, proj = quotient_group(G, s.mask)
+                assert Q.mul.dtype == table.dtype and proj.dtype == projection.dtype
+                assert Q.mul.tobytes() == table.tobytes(), (entry.label, s.mask)
+                assert proj.tobytes() == projection.tobytes(), (entry.label, s.mask)
+                assert Q.generators == tuple(range(Q.order))
+                checked += 1
+        assert checked > 1000

@@ -1,12 +1,15 @@
-"""Property tests on random permutation groups: subgroup enumeration,
-conjugation, commutator series, quotients, Burnside products, the four
-subgroup complexes and the bound suite's residual-quotient report.
+"""Property tests on random permutation groups: multiplication tables,
+subgroup enumeration, conjugation, commutator series, quotients, Burnside
+products, the four subgroup complexes and the bound suite's
+residual-quotient report.
 
 Groups are drawn as ``perm:`` specs of degree at most 6 with up to three
 random generators; only groups of order at most 60 are kept, so the
-all-pairs oracle stays fast.  Abelian groups, which those specs rarely
-give with three or more factors, are also drawn as ``C{a}xC{b}x...`` specs
-and relabelled by a random permutation fixing the identity.
+all-pairs oracle stays fast.  The table check draws degree up to 8 and
+builds under a cap of 400 elements.  Abelian groups, which those specs
+rarely give with three or more factors, are also drawn as
+``C{a}xC{b}x...`` specs and relabelled by a random permutation fixing the
+identity.
 """
 
 import dataclasses
@@ -22,6 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 from burnside_reference import reference_product  # noqa: E402
+from groups_reference import reference_table  # noqa: E402
 from mobius_reference import mobius_one_to_top  # noqa: E402
 from residual_quotient_reference import (reference_residual_quotient,  # noqa: E402
                                          residual_quotient_report)
@@ -32,7 +36,7 @@ from groupdom.complexes import (SimplicialComplex, atom_nerve,  # noqa: E402
                                 intersection_f_vector, order_complex)
 from groupdom.corpus import get_group  # noqa: E402
 from groupdom.domination import gamma_exact  # noqa: E402
-from groupdom.errors import BudgetExceeded  # noqa: E402
+from groupdom.errors import BudgetExceeded, CapExceeded  # noqa: E402
 from groupdom.formulas import verify_bounds  # noqa: E402
 from groupdom.groups import (GroupSpec, array_to_mask, build_group,  # noqa: E402
                              is_normal, mask_to_array, parse_group_spec,
@@ -65,8 +69,8 @@ def cycles_text(images) -> str:
 
 
 @st.composite
-def perm_specs(draw):
-    degree = draw(st.integers(min_value=1, max_value=6))
+def perm_specs(draw, max_degree=6):
+    degree = draw(st.integers(min_value=1, max_value=max_degree))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     return f"perm:{degree}:" + ";".join(cycles_text(g) for g in gens)
 
@@ -438,3 +442,22 @@ def test_residual_quotient_report_matches_quotient_lattice(spec):
     reports = verify_bounds(G, L, classify_group(G, L), chars, cert)
     expected = reference_residual_quotient(G, chars, cert.gamma)
     assert residual_quotient_report(reports) == expected, spec
+
+
+@PROPERTY
+@given(perm_specs(max_degree=8))
+@example("perm:8:(1,2,3,4,5,6,7,8);(1,2)")  # S8 stops at the cap
+def test_perm_table_matches_reference(spec):
+    """The closure's table, generators and cap against the per-row search,
+    on groups of degree up to 8 under a cap of 400 elements."""
+    parsed = parse_group_spec(spec)
+    try:
+        expected, gens = reference_table(parsed, cap=400)
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as raised:
+            build_group(parsed, cap=400)
+        assert raised.value.reached == exc.reached, spec
+        return
+    G = build_group(parsed, cap=400)
+    assert G.mul.dtype == expected.dtype and G.mul.tobytes() == expected.tobytes(), spec
+    assert G.generators == tuple(gens), spec
