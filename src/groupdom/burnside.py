@@ -40,9 +40,9 @@ class GSetDecomposition:
                 return m
         return 0
 
-    def is_regular_multiple(self, trivial_class: int = 0) -> bool:
-        """True when supported only on the trivial-subgroup class."""
-        return all(c == trivial_class for c, _ in self.coeffs)
+    def is_regular_multiple(self) -> bool:
+        """True when supported only on the trivial-subgroup class, class 0."""
+        return all(c == 0 for c, _ in self.coeffs)
 
 
 def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosetSet:

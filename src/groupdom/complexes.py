@@ -26,12 +26,14 @@ from the Möbius function of the subgroup lattice
 (``intersection_f_vector``), whatever their number, so there the Betti
 numbers check μ(1, G).  Elementary
 collapses have one kernel on faces numbered in (dimension, mask) order,
-with two pop orders: a stack for the reduction and a heap, smallest free
-face first, for the collapse probe, which starts from the strong core
-(strong collapses are collapses; see ``_core_collapse_probe``).  The
-kernel numbers the faces by sorted byte keys, builds their boundaries
-with array operations one vertex at a time, and marks a removed face by
-a negative coface count (see ``_collapse``).
+with one pop order, a heap that takes the smallest free face first.  The
+homology ranks the faces it leaves, and the collapse probe reads its
+block from the same faces, so ``topology_report`` collapses the
+intersection complex's strong core once (strong collapses are
+collapses; see ``_collapse_probe``).  The kernel numbers the faces by
+sorted byte keys, builds their boundaries with array operations one
+vertex at a time, and marks a removed face by a negative coface count
+(see ``_collapse``).
 """
 
 from __future__ import annotations
@@ -232,10 +234,10 @@ def intersection_f_vector(L: Lattice) -> tuple[int, ...]:
     return tuple(-sum(m * comb(u, k + 1) for m, u in terms) for k in range(width))
 
 
-def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
-                  max_chains: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
+def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:
     """Facets are the maximal chains of the chosen subposet (default: all
-    proper non-trivial subgroups).
+    proper non-trivial subgroups); BudgetExceeded past
+    ``DEFAULT_FACE_BUDGET`` of them.
 
     From strict containment S among the vertices, w covers u iff S[u, w]
     and no vertex lies strictly between, which one matrix product finds:
@@ -252,7 +254,7 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None,
         nxt = covers[last]
         if not nxt:
             facets.append(chain_mask)
-            if len(facets) > max_chains:
+            if len(facets) > DEFAULT_FACE_BUDGET:
                 raise BudgetExceeded("maximal chain budget exceeded", partial=len(facets))
             return
         for w in nxt:
@@ -314,11 +316,11 @@ def coatom_nerve(L: Lattice) -> SimplicialComplex:
 _BITS_SET = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _collapse(faces, lowest_first: bool) -> tuple[list[int], int]:
+def _collapse(faces) -> list[int]:
     """The collapse kernel: elementary collapses on ``faces`` (closed under
-    taking non-empty subfaces, else ValueError) until none is free; returns
-    the faces left, in ascending (dimension, mask) order, and the number of
-    collapses.
+    taking non-empty subfaces, else ValueError), the free face of least
+    number first, until none is free; returns the faces left, in ascending
+    (dimension, mask) order.
 
     Each face has a fixed-width byte key, its vertex count and then its
     mask in big-endian bytes, so byte order of the keys is (dimension,
@@ -335,12 +337,10 @@ def _collapse(faces, lowest_first: bool) -> tuple[list[int], int]:
     live faces stay closed under taking subfaces and every boundary face
     of f and g but f is live: a dead face's count only falls, so
     ``count != 1`` skips stale entries and ``count >= 0`` marks the faces
-    left.  Free faces wait in a heap when ``lowest_first``, so the free
-    face of least number goes next, and otherwise on a stack that starts
-    in ascending order.
+    left.  Free faces wait in a heap.
     """
     if not faces:
-        return [], 0
+        return []
     n, nb = len(faces), (max(faces).bit_length() + 7) // 8
     rows = np.empty((n, nb + 1), dtype=np.uint8)
     rows[:, 1:] = np.frombuffer(b"".join([f.to_bytes(nb, "big") for f in faces]),
@@ -381,65 +381,51 @@ def _collapse(faces, lowest_first: bool) -> tuple[list[int], int]:
     start, flat = array("q", start.tobytes()), array("i", flat.tobytes())
     count, cx = count.tolist(), cx.tolist()
     free = [i for i in range(n) if count[i] == 1]  # ascending: already a heap
-    pop, push = (heapq.heappop, heapq.heappush) if lowest_first else (list.pop, list.append)
-    steps = 0
     while free:
-        f = pop(free)
+        f = heapq.heappop(free)
         if count[f] != 1:
             continue
         g = cx[f]
         count[f] = count[g] = -1
-        steps += 1
         for r in (g, f):
             for s in flat[start[r]:start[r + 1]]:
                 c = count[s] = count[s] - 1
                 cx[s] ^= r
                 if c == 1:
-                    push(free, s)
+                    heapq.heappush(free, s)
     rest = rows[[i for i in range(n) if count[i] >= 0], 1:].tobytes()
-    return [int.from_bytes(rest[k:k + nb], "big") for k in range(0, len(rest), nb)], steps
+    return [int.from_bytes(rest[k:k + nb], "big") for k in range(0, len(rest), nb)]
 
 
-def reduce_by_collapses(faces: set[int]) -> set[int]:
-    """A maximal sequence of elementary collapses, high dimension first:
-    the collapse kernel with its stack, which starts with every free face
-    in ascending (dimension, mask) order, pops from the top and pushes the
-    faces each collapse frees."""
-    return set(_collapse(faces, lowest_first=False)[0])
-
-
-def _core_collapse_probe(n_faces: int, core_faces: set[int]) -> tuple[dict, list[int]]:
-    """The collapse probe of a complex K of ``n_faces`` faces, run on the
-    faces of its strong core (``core_faces``, on any vertex numbering);
-    returns the probe's block and the faces left.
+def _collapse_probe(n_faces: int, rest: list[int]) -> dict:
+    """The collapse probe's block for a complex K of ``n_faces`` faces
+    that collapses to the faces ``rest`` (``_collapse`` of K's faces or of
+    its strong core's, on any vertex numbering).
 
     Deleting a dominated vertex is a sequence of elementary collapses
     (Barmak-Minian 2012), and the core is the subcomplex that K induces on
-    the vertices left, so K collapses to the core and the heap probe then
-    collapses the core to the faces left.  Each collapse removes two faces,
-    so every collapse sequence from K to those faces has
-    (|K| - |left|) / 2 steps: ``steps`` counts the collapses of K, not
-    only those of the core."""
-    rest, _ = _collapse(core_faces, lowest_first=True)
+    the vertices left, so K collapses to the core and the kernel then
+    collapses the core to ``rest``.  Each collapse removes two faces, so
+    every collapse sequence from K to those faces has (|K| - |rest|) / 2
+    steps: ``steps`` counts the collapses of K, not only those of the
+    core."""
     removed = n_faces - len(rest)
     if removed % 2:
         raise AssertionError("a collapse sequence removes faces in pairs")
     return {"collapsed_to_point": len(rest) == 1, "steps": removed // 2,
-            "remaining_faces": len(rest)}, rest
-
-
-def greedy_collapse(complex_: SimplicialComplex,
-                    budget: int = DEFAULT_FACE_BUDGET) -> dict:
-    """Deterministic collapse probe on every face of the complex:
-    repeatedly remove the free face of minimal dimension with the smallest
-    mask (the collapse kernel with its heap).  Full collapse to a point
-    certifies contractibility; anything else is inconclusive, since some
-    collapse orders get stuck even on collapsible complexes.  It does not
-    go through the strong core, so it is the oracle for the probe that
-    ``topology_report`` runs there."""
-    rest, steps = _collapse(complex_.faces(budget), lowest_first=True)
-    return {"collapsed_to_point": len(rest) == 1, "steps": steps,
             "remaining_faces": len(rest)}
+
+
+def greedy_collapse(complex_: SimplicialComplex) -> dict:
+    """Deterministic collapse probe on every face of the complex (at most
+    ``DEFAULT_FACE_BUDGET``): repeatedly remove the free face of minimal
+    dimension with the smallest mask (the collapse kernel).  Full collapse
+    to a point certifies contractibility; anything else is inconclusive,
+    since some collapse orders get stuck even on collapsible complexes.  It
+    does not go through the strong core, so it is the oracle for the probe
+    that ``topology_report`` runs there."""
+    faces = complex_.faces()
+    return _collapse_probe(len(faces), _collapse(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +468,7 @@ def _exact_rank(columns: list[dict[int, int]]) -> int:
     return rank
 
 
-def _boundary_ranks(faces: set[int], top_dim: int) -> list[int]:
+def _boundary_ranks(faces, top_dim: int) -> list[int]:
     """Ranks of the boundary maps d_k for k = 1..top_dim+1 on the complex
     spanned by ``faces`` (must be closed under taking subfaces)."""
     by_dim: dict[int, list[int]] = {}
@@ -514,13 +500,12 @@ def _f_vector(faces) -> tuple[int, ...]:
     return tuple(counts[k] for k in range(1, max(counts, default=0) + 1))
 
 
-def _reduced_betti(faces: set[int], top_dim: int) -> tuple[int, ...]:
+def _reduced_betti(rest: list[int], top_dim: int) -> tuple[int, ...]:
     """Reduced Betti numbers b_0..b_top_dim of the complex spanned by
-    ``faces`` (closed under taking subfaces): elementary collapses, then
-    exact ranks of the boundary maps on what is left."""
-    faces = reduce_by_collapses(faces)
-    counts = _f_vector(faces) + (0,) * (top_dim + 1)
-    ranks = [0] + _boundary_ranks(faces, top_dim)  # ranks[k] = rank d_k
+    ``rest``, the faces that the collapse kernel left (``_collapse``):
+    exact ranks of the boundary maps on them."""
+    counts = _f_vector(rest) + (0,) * (top_dim + 1)
+    ranks = [0] + _boundary_ranks(rest, top_dim)  # ranks[k] = rank d_k
     b = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
     b[0] -= 1  # reduced homology
     return tuple(b)
@@ -552,7 +537,7 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     (``SimplicialComplex.strong_core``), or, when the core has more faces
     than the budget, on the strong core of the nerve of the core's facets,
     which is homotopy equivalent to it; BudgetExceeded is raised when
-    neither fits.  The faces used are reduced by elementary collapses
+    neither fits.  The faces used are reduced by the collapse kernel
     before the exact rank computations.  The dimension comes from the
     facets.  The Euler characteristic and the f-vector come from the face
     counts of the complex itself when they fit the budget; otherwise the
@@ -561,19 +546,23 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     the alternating Betti sum is asserted.
     """
     faces = _faces_within(complex_, face_budget)
+    used = _homology_faces(complex_.strong_core(), face_budget)
     return _betti_of_faces(complex_, None if faces is None else _f_vector(faces),
-                           _homology_faces(complex_.strong_core(), face_budget), model)
+                           used, _collapse(used), model)
 
 
 def _betti_of_faces(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
-                    used: set[int], model: str) -> HomologyProfile:
-    """``betti`` of a complex whose f-vector (None past the budget) and
-    homology faces (``_homology_faces``) are given."""
+                    used: set[int], rest: list[int], model: str) -> HomologyProfile:
+    """``betti`` of a complex whose f-vector (None past the budget),
+    homology faces (``_homology_faces``) and the faces the collapse kernel
+    leaves of them are given.  The Euler characteristic past the budget
+    comes from ``used``, not ``rest``: from ``rest`` its check against the
+    Betti numbers would hold by construction."""
     dim = complex_.dim()
     if dim < 0:
         return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=())
     euler = sum((-1) ** k * c for k, c in enumerate(f_vector or _f_vector(used)))
-    b = _reduced_betti(used, dim)
+    b = _reduced_betti(rest, dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
     return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
@@ -597,8 +586,8 @@ class TopologyReport:
     profiles_agree: bool | None
     betti_vanish: bool | None   # for gamma = 1 groups, on the preferred model
     # greedy collapse probe of the intersection complex K, run on K's strong
-    # core (``_core_collapse_probe``; ``steps`` counts collapses of K), None
-    # when K has no faces or more than the budget
+    # core (``_collapse_probe``; ``steps`` counts collapses of K), None
+    # when K has no faces or more than ``DEFAULT_FACE_BUDGET``
     collapse: dict | None
     checks: dict = field(default_factory=dict)
 
@@ -621,12 +610,12 @@ class TopologyReport:
 
 
 def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
-                    gamma: Gamma, face_budget: int = DEFAULT_FACE_BUDGET) -> TopologyReport:
+                    gamma: Gamma) -> TopologyReport:
     """Build the four complexes, compare Betti profiles, and evaluate the
     simplex criteria: the coatom nerve is a simplex iff the Frattini
     subgroup is non-trivial, and the atom nerve is a simplex iff gamma
     is 1.  The report keeps the complexes it built; the order complex is
-    None when its maximal chains exceed ``face_budget``."""
+    None when its maximal chains exceed ``DEFAULT_FACE_BUDGET``."""
     na = atom_nerve(L)
     nm = coatom_nerve(L)
     complexes = {"atom_nerve": na, "coatom_nerve": nm,
@@ -635,7 +624,7 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
 
     def safe_betti(cx, name):
         try:
-            return betti(cx, face_budget, name)
+            return betti(cx, model=name)
         except BudgetExceeded:
             return None
 
@@ -644,17 +633,18 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
     kg = complexes["intersection"] = intersection_complex(L)
     f_vector = intersection_f_vector(L)  # K's faces are never enumerated
     n_faces = sum(f_vector)
-    used = None
-    try:  # one enumeration of the core's faces for the profile and the probe
-        used = _homology_faces(kg.strong_core(), face_budget)
-        profiles["intersection"] = _betti_of_faces(kg, f_vector, used, "intersection")
+    rest = None
+    try:  # one collapse of the core's faces for the profile and the probe
+        used = _homology_faces(kg.strong_core(), DEFAULT_FACE_BUDGET)
+        rest = _collapse(used)
+        profiles["intersection"] = _betti_of_faces(kg, f_vector, used, rest, "intersection")
     except BudgetExceeded:
         profiles["intersection"] = None
     collapse = None
-    if 0 < n_faces <= face_budget:  # the core's faces, a subset of K's, are `used`
-        collapse, _ = _core_collapse_probe(n_faces, used)
+    if 0 < n_faces <= DEFAULT_FACE_BUDGET:  # the core's faces, a subset of K's, gave `rest`
+        collapse = _collapse_probe(n_faces, rest)
     try:
-        oc = complexes["order"] = order_complex(L, max_chains=face_budget)
+        oc = complexes["order"] = order_complex(L)
         profiles["order"] = safe_betti(oc, "order")
     except BudgetExceeded:
         profiles["order"] = None

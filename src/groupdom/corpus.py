@@ -98,25 +98,24 @@ _EXPECTED = {
 }
 
 
-def corpus(max_abelian: int = 100, max_dihedral_n: int = 100,
-           max_symmetric: int = 6) -> list[CorpusEntry]:
+def corpus() -> list[CorpusEntry]:
     entries = []
-    for factors in abelian_types(max_abelian):
+    for factors in abelian_types(100):
         label = _abelian_label(factors)
         order = 1
         for f in factors:
             order *= f
         entries.append(CorpusEntry(label=label, order=order, spec_text=label,
                                    expected=_EXPECTED.get(label, ())))
-    for n in range(2, max_dihedral_n + 1):
+    for n in range(2, 101):
         label = f"D{2 * n}"
         entries.append(CorpusEntry(label=label, order=2 * n, spec_text=label,
                                    expected=_EXPECTED.get(label, ())))
-    for n in range(2, max_symmetric + 1):
+    for n in range(2, 7):
         entries.append(CorpusEntry(label=f"S{n}", order=math.factorial(n),
                                    spec_text=f"S{n}",
                                    expected=_EXPECTED.get(f"S{n}", ())))
-    for n in range(3, max_symmetric + 1):
+    for n in range(3, 7):
         entries.append(CorpusEntry(label=f"A{n}", order=math.factorial(n) // 2,
                                    spec_text=f"A{n}",
                                    expected=_EXPECTED.get(f"A{n}", ())))

@@ -142,8 +142,8 @@ def graphs_equal(a: IntersectionGraph, b: IntersectionGraph) -> bool:
     return bool(np.array_equal(a.adjacency, b.adjacency))
 
 
-def to_dot(graph: IntersectionGraph, name: str = "intersection_graph") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(graph: IntersectionGraph) -> str:
+    lines = ["graph intersection_graph {"]
     for lbl in graph.labels:
         lines.append(f'  "{lbl}";')
     for i, j in graph.edges():

@@ -201,7 +201,7 @@ class TestBudgetFlag:
         import groupdom.complexes as complexes
         from groupdom.errors import BudgetExceeded
 
-        def too_many_chains(L, vertices=None, max_chains=None):
+        def too_many_chains(L, vertices=None):
             raise BudgetExceeded("maximal chain budget exceeded", partial=0)
 
         # wherever the command builds the order complex, it runs out of chains

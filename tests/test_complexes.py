@@ -3,14 +3,14 @@
 import pytest
 
 import groupdom.complexes
-from collapse_reference import reference_greedy_collapse, reference_reduce_by_collapses
+from collapse_reference import reference_collapse, reference_greedy_collapse
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
                                reference_order_complex)
-from groupdom.complexes import (SimplicialComplex, _collapse, _core_collapse_probe,
+from groupdom.complexes import (SimplicialComplex, _collapse, _collapse_probe,
                                 _exact_rank, _reduced_betti, atom_nerve, betti, coatom_nerve,
                                 greedy_collapse, intersection_complex,
                                 intersection_f_vector, nerve, order_complex,
-                                reduce_by_collapses, topology_report)
+                                topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups, mobius
@@ -267,7 +267,7 @@ def test_strong_core_matches_whole_face_set(lattice, label):
             skipped.add((label, name))
             continue
         p = betti(cx)
-        assert p.betti == _reduced_betti(faces, cx.dim()), (label, name)
+        assert p.betti == _reduced_betti(_collapse(faces), cx.dim()), (label, name)
         assert p.euler == sum((-1) ** k * c for k, c in enumerate(cx.f_vector()))
         assert p.dim == cx.dim()
     assert skipped == {s for s in TOO_MANY_FACES if s[0] == label}
@@ -299,14 +299,12 @@ class TestCollapse:
         res = greedy_collapse(intersection_complex(lattice(label)))
         assert (res["collapsed_to_point"], res["steps"], res["remaining_faces"]) == expected
 
-    @pytest.mark.parametrize("lowest_first", [True, False])
-    def test_empty_face_set(self, lowest_first):
-        assert _collapse(set(), lowest_first) == ([], 0)
+    def test_empty_face_set(self):
+        assert _collapse(set()) == []
 
-    @pytest.mark.parametrize("lowest_first", [True, False])
-    def test_vertices_only_are_left_unchanged(self, lowest_first):
+    def test_vertices_only_are_left_unchanged(self):
         faces = {1, 1 << 9, 1 << 70}
-        assert _collapse(faces, lowest_first) == (sorted(faces), 0)
+        assert _collapse(faces) == sorted(faces)
 
     @pytest.mark.parametrize("faces", [
         {0b11},                                   # no vertices
@@ -315,26 +313,26 @@ class TestCollapse:
         {(1 << 256) - 1}])                        # too many vertices for a count byte
     def test_face_set_not_closed_raises(self, faces):
         with pytest.raises(ValueError):
-            reduce_by_collapses(faces)
+            _collapse(faces)
 
     def test_core_probe_refuses_an_odd_face_difference(self):
         # a collapse sequence removes faces in pairs: a two-face complex
         # cannot collapse to a one-vertex core
         with pytest.raises(AssertionError):
-            _core_collapse_probe(2, {1})
+            _collapse_probe(2, [1])
 
 
 @pytest.mark.parametrize("label", [e.label for e in corpus()
                                    if e.order and e.order <= 24
                                    and (e.label, "intersection") not in TOO_MANY_FACES])
 def test_collapse_kernel_matches_reference(lattice, label):
-    """Both pop orders of the collapse kernel give what the dict-driven
-    collapses gave on the intersection complex (C2xC2xC2xC2 is left out:
+    """The collapse kernel leaves, face for face, what the dict-driven heap
+    collapse left on the intersection complex (C2xC2xC2xC2 is left out:
     the reference takes over 10 s on it)."""
     kg = intersection_complex(lattice(label))
     faces = kg.faces()
+    assert set(_collapse(faces)) == reference_collapse(faces)
     assert greedy_collapse(kg) == reference_greedy_collapse(faces)
-    assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces)
 
 
 # the groups of the benchmark's complexes workload

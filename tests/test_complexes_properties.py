@@ -8,10 +8,10 @@ nerve of the core's facets, which must give the same numbers.  The
 strong core's facets must come out maximal, distinct and sorted, and the
 collapse probe through the core must leave a complex with the input's
 Euler characteristic, two faces fewer per step.  The
-collapse kernel is checked against the dict-driven collapses it replaced
-(``collapse_reference``), also with vertices spread over masks wider than
-8 bytes, and the integer rank against the rank over Fraction
-(``rank_reference``).
+collapse kernel is checked face for face against the dict-driven heap
+collapse it replaced (``collapse_reference``), also with vertices spread
+over masks wider than 8 bytes, and the integer rank against the rank
+over Fraction (``rank_reference``).
 """
 
 import pytest
@@ -20,12 +20,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from collapse_reference import (reference_greedy_collapse,  # noqa: E402
-                                reference_reduce_by_collapses)
-from groupdom.complexes import (SimplicialComplex,  # noqa: E402
-                                _core_collapse_probe, _exact_rank, _f_vector,
-                                _reduced_betti, betti, greedy_collapse, nerve,
-                                reduce_by_collapses)
+from collapse_reference import reference_collapse, reference_greedy_collapse  # noqa: E402
+from groupdom.complexes import (SimplicialComplex, _collapse,  # noqa: E402
+                                _collapse_probe, _exact_rank, _f_vector,
+                                _reduced_betti, betti, greedy_collapse, nerve)
 from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.groups import mask_to_indices  # noqa: E402
 from rank_reference import reference_rank  # noqa: E402
@@ -78,7 +76,7 @@ def integer_columns(draw):
 @given(facet_sets())
 def test_strong_core_matches_whole_face_set(cx):
     p = betti(cx)
-    assert p.betti == _reduced_betti(cx.faces(), cx.dim()), cx.facets
+    assert p.betti == _reduced_betti(_collapse(cx.faces()), cx.dim()), cx.facets
     assert p.euler == sum((-1) ** k * c for k, c in enumerate(cx.f_vector()))
     assert p.dim == cx.dim()
     core = cx.strong_core()
@@ -114,7 +112,8 @@ def test_core_collapse_probe_certificate(cx):
     faces = cx.faces()
     core = cx.strong_core().on_used_vertices()
     core_faces = core.faces()
-    probe, rest = _core_collapse_probe(len(faces), core_faces)
+    rest = _collapse(core_faces)
+    probe = _collapse_probe(len(faces), rest)
     assert len(faces) - probe["remaining_faces"] == 2 * probe["steps"], cx.facets
     assert probe["remaining_faces"] == len(rest) <= len(core_faces), cx.facets
     left = set(rest)
@@ -141,7 +140,7 @@ def test_profile_f_vector_is_face_count(cx, budget):
     except BudgetExceeded:
         expected = None
     assert p.f_vector == expected, (cx.facets, budget)
-    assert p.betti == _reduced_betti(cx.faces(), cx.dim()), (cx.facets, budget)
+    assert p.betti == _reduced_betti(_collapse(cx.faces()), cx.dim()), (cx.facets, budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,16 +156,16 @@ def test_facet_nerve_has_the_homology_of_the_complex(cx):
 @given(facet_sets())
 def test_collapse_kernel_matches_reference(cx):
     faces = cx.faces()
+    assert set(_collapse(faces)) == reference_collapse(faces), cx.facets
     assert greedy_collapse(cx) == reference_greedy_collapse(faces), cx.facets
-    assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces), cx.facets
 
 
 @settings(max_examples=300, deadline=None)
 @given(wide_facet_sets())
 def test_collapse_kernel_matches_reference_on_wide_masks(cx):
     faces = cx.faces()
+    assert set(_collapse(faces)) == reference_collapse(faces), cx.facets
     assert greedy_collapse(cx) == reference_greedy_collapse(faces), cx.facets
-    assert reduce_by_collapses(faces) == reference_reduce_by_collapses(faces), cx.facets
 
 
 @settings(max_examples=300, deadline=None)
