@@ -299,12 +299,24 @@ class TestCollapse:
         res = greedy_collapse(intersection_complex(lattice(label)))
         assert (res["collapsed_to_point"], res["steps"], res["remaining_faces"]) == expected
 
-    def test_empty_face_set(self):
-        assert _collapse(set()) == []
+    # probe=True reads the collapse steps, which the probe counts from the
+    # faces the kernel leaves, as well as those faces
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_empty_face_set(self, probe):
+        rest = _collapse(set())
+        assert rest == []
+        if probe:
+            assert _collapse_probe(0, rest) == {
+                "collapsed_to_point": False, "steps": 0, "remaining_faces": 0}
 
-    def test_vertices_only_are_left_unchanged(self):
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_vertices_only_are_left_unchanged(self, probe):
         faces = {1, 1 << 9, 1 << 70}
-        assert _collapse(faces) == sorted(faces)
+        rest = _collapse(faces)
+        assert rest == sorted(faces)
+        if probe:
+            assert _collapse_probe(len(faces), rest) == {
+                "collapsed_to_point": False, "steps": 0, "remaining_faces": 3}
 
     @pytest.mark.parametrize("faces", [
         {0b11},                                   # no vertices
