@@ -9,8 +9,8 @@ the atom and coatom coverings.  Reduced rational Betti numbers are
 computed exactly, after shrinking each complex by elementary collapses.
 """
 
-from groupdom import (atom_nerve, betti, build_group, characteristic_subgroups,
-                      coatom_nerve, enumerate_subgroups, gamma_exact,
+from groupdom import (atom_nerve, betti, build_group, coatom_nerve,
+                      enumerate_subgroups, gamma_exact,
                       greedy_collapse, intersection_complex, order_complex,
                       parse_group_spec, topology_report)
 
@@ -39,7 +39,8 @@ for name, cx in [("intersection", intersection_complex(L)),
 # Rank 4 doubles the dimension: a wedge of 64 two-spheres.  The
 # half-million-face intersection complex is first shrunk by strong
 # collapses of its facets to a core of 1,535 faces; the collapse kernel
-# (faces numbered in (dimension, mask) order, popped from a stack) then
+# (faces numbered in (dimension, mask) order, the free face of least number
+# popped first from a heap) then
 # reduces the core before the exact ranks.
 L = enumerate_subgroups(build_group(parse_group_spec("C2xC2xC2xC2")))
 p = betti(intersection_complex(L))
@@ -49,10 +50,8 @@ print(f"\nC2^4 intersection complex betti: {p.betti}")
 # subgroup is non-trivial; the atom nerve is a simplex iff gamma is 1.
 print("\nsimplex criteria:")
 for text in ["Q8", "D8", "C2xC2", "S4", "C12"]:
-    G = build_group(parse_group_spec(text))
-    L = enumerate_subgroups(G)
-    rep = topology_report(G, L, characteristic_subgroups(G, L),
-                          gamma_exact(L).gamma)
+    L = enumerate_subgroups(build_group(parse_group_spec(text)))
+    rep = topology_report(L, gamma_exact(L).gamma)
     print(f"  {text:6s} N(M) simplex={rep.simplex_coatom_nerve!s:5s} "
           f"Phi>1={rep.frattini_nontrivial!s:5s} | "
           f"N(A) simplex={rep.simplex_atom_nerve!s:5s} "

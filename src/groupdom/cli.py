@@ -153,13 +153,10 @@ def cmd_burnside(args, started, deadline) -> int:
 
 def cmd_complex(args, started, deadline) -> int:
     G, L = _built(args, deadline)
-    chars = characteristic_subgroups(G, L)
     cert = gamma_exact(L, deadline=deadline)
-    report = topology_report(G, L, chars, cert.gamma)
+    report = topology_report(L, cert.gamma)  # BudgetExceeded past the chain budget
     models = {}
     for name, cx in report.complexes.items():
-        if cx is None:  # the order complex's maximal chains ran past the budget
-            raise BudgetExceeded(f"{name} complex: maximal chain budget exceeded")
         profile = report.profiles[name]
         entry = models[name] = {"vertex_labels": list(cx.vertex_labels)}
         if profile is None:
@@ -259,7 +256,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-ms", type=float, default=None,
                         help="one deadline for the whole command, in ms from its start")
     parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-                        help=f"element cap for closures (default {DEFAULT_ELEMENT_CAP})")
+                        help=f"element cap for every group built (default {DEFAULT_ELEMENT_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_spec in [("subgroups", True), ("graph", True), ("gamma", True),
                              ("sum", True), ("burnside", True), ("complex", True),

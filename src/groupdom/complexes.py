@@ -49,7 +49,7 @@ import numpy as np
 from .domination import Gamma
 from .errors import BudgetExceeded
 from .groups import _bools_to_mask, mask_to_indices
-from .lattice import CharacteristicSubgroups, Lattice, mobius
+from .lattice import Lattice, mobius
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
@@ -519,16 +519,6 @@ def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
         return None
 
 
-def _homology_faces(core: SimplicialComplex, budget: int) -> set[int]:
-    """The faces the homology is computed on: those of the strong core on
-    its used vertices, or, past the budget, those of the strong core of
-    the nerve of the core's facets; BudgetExceeded when neither fits."""
-    used = _faces_within(core.on_used_vertices(), budget)
-    if used is None:
-        used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(budget)
-    return used
-
-
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
           model: str = "") -> HomologyProfile:
     """Reduced rational Betti numbers and Euler characteristic.
@@ -546,27 +536,33 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     the alternating Betti sum is asserted.
     """
     faces = _faces_within(complex_, face_budget)
-    used = _homology_faces(complex_.strong_core(), face_budget)
-    return _betti_of_faces(complex_, None if faces is None else _f_vector(faces),
-                           used, _collapse(used), model)
+    return _profile(complex_, None if faces is None else _f_vector(faces),
+                    face_budget, model)[0]
 
 
-def _betti_of_faces(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
-                    used: set[int], rest: list[int], model: str) -> HomologyProfile:
-    """``betti`` of a complex whose f-vector (None past the budget),
-    homology faces (``_homology_faces``) and the faces the collapse kernel
-    leaves of them are given.  The Euler characteristic past the budget
-    comes from ``used``, not ``rest``: from ``rest`` its check against the
-    Betti numbers would hold by construction."""
+def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
+             budget: int, model: str) -> tuple[HomologyProfile, list[int]]:
+    """``betti`` of a complex whose f-vector (None past the budget) is
+    given, and the faces that the collapse kernel leaves of its homology
+    faces: those of the strong core on its used vertices, or, past the
+    budget, those of the strong core of the nerve of the core's facets.
+    The Euler characteristic past the budget comes from the homology
+    faces, not from what the kernel leaves: from those its check against
+    the Betti numbers would hold by construction."""
+    core = complex_.strong_core()
+    used = _faces_within(core.on_used_vertices(), budget)
+    if used is None:
+        used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(budget)
+    rest = _collapse(used)
     dim = complex_.dim()
     if dim < 0:
-        return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=())
+        return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=()), rest
     euler = sum((-1) ** k * c for k, c in enumerate(f_vector or _f_vector(used)))
     b = _reduced_betti(rest, dim)
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
     return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
-                           f_vector=f_vector)
+                           f_vector=f_vector), rest
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +573,7 @@ def _betti_of_faces(complex_: SimplicialComplex, f_vector: tuple[int, ...] | Non
 @dataclass
 class TopologyReport:
     group: str
-    complexes: dict         # model name -> SimplicialComplex, None if not built
+    complexes: dict         # model name -> SimplicialComplex
     profiles: dict          # model name -> HomologyProfile or None
     simplex_atom_nerve: bool
     simplex_coatom_nerve: bool
@@ -609,45 +605,32 @@ class TopologyReport:
         }
 
 
-def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
-                    gamma: Gamma) -> TopologyReport:
+def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     """Build the four complexes, compare Betti profiles, and evaluate the
     simplex criteria: the coatom nerve is a simplex iff the Frattini
-    subgroup is non-trivial, and the atom nerve is a simplex iff gamma
-    is 1.  The report keeps the complexes it built; the order complex is
-    None when its maximal chains exceed ``DEFAULT_FACE_BUDGET``."""
-    na = atom_nerve(L)
-    nm = coatom_nerve(L)
-    complexes = {"atom_nerve": na, "coatom_nerve": nm,
-                 "intersection": None, "order": None}
+    subgroup (the intersection of the coatoms) is non-trivial, and the atom
+    nerve is a simplex iff gamma is 1.  The report keeps the complexes it
+    built; BudgetExceeded propagates when the order complex's maximal
+    chains exceed ``DEFAULT_FACE_BUDGET``.  A profile is None when neither
+    its complex's strong core nor the nerve's fits the face budget."""
+    complexes: dict[str, SimplicialComplex] = {}
     profiles: dict[str, HomologyProfile | None] = {}
-
-    def safe_betti(cx, name):
-        try:
-            return betti(cx, model=name)
-        except BudgetExceeded:
-            return None
-
-    profiles["atom_nerve"] = safe_betti(na, "atom_nerve")
-    profiles["coatom_nerve"] = safe_betti(nm, "coatom_nerve")
-    kg = complexes["intersection"] = intersection_complex(L)
-    f_vector = intersection_f_vector(L)  # K's faces are never enumerated
-    n_faces = sum(f_vector)
-    rest = None
-    try:  # one collapse of the core's faces for the profile and the probe
-        used = _homology_faces(kg.strong_core(), DEFAULT_FACE_BUDGET)
-        rest = _collapse(used)
-        profiles["intersection"] = _betti_of_faces(kg, f_vector, used, rest, "intersection")
-    except BudgetExceeded:
-        profiles["intersection"] = None
     collapse = None
-    if 0 < n_faces <= DEFAULT_FACE_BUDGET:  # the core's faces, a subset of K's, gave `rest`
-        collapse = _collapse_probe(n_faces, rest)
-    try:
-        oc = complexes["order"] = order_complex(L)
-        profiles["order"] = safe_betti(oc, "order")
-    except BudgetExceeded:
-        profiles["order"] = None
+    for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve),
+                        ("intersection", intersection_complex), ("order", order_complex)):
+        cx = complexes[name] = build(L)
+        try:
+            if name == "intersection":
+                f_vector = intersection_f_vector(L)  # K's faces are never enumerated
+                # one collapse of the core's faces for the profile and the probe
+                profiles[name], rest = _profile(cx, f_vector, DEFAULT_FACE_BUDGET, name)
+                n_faces = sum(f_vector)
+                if 0 < n_faces <= DEFAULT_FACE_BUDGET:  # the core's faces, a subset of K's
+                    collapse = _collapse_probe(n_faces, rest)
+            else:
+                profiles[name] = betti(cx, model=name)
+        except BudgetExceeded:
+            profiles[name] = None
 
     complete = [p for p in profiles.values() if p is not None]
     agree: bool | None
@@ -658,7 +641,10 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
         agree = all(p.reduced() == first for p in complete[1:])
 
     gamma_is_one = gamma == Gamma.of(1)
-    frattini_nontrivial = chars.frattini.order > 1
+    frattini = (1 << L.group.order) - 1
+    for i in L.coatoms:
+        frattini &= L.subgroups[i].mask
+    frattini_nontrivial = frattini.bit_count() > 1
 
     betti_vanish: bool | None = None
     if gamma_is_one:
@@ -666,12 +652,13 @@ def topology_report(G, L: Lattice, chars: CharacteristicSubgroups,
         if preferred is not None:
             betti_vanish = all(bk == 0 for bk in preferred.betti)
 
+    na, nm = complexes["atom_nerve"], complexes["coatom_nerve"]
     checks = {
         "coatom_nerve_simplex_iff_frattini": nm.is_simplex() == frattini_nontrivial,
         "atom_nerve_simplex_iff_gamma_one": na.is_simplex() == gamma_is_one,
     }
     return TopologyReport(
-        group=G.label, complexes=complexes, profiles=profiles,
+        group=L.group.label, complexes=complexes, profiles=profiles,
         simplex_atom_nerve=na.is_simplex(), simplex_coatom_nerve=nm.is_simplex(),
         frattini_nontrivial=frattini_nontrivial, gamma_is_one=gamma_is_one,
         profiles_agree=agree, betti_vanish=betti_vanish, collapse=collapse,

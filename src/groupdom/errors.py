@@ -16,10 +16,10 @@ class SpecError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Generator closure grew past the configured element cap."""
+    """A group has more elements than the configured element cap."""
 
     def __init__(self, cap, reached):
-        super().__init__(f"element cap {cap} exceeded (closure reached {reached} elements)")
+        super().__init__(f"element cap {cap} exceeded ({reached} elements reached)")
         self.cap = cap
         self.reached = reached
 

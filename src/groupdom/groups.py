@@ -252,15 +252,20 @@ def _parse_perm_spec(s: str) -> GroupSpec:
 def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
     """Materialize a GroupTable from a spec.
 
-    Raises CapExceeded if a generator closure would grow past ``cap``.
+    Raises CapExceeded when the group has more than ``cap`` elements: for
+    the kinds whose spec gives the order, before the table is built, and
+    otherwise when a generator closure would grow past ``cap``.
     """
     if spec.kind == "quotient":
         base = build_group(spec.base, cap=cap)
         quot, _ = quotient_group(base, _normal_closure_mask(base, spec.kernel_seed))
         return replace(quot, label=spec.label(), spec=spec)
 
+    order = {"cyclic": spec.n, "abelian": prod(spec.factors), "dihedral": spec.n,
+             "quaternion8": 8}.get(spec.kind, 0)
+    if order > cap:
+        raise CapExceeded(cap, order)
     perm_gens = None
-    gens = None
     if spec.kind in ("cyclic", "abelian"):
         factors = (spec.n,) if spec.kind == "cyclic" else spec.factors
         mul = _abelian_table(factors)
@@ -290,8 +295,6 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
 
     if perm_gens is not None:
         mul, gens = _perm_closure_table(perm_gens, perm_gens[0].degree, cap)
-    elif gens is None:
-        gens = list(range(mul.shape[0]))
     return _finalize(mul, spec.label(), spec, gens)
 
 
@@ -342,8 +345,6 @@ def _validate_table(mul: np.ndarray) -> None:
 
 
 def _abelian_table(factors: tuple[int, ...]) -> np.ndarray:
-    if prod(factors) > 250_000:
-        raise SpecError("abelian group too large to tabulate")
     # mixed-radix digits with the last factor least significant, identity
     # (0,...,0) at index 0: (a, x)(b, y) = (ab, x + y mod f) for each factor f
     table = np.zeros((1, 1), dtype=np.int32)

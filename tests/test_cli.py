@@ -211,6 +211,14 @@ class TestBudgetFlag:
         assert code == 3 and out == ""
         assert "chain budget" in err
 
+    @pytest.mark.parametrize("spec", ["C13", "C2xC2xC4", "D24", "Q8", "S4", "A4",
+                                      "SD(7,3)", "perm:4:(1,2,3,4);(1,2)"])
+    def test_cap_below_the_order_aborts(self, capsys, spec):
+        # every spec kind stops at the cap, not only permutation closures
+        code, out, err = run(capsys, "--cap", "7", "subgroups", spec)
+        assert code == 3 and out == ""
+        assert "element cap 7 exceeded" in err
+
     def test_verify_stops_at_deadline(self, capsys, monkeypatch):
         import groupdom.cli as cli
 

@@ -372,9 +372,7 @@ def test_integer_rank_matches_fraction_rank(lattice, monkeypatch):
 
 class TestTopologyReport:
     def report(self, lattice, gamma_of, label):
-        L = lattice(label)
-        chars = characteristic_subgroups(L.group, L)
-        return topology_report(L.group, L, chars, gamma_of(label).gamma)
+        return topology_report(lattice(label), gamma_of(label).gamma)
 
     def test_q8(self, lattice, gamma_of):
         rep = self.report(lattice, gamma_of, "Q8")
@@ -438,3 +436,25 @@ class TestTopologyReport:
         # no vertices: every model is empty, criteria vacuously consistent
         assert all(rep.checks.values())
         assert not rep.simplex_atom_nerve and not rep.simplex_coatom_nerve
+
+    def test_order_complex_budget_propagates(self, lattice, gamma_of, monkeypatch):
+        # past the chain budget the report raises instead of leaving a model out
+        def too_many_chains(L, vertices=None):
+            raise BudgetExceeded("maximal chain budget exceeded")
+
+        monkeypatch.setattr(groupdom.complexes, "order_complex", too_many_chains)
+        with pytest.raises(BudgetExceeded):
+            self.report(lattice, gamma_of, "S4")
+
+    def test_frattini_matches_characteristic_subgroups(self, lattice, gamma_of, monkeypatch):
+        # the report's mask intersection against the lattice layer's; the
+        # homology does not enter the Frattini check, so it is skipped
+        def no_homology(*args):
+            raise BudgetExceeded("homology skipped")
+
+        monkeypatch.setattr(groupdom.complexes, "_profile", no_homology)
+        for label in [e.label for e in corpus() if e.order and e.order <= 48]:
+            L = lattice(label)
+            rep = self.report(lattice, gamma_of, label)
+            assert rep.frattini_nontrivial == (characteristic_subgroups(L.group, L)
+                                               .frattini.order > 1), label

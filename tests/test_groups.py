@@ -103,6 +103,16 @@ class TestBuilders:
             build("S5", cap=119)
         assert exc.value.reached == 120
 
+    @pytest.mark.parametrize("text", ["C13", "D24", "C2xC2xC4", "Q8"])
+    def test_cap_bounds_table_builders(self, text):
+        # the order a cyclic, abelian, dihedral or Q8 spec gives is checked
+        # against the cap before any table is built
+        order = {"C13": 13, "D24": 24, "C2xC2xC4": 16, "Q8": 8}[text]
+        with pytest.raises(CapExceeded) as exc:
+            build(text, cap=7)
+        assert exc.value.reached == order and exc.value.cap == 7
+        assert build(text, cap=order).order == order
+
     def test_element_orders_match_power_walk(self):
         # the one-walk orders against each element's powers, one at a time
         for text in ["C12", "D24", "S4", "Q8", "SD(7,3)", "A5", "C2xC4xC3"]:
