@@ -24,6 +24,7 @@ import json
 import sys
 import time
 
+from . import corpus as corpus_module
 from .burnside import BurnsideRing
 from .complexes import topology_report
 from .corpus import corpus, find_entry, get_gamma, get_group, get_lattice
@@ -56,8 +57,18 @@ def _emit(group, command, result, started, args, exceeded=False) -> None:
 
 
 def _built(args, deadline):
-    spec = parse_group_spec(args.spec)
-    G = build_group(spec, cap=args.cap)
+    """The group and lattice of ``args.spec``: a group spec, or a corpus
+    label that is not one, such as the quotient ``S4/V4``."""
+    try:
+        spec = parse_group_spec(args.spec)
+    except SpecError:
+        entry = find_entry(args.spec)
+        if entry.quotient_of is None:
+            raise
+        # through the module, so that a patched ``corpus.build_entry`` applies
+        G = corpus_module.build_entry(entry, cap=args.cap)
+    else:
+        G = build_group(spec, cap=args.cap)
     L = enumerate_subgroups(G, deadline=deadline)
     return G, L
 
@@ -263,7 +274,8 @@ def make_parser() -> argparse.ArgumentParser:
                              ("verify", False), ("corpus", False)]:
         p = sub.add_parser(name)
         if needs_spec:
-            p.add_argument("spec", help="group spec, e.g. D8, C2xC2xC3, S4, SD(7,3)")
+            p.add_argument("spec", help="group spec, e.g. D8, C2xC2xC3, S4, SD(7,3), "
+                                          "or a corpus quotient label such as S4/V4")
         else:
             # also accepted after the subcommand; SUPPRESS keeps the
             # top-level value when it is not given here

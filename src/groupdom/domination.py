@@ -12,12 +12,16 @@ neighborhoods).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import IntersectionGraph
-from .groups import mask_to_indices
-from .lattice import Lattice
+from .groups import array_to_mask, mask_to_array, mask_to_indices
+from .lattice import Lattice, conjugate_rows
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,43 @@ def set_cover_lower_bound(universe_size: int, sets: list[int]) -> int:
     return inst.lower_bound(inst.full, 0, universe_size)
 
 
+def coatom_action(L: Lattice) -> np.ndarray:
+    """The conjugation action of G on its coatoms, one permutation of
+    coatom positions (indices into ``L.coatoms``) per row, identity first.
+
+    Each coatom is conjugated by G's generators through ``conjugate_rows``;
+    the generators' permutations are then closed by levels, each level
+    composed with every generator at once.  The rows are the distinct
+    permutations G induces, so their number is |G| over the kernel of the
+    action (360 of A6's 52 coatoms, 720 of S6's 53)."""
+    G, n, m = L.group, L.group.order, len(L.coatoms)
+    position = {L.subgroups[c].mask: i for i, c in enumerate(L.coatoms)}
+    gens = list(G.generators)
+    steps = np.array([[position[array_to_mask(row, n)]
+                       for row in conjugate_rows(G, mask_to_array(L.subgroups[c].mask, n), gens)]
+                      for c in L.coatoms], dtype=np.min_scalar_type(m)).T
+    # steps[s, i]: coatom i conjugated by gens[s]; rows maps each
+    # permutation's bytes to it, in the order found
+    identity = np.arange(m, dtype=steps.dtype)
+    rows = {identity.tobytes(): identity}
+    level = [identity]
+    while level:
+        images = steps[:, np.array(level)].reshape(-1, m)
+        level = [rows.setdefault(p.tobytes(), p) for p in images if p.tobytes() not in rows]
+    return np.array(list(rows.values()))
+
+
 def min_set_cover(universe_size: int, sets: list[int],
-                  deadline: float | None = None) -> tuple[list[int], bool]:
+                  deadline: float | None = None,
+                  symmetry: Callable[[], np.ndarray] | None = None) -> tuple[list[int], bool]:
     """Minimum set cover by branch and bound.
 
     ``sets`` are bitmasks over a universe of ``universe_size`` points.
     ``deadline`` is a ``time.monotonic()`` instant, checked at every search
-    node.  Returns (chosen indices, optimal); ``optimal`` is False only
+    node.  ``symmetry``, if given, returns an array whose rows are a group
+    of permutations of the set indices, each induced by a permutation of
+    the points that maps the instance to itself; it is called at most
+    once.  Returns (chosen indices, optimal); ``optimal`` is False only
     when the deadline passed, and the chosen sets are then the best cover
     found.
 
@@ -187,19 +221,36 @@ def min_set_cover(universe_size: int, sets: list[int],
     contradiction.  So at N a cover avoiding B exists exactly when any
     cover exists, and a failed subtree proves the unrestricted claim.
 
+    With ``symmetry``, a second failure memo is keyed on the chosen sets X
+    up to the symmetry: the least of the bitmasks p(X) over the rows p, as
+    one 64-bit word, so it is used only for at most 64 sets.  Why it is
+    sound: what a failed subtree proves, "U has no cover of ``allowed``
+    sets", is a claim about X alone, "X has no completion by ``allowed``
+    sets", since X determines U and a cover of U's kept points covers every
+    point.  An automorphism g of the instance maps the completions of X to
+    those of gX, so the claim holds for X exactly when it holds for gX.
+    Equal keys p(X) = q(Y) make Y = q^-1 p(X) such an image, so a failure
+    of X refutes the subtree of any Y with that key chosen later with no
+    more sets allowed; and since the rows form a group, every image of X
+    has X's key.  The rows are built the first time a node survives the
+    memo on U and the bound, and only such nodes look up their key, so a
+    search settled at the root never pays for the action.
+
     Why the witness is the one a plain depth-first search returns: a
     dropped point is never the branching point, since whenever it is
     uncovered so is a kept point in fewer sets, or in as many with a
     smaller index; and it never decides whether a node is a full cover.
     So the search tree is the same up to exclusion.  By the argument
     above the first optimum's path never uses a banned set, so exclusion
-    does not cut it.  Every prune, by either bound, infeasibility or the
-    memo, removes only subtrees with no cover smaller than the incumbent,
-    and the incumbent changes only on a strict improvement, so the first
-    optimum in search order is still the one returned.
+    does not cut it.  Every prune, by either bound, infeasibility or
+    either memo, removes only subtrees with no cover smaller than the
+    incumbent, and the incumbent changes only on a strict improvement, so
+    the first optimum in search order is still the one returned.
     """
     inst = _Instance(universe_size, sets)
     covers, reduced = inst.covers, inst.sets
+    if len(sets) > 64:
+        symmetry = None
 
     def greedy(uncovered: int) -> list[int]:
         chosen = []
@@ -217,9 +268,11 @@ def min_set_cover(universe_size: int, sets: list[int],
     best_size = len(incumbent)
     optimal = True
     fail: dict[int, int] = {}
+    orbit_fail: dict[int, int] = {}
+    bits = None  # bits[p, s]: the bit of set p(s), once the action is built
 
     def branch(uncovered: int, banned: int, chosen: list[int]):
-        nonlocal incumbent, best_size, optimal
+        nonlocal incumbent, best_size, optimal, bits
         if uncovered == 0:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -232,6 +285,13 @@ def min_set_cover(universe_size: int, sets: list[int],
         if (fail.get(uncovered, -1) >= allowed
                 or inst.lower_bound(uncovered, banned, allowed) > allowed):
             return
+        key = None
+        if symmetry is not None:
+            if bits is None:
+                bits = np.left_shift(np.uint64(1), symmetry().astype(np.uint8))
+            key = int(bits[:, chosen].sum(axis=1).min())
+            if orbit_fail.get(key, -1) >= allowed:
+                return
         size_before = best_size
         low = uncovered & -uncovered
         m = covers[low.bit_length() - 1] & ~banned
@@ -245,6 +305,8 @@ def min_set_cover(universe_size: int, sets: list[int],
             banned |= low
         if best_size == size_before and optimal:
             fail[uncovered] = allowed
+            if key is not None:
+                orbit_fail[key] = allowed
 
     branch(inst.full, 0, [])
     return sorted(incumbent), optimal
@@ -322,11 +384,14 @@ def sum_number(G, L: Lattice, deadline: float | None = None) -> CoverResult:
     """Least number of proper subgroups whose union is the whole group;
     aleph-0 for cyclic groups.  Solved exactly over the maximal subgroups.
     Past ``deadline`` the result carries a (lower, upper) bracket."""
-    if G.exponent == G.order:
+    if G.elem_order.max() == G.order:  # cyclic; S3's exponent is 6 = |S3| too
         return CoverResult(value=ALEPH0, witness=(), optimal=True)
     n = G.order
     sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]  # drop the identity bit
-    chosen, optimal = min_set_cover(n - 1, sets, deadline=deadline)
+    # conjugation fixes the identity and permutes the coatoms; it is trivial
+    # on an abelian G, whose lattice records no orbits
+    symmetry = None if L.orbits is None else partial(coatom_action, L)
+    chosen, optimal = min_set_cover(n - 1, sets, deadline=deadline, symmetry=symmetry)
     witness = tuple(sorted(L.coatoms[i] for i in chosen))
     bracket = None
     if not optimal:

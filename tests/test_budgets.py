@@ -1,6 +1,7 @@
 """Budget and cap behavior: structured aborts with partial progress."""
 
 import itertools
+import math
 import time
 
 import pytest
@@ -80,15 +81,22 @@ def test_min_set_cover_budget_flag():
     assert not optimal
 
 
-@pytest.mark.parametrize("checks", [1, 10, 40])
-def test_sum_number_bracket_on_mid_search_abort(monkeypatch, checks):
+@pytest.mark.parametrize("abort", [1, 10, "half", "last"])
+def test_sum_number_bracket_on_mid_search_abort(monkeypatch, abort):
     # a clock that ticks once per reading passes the deadline after
     # ``checks`` search nodes, in mid-search: the answer must still be a
-    # cover and the bracket must hold sigma(S5)
+    # cover and the bracket must hold sigma(S5).  The late abort points are
+    # read off the unbudgeted search's own count of checks, so they stay
+    # in mid-search however much the search is pruned
     G = build_group(parse_group_spec("S5"))
     L = enumerate_subgroups(G)
     calls = itertools.count()
     monkeypatch.setattr(domination.time, "monotonic", lambda: next(calls))
+    assert sum_number(G, L, deadline=math.inf).optimal
+    total = next(calls)  # the checks of the whole search
+    checks = {"half": total // 2, "last": total - 1}.get(abort, abort)
+    assert checks < total
+    calls = itertools.count()
     res = sum_number(G, L, deadline=checks)
     assert not res.optimal
     lo, hi = res.bracket

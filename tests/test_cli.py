@@ -52,6 +52,16 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "sum", "D36")
         assert parse(out)["result"]["sum_number"] == 3
 
+    @pytest.mark.parametrize("label,value", [("S4/V4", 4), ("D36/C9", 3), ("Q8/Z", 3)])
+    def test_sum_of_a_corpus_quotient(self, capsys, label, value):
+        # the corpus's quotient labels are not specs: they are built as
+        # ``verify`` builds them
+        code, out, _ = run(capsys, "sum", label)
+        assert code == 0
+        doc = parse(out)
+        assert doc["group"] == label
+        assert doc["result"]["sum_number"] == value and doc["result"]["optimal"] is True
+
     def test_graph_with_dot(self, capsys, tmp_path):
         dot_path = tmp_path / "g.dot"
         code, out, _ = run(capsys, "--dot", str(dot_path), "graph", "Q8")
@@ -273,6 +283,12 @@ class TestBudgetFlag:
 class TestErrors:
     def test_bad_spec_exits_2(self, capsys):
         code, out, err = run(capsys, "gamma", "D7")
+        assert code == 2
+        assert "error" in err
+
+    @pytest.mark.parametrize("spec", ["S4/C2", "Z", "Q8/"])
+    def test_unknown_label_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "sum", spec)
         assert code == 2
         assert "error" in err
 

@@ -1,16 +1,22 @@
 """Domination numbers: solver, brute-force oracle, and sum numbers."""
 
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
+import numpy as np
 import pytest
 
+from groupdom import domination
 from groupdom.corpus import find_entry
-from groupdom.domination import (ALEPH0, Gamma, domination_oracle, gamma_exact,
-                                 gamma_graph, is_dominating, min_set_cover,
+from groupdom.domination import (ALEPH0, Gamma, _Instance, coatom_action,
+                                 domination_oracle, gamma_exact, gamma_graph,
+                                 is_dominating, min_set_cover,
                                  set_cover_lower_bound, sum_number)
 from groupdom.graphs import intersection_graph, p_subgroup_indices, restricted_graph
 from groupdom.groups import quotient_group
-from groupdom.lattice import enumerate_subgroups
+from groupdom.lattice import conjugates, enumerate_subgroups
 
 
 class TestGammaValue:
@@ -255,3 +261,73 @@ class TestSumNumber:
         for w in res.witness:
             union |= L.subgroups[w].mask
         assert union == (1 << L.group.order) - 1
+
+    @pytest.mark.parametrize("label", ["S3", "D10", "D18", "D98", "SD(7,3)", "S4/V4"])
+    def test_not_cyclic_though_the_exponent_is_the_order(self, lattice, label):
+        # an element of order |G| makes G cyclic; the exponent equals |G|
+        # also for these groups, whose sum number is p + 1 for the least
+        # prime p dividing the order of the derived subgroup
+        L = lattice(label)
+        res = sum_number(L.group, L)
+        assert res.optimal
+        sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]
+        full = (1 << (L.group.order - 1)) - 1
+        least = min(k for k in range(1, len(sets) + 1)
+                    for combo in combinations(sets, k) if reduce(or_, combo) == full)
+        assert res.value == Gamma.of(least)
+
+
+class TestCoatomAction:
+    @pytest.mark.parametrize("label,size", [
+        ("S4", 24), ("A5", 60), ("S5", 120), ("A6", 360), ("S6", 720), ("D12", 6)])
+    def test_rows_are_conjugations_of_the_coatoms(self, lattice, label, size):
+        # each row sends every coatom to one of its conjugates; the rows are
+        # distinct, identity first, and closed under composition
+        L = lattice(label)
+        perms = coatom_action(L)
+        assert perms.shape == (size, len(L.coatoms))
+        assert np.array_equal(perms[0], np.arange(len(L.coatoms)))
+        assert len({p.tobytes() for p in perms}) == size
+        masks = [L.subgroups[c].mask for c in L.coatoms]
+        for i, m in enumerate(masks):
+            orbit, _ = conjugates(L.group, m)
+            assert {masks[j] for j in perms[:, i]} == set(orbit), (label, i)
+        rows = {p.tobytes() for p in perms}
+        rng = np.random.default_rng(0)
+        for a, b in rng.integers(len(perms), size=(50, 2)):
+            assert perms[a][perms[b]].tobytes() in rows
+
+    def test_action_is_built_only_when_a_search_needs_it(self, lattice, monkeypatch):
+        # sigma(S4) = 4 and sigma(D36) = 3 are proved by the root bound; the
+        # searches of the abelian groups go past the root, but an abelian
+        # group acts trivially and passes no action
+        def refuse(L):
+            raise AssertionError("action built")
+
+        monkeypatch.setattr(domination, "coatom_action", refuse)
+        for label, value in [("S4", 4), ("D36", 3), ("C3xC3xC3xC2", 4), ("C5xC5xC2", 6)]:
+            L = lattice(label)
+            assert sum_number(L.group, L).value == Gamma.of(value)
+
+    def test_a6_search_is_cut_by_the_orbit_memo(self, lattice, monkeypatch):
+        # sigma(A6) at the CLI labelling took 8,115 lower-bound calls with
+        # the memo on the uncovered set alone; the key must keep at least
+        # half of that away, and the action is built once
+        calls, built = [0], [0]
+        bound, action = _Instance.lower_bound, coatom_action
+
+        def counted_bound(self, *args):
+            calls[0] += 1
+            return bound(self, *args)
+
+        def counted_action(L):
+            built[0] += 1
+            return action(L)
+
+        monkeypatch.setattr(_Instance, "lower_bound", counted_bound)
+        monkeypatch.setattr(domination, "coatom_action", counted_action)
+        L = lattice("A6")
+        res = sum_number(L.group, L)
+        assert res.optimal and res.value == Gamma.of(16)
+        assert calls[0] < 8115 // 2
+        assert built[0] == 1

@@ -1,4 +1,5 @@
-"""Property tests for the set-cover solver and the domination number.
+"""Property tests for the set-cover solver, the domination number and the
+sum number.
 
 Set-cover instances are drawn point by point: each point gets a non-empty
 set of covering sets, so every instance is coverable.  Groups are the
@@ -13,11 +14,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from groupdom.domination import (_Instance, domination_oracle, gamma_exact,  # noqa: E402
-                                 min_set_cover, set_cover_lower_bound)
+import numpy as np  # noqa: E402
+
+from groupdom.domination import (Gamma, _Instance, domination_oracle,  # noqa: E402
+                                 gamma_exact, min_set_cover, set_cover_lower_bound,
+                                 sum_number)
 from groupdom.graphs import intersection_graph  # noqa: E402
+from groupdom.groups import build_group, parse_group_spec  # noqa: E402
 from groupdom.lattice import enumerate_subgroups  # noqa: E402
-from test_lattice_properties import perm_specs, small_group  # noqa: E402
+from test_lattice_properties import perm_specs, relabelled, small_group  # noqa: E402
 
 
 @st.composite
@@ -93,6 +98,51 @@ def test_min_set_cover_matches_brute_force(instance):
     assert chosen == plain_search(universe_size, sets)
 
 
+@st.composite
+def symmetric_instances(draw):
+    """(universe size, sets, rows): points in k columns of a common height,
+    sets of at most three points drawn as seeds and closed under the
+    rotation of the columns, which permutes the points and the sets;
+    ``rows`` are the k rotations as permutations of the set indices,
+    identity first.  Small sets keep the bounds weak, so the search is deep
+    enough for the orbit memo to prune."""
+    k = draw(st.integers(min_value=3, max_value=6))
+    n = k * draw(st.integers(min_value=1, max_value=3))
+
+    def rotate(mask):
+        out = 0
+        for a in range(n):
+            if mask >> a & 1:
+                out |= 1 << (a - a % k + (a + 1) % k)
+        return out
+
+    seeds = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1),
+                                  min_size=1, max_size=3), min_size=1, max_size=4))
+    sets = []
+    for seed in seeds:
+        mask = sum(1 << a for a in seed)
+        for _ in range(k):
+            sets.append(mask)
+            mask = rotate(mask)
+    union = 0
+    for s in sets:
+        union |= s
+    if union != (1 << n) - 1:  # the missing points are closed under rotation
+        sets += [((1 << n) - 1) & ~union] * k
+    rows = np.array([[j - j % k + (j + u) % k for j in range(len(sets))] for u in range(k)])
+    return n, sets, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_instances())
+def test_orbit_memo_keeps_the_optimum_and_the_witness(instance):
+    # the solve without symmetry is checked against brute force above
+    universe_size, sets, rows = instance
+    chosen, optimal = min_set_cover(universe_size, sets, symmetry=lambda: rows)
+    assert optimal
+    assert chosen == min_set_cover(universe_size, sets)[0]
+
+
 def ceiling_bound(universe_size: int, sets: list[int]) -> int:
     """The larger of ceil(|U| / max |S & U|) over the points U kept by the
     dominance reduction and the greedy packing of those points: the root
@@ -128,3 +178,29 @@ def test_gamma_exact_matches_oracle(spec):
     assert cert.optimal
     # the oracle returns the smallest size that dominates
     assert domination_oracle(graph, graph.n) == cert.gamma, spec
+
+
+def assert_same_sum_without_action(G, L):
+    """``sum_number`` gives the value, witness and ``optimal`` of the same
+    solve with no symmetry passed."""
+    res = sum_number(G, L)
+    if res.value.is_aleph0:
+        return
+    chosen, optimal = min_set_cover(G.order - 1, [L.subgroups[c].mask >> 1 for c in L.coatoms])
+    plain = (Gamma.of(len(chosen)), tuple(sorted(L.coatoms[i] for i in chosen)), optimal)
+    assert (res.value, res.witness, res.optimal) == plain, G.label
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_specs())
+def test_sum_number_is_unchanged_by_the_orbit_memo(spec):
+    G = small_group(spec)
+    assert_same_sum_without_action(G, enumerate_subgroups(G))
+
+
+@pytest.mark.parametrize("spec", ["A5", "S5", "A6"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sum_number_is_unchanged_by_the_orbit_memo_under_relabelling(spec, seed):
+    # another labelling orders the coatoms, and so the search, differently
+    G = relabelled(build_group(parse_group_spec(spec)), seed)
+    assert_same_sum_without_action(G, enumerate_subgroups(G))
