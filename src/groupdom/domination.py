@@ -178,6 +178,15 @@ def coatom_action(L: Lattice) -> np.ndarray:
     return np.array(list(rows.values()))
 
 
+def _set_bits(perms: np.ndarray) -> np.ndarray:
+    """``bits[p, s] = 2**perms[p, s]`` as uint64: the bit of set p(s) in
+    a one-word mask of at most 64 sets.  Both shift operands are uint64,
+    so the result is uint64 under every NumPy promotion rule; NumPy 1's
+    value-based casting makes ``np.uint64(1)`` shifted by a uint8 array a
+    uint8 array, which loses every bit from 8 up."""
+    return np.uint64(1) << perms.astype(np.uint64)
+
+
 def min_set_cover(universe_size: int, sets: list[int],
                   deadline: float | None = None,
                   symmetry: Callable[[], np.ndarray] | None = None) -> tuple[list[int], bool]:
@@ -288,7 +297,7 @@ def min_set_cover(universe_size: int, sets: list[int],
         key = None
         if symmetry is not None:
             if bits is None:
-                bits = np.left_shift(np.uint64(1), symmetry().astype(np.uint8))
+                bits = _set_bits(symmetry())
             key = int(bits[:, chosen].sum(axis=1).min())
             if orbit_fail.get(key, -1) >= allowed:
                 return

@@ -10,7 +10,7 @@ import pytest
 
 from groupdom import domination
 from groupdom.corpus import find_entry
-from groupdom.domination import (ALEPH0, Gamma, _Instance, coatom_action,
+from groupdom.domination import (ALEPH0, Gamma, _Instance, _set_bits, coatom_action,
                                  domination_oracle, gamma_exact, gamma_graph,
                                  is_dominating, min_set_cover,
                                  set_cover_lower_bound, sum_number)
@@ -296,6 +296,18 @@ class TestCoatomAction:
         rng = np.random.default_rng(0)
         for a, b in rng.integers(len(perms), size=(50, 2)):
             assert perms[a][perms[b]].tobytes() in rows
+
+    def test_set_bits_keep_positions_from_8_up(self, lattice):
+        # A6's action comes as uint8 over 52 coatoms; every bit, the ones
+        # of coatoms 8..51 included, must land in the 64-bit key word, and
+        # so must position 63 of a full word
+        perms = coatom_action(lattice("A6"))
+        assert perms.dtype == np.uint8
+        word = np.array([np.arange(64), np.arange(64)[::-1]], dtype=np.uint8)
+        for rows in (perms, word):
+            bits = _set_bits(rows)
+            assert bits.dtype == np.uint64
+            assert [[int(b) for b in r] for r in bits] == [[1 << int(s) for s in r] for r in rows]
 
     def test_action_is_built_only_when_a_search_needs_it(self, lattice, monkeypatch):
         # sigma(S4) = 4 and sigma(D36) = 3 are proved by the root bound; the
