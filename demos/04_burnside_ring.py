@@ -4,14 +4,13 @@ Burnside ring arithmetic
 
 Transitive G-sets are coset spaces G/H indexed by subgroup conjugacy
 classes.  The table of marks (fixed-point counts) embeds the ring into a
-product of integers, and products are computed through it; double cosets
-decompose the same products independently.
+product of integers, and products are computed through it.
 """
 
 import numpy as np
 
-from groupdom import (BurnsideRing, build_group, double_cosets,
-                      enumerate_subgroups, gamma_exact, parse_group_spec)
+from groupdom import (BurnsideRing, build_group, enumerate_subgroups,
+                      gamma_exact, parse_group_spec)
 
 G = build_group(parse_group_spec("S3"))
 L = enumerate_subgroups(G)
@@ -19,10 +18,12 @@ ring = BurnsideRing(G, L)
 labels = ring.labels()
 print("S3 subgroup classes:", labels)
 
-# Double cosets of two point stabilizers split S3 into pieces of size 4+2.
-c2s = [s for s in L.subgroups if s.order == 2]
-dc = double_cosets(G, c2s[0], c2s[1])
-print("double coset sizes:", dc.sizes)
+# The 9 pairs of points of the 3-point set G/K2 split into one regular
+# orbit and the diagonal: a product peeled off the table of marks.
+dec = ring.product(1, 1)
+print(f"[G/{labels[1]}][G/{labels[1]}] =",
+      " + ".join(f"{m}*[G/{labels[c]}]" for c, m in dec.coeffs),
+      f"({ring.decomposition_points(dec)} points)")
 
 print("\nall products [G/H][G/K]:")
 for a in range(len(labels)):

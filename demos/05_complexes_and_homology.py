@@ -10,9 +10,8 @@ computed exactly, after shrinking each complex by elementary collapses.
 """
 
 from groupdom import (atom_nerve, betti, build_group, coatom_nerve,
-                      enumerate_subgroups, gamma_exact,
-                      greedy_collapse, intersection_complex, order_complex,
-                      parse_group_spec, topology_report)
+                      enumerate_subgroups, gamma_exact, intersection_complex,
+                      order_complex, parse_group_spec, topology_report)
 
 # Q8: the intersection complex is a solid tetrahedron, but the order
 # complex is a star; both are contractible.
@@ -20,10 +19,10 @@ L = enumerate_subgroups(build_group(parse_group_spec("Q8")))
 kq = intersection_complex(L)
 print("K(Q8) facets:", [[kq.vertex_labels[v] for v in range(4) if f >> v & 1]
                         for f in kq.facets])
-# The collapse probe removes the smallest free face first.  greedy_collapse
-# runs it on every face of K; topology_report (below) starts it from K's
-# strong core, which K collapses to, and still counts the collapses of K.
-print("collapse:", greedy_collapse(kq))
+# The collapse probe removes the smallest free face first.  topology_report
+# starts it from K's strong core, which K collapses to, and still counts the
+# collapses of K.
+print("collapse:", topology_report(L, gamma_exact(L).gamma).collapse)
 
 # The elementary abelian group of order 8: all four models are homotopy
 # equivalent to a wedge of 8 circles.

@@ -1,15 +1,13 @@
 """groupdom: finite groups, their subgroup intersection graphs, exact
 domination numbers, Burnside ring arithmetic, and subgroup complexes."""
 
-from .burnside import BurnsideRing, DoubleCosetSet, GSetDecomposition, double_cosets
+from .burnside import BurnsideRing, GSetDecomposition
 from .complexes import (HomologyProfile, SimplicialComplex, atom_nerve, betti,
-                        coatom_nerve, greedy_collapse, intersection_complex,
-                        intersection_f_vector, nerve, order_complex,
-                        topology_report)
+                        coatom_nerve, intersection_complex, intersection_f_vector,
+                        nerve, order_complex, topology_report)
 from .domination import (ALEPH0, CoverResult, DominationCertificate, Gamma,
-                         domination_oracle, gamma_exact, gamma_graph,
-                         is_dominating, min_set_cover, set_cover_lower_bound,
-                         sum_number)
+                         gamma_exact, gamma_graph, min_set_cover,
+                         set_cover_lower_bound, sum_number)
 from .errors import BudgetExceeded, CapExceeded, SpecError
 from .formulas import (TheoremReport, detect_frobenius, gamma_abelian_formula,
                        gamma_dihedral_formula, symmetric_cover_bound,
@@ -22,7 +20,6 @@ from .groups import (DEFAULT_ELEMENT_CAP, GroupSpec, GroupTable, Permutation,
 from .lattice import (CharacteristicSubgroups, GroupClassification, Lattice,
                       Subgroup, SubgroupClass, characteristic_subgroups,
                       classify_group, close_subset, enumerate_subgroups,
-                      enumerate_subgroups_allpairs, generated_subgroup,
-                      mobius, subgroup_classes, subgroups_bruteforce)
+                      generated_subgroup, mobius, subgroup_classes)
 
 __version__ = "0.1.0"

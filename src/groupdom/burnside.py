@@ -23,12 +23,6 @@ _EXHAUSTIVE_POOL = 40
 
 
 @dataclass(frozen=True)
-class DoubleCosetSet:
-    reps: tuple[int, ...]   # minimal-index element of each (H,K)-double coset
-    sizes: tuple[int, ...]  # |HgK| per representative
-
-
-@dataclass(frozen=True)
 class GSetDecomposition:
     """A Burnside-ring element: multiplicities over subgroup classes."""
 
@@ -43,17 +37,6 @@ class GSetDecomposition:
     def is_regular_multiple(self) -> bool:
         """True when supported only on the trivial-subgroup class, class 0."""
         return all(c == 0 for c, _ in self.coeffs)
-
-
-def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosetSet:
-    """(H,K)-double cosets, each represented by its smallest element, in
-    increasing order.  Every g is labelled with min HgK, the least of
-    min hgK over h in H."""
-    n = G.order
-    coset_min = G.mul[:, mask_to_array(K.mask, n)].min(axis=1)  # min gK
-    label = coset_min[G.mul[mask_to_array(H.mask, n), :]].min(axis=0)
-    reps, sizes = np.unique(label, return_counts=True)
-    return DoubleCosetSet(reps=tuple(reps.tolist()), sizes=tuple(sizes.tolist()))
 
 
 class BurnsideRing:

@@ -112,7 +112,7 @@ def cmd_gamma(args, started, deadline) -> int:
     result = {
         "gamma": cert.gamma.to_json(),
         "witness": list(cert.witness),
-        "witness_labels": [f"H{L.subgroups[i].order}_{i}" for i in cert.witness],
+        "witness_labels": list(L.labels(cert.witness)),
         "optimal": cert.optimal,
         "method": cert.method,
     }

@@ -192,10 +192,6 @@ class HomologyProfile:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_labels(L: Lattice, vertices) -> tuple[str, ...]:
-    return tuple(f"H{L.subgroups[i].order}_{i}" for i in vertices)
-
-
 def _atom_upsets(L: Lattice, verts) -> list[int]:
     """Per atom, the mask of the positions in ``verts`` of the subgroups
     containing it."""
@@ -207,7 +203,7 @@ def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) ->
     common intersection; facets are indexed by atoms (a common
     intersection always contains some atom)."""
     verts = tuple(vertices) if vertices is not None else L.vertex_set
-    return SimplicialComplex.from_facets(_vertex_labels(L, verts),
+    return SimplicialComplex.from_facets(L.labels(verts),
                                          _atom_upsets(L, verts))
 
 
@@ -264,7 +260,7 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> Simpli
         extend(1 << v, v)
     # saturated chains from a minimal to a maximal element are maximal and
     # distinct: only from_facets' order is needed, not its O(F^2) filter
-    return SimplicialComplex(_vertex_labels(L, verts),
+    return SimplicialComplex(L.labels(verts),
                              tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
 
 
@@ -414,18 +410,6 @@ def _collapse_probe(n_faces: int, rest: list[int]) -> dict:
         raise AssertionError("a collapse sequence removes faces in pairs")
     return {"collapsed_to_point": len(rest) == 1, "steps": removed // 2,
             "remaining_faces": len(rest)}
-
-
-def greedy_collapse(complex_: SimplicialComplex) -> dict:
-    """Deterministic collapse probe on every face of the complex (at most
-    ``DEFAULT_FACE_BUDGET``): repeatedly remove the free face of minimal
-    dimension with the smallest mask (the collapse kernel).  Full collapse
-    to a point certifies contractibility; anything else is inconclusive,
-    since some collapse orders get stuck even on collapsible complexes.  It
-    does not go through the strong core, so it is the oracle for the probe
-    that ``topology_report`` runs there."""
-    faces = complex_.faces()
-    return _collapse_probe(len(faces), _collapse(faces))
 
 
 # ---------------------------------------------------------------------------

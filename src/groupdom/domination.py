@@ -1,4 +1,4 @@
-"""Exact domination numbers via set cover, plus a brute-force oracle.
+"""Exact domination numbers via set cover.
 
 A set of proper subgroups dominates the intersection graph exactly when
 their union contains every minimal subgroup, and an optimal dominating set
@@ -15,7 +15,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
@@ -364,29 +363,6 @@ def gamma_graph(graph: IntersectionGraph) -> DominationCertificate:
     chosen, optimal = min_set_cover(n, sets)
     return DominationCertificate(gamma=Gamma.of(len(chosen)), witness=tuple(chosen),
                                  optimal=optimal, method="setcover")
-
-
-def is_dominating(graph: IntersectionGraph, dset) -> bool:
-    """Purely graph-theoretic membership test for a dominating set."""
-    chosen = set(dset)
-    for v in range(graph.n):
-        if v in chosen:
-            continue
-        if not any(graph.adjacency[v, u] for u in chosen):
-            return False
-    return True
-
-
-def domination_oracle(graph: IntersectionGraph, k_max: int) -> Gamma | None:
-    """Brute-force search over all vertex subsets of size <= k_max, in
-    lexicographic order.  None means no dominating set of that size."""
-    if graph.n == 0:
-        return ALEPH0
-    for k in range(1, min(k_max, graph.n) + 1):
-        for cand in combinations(range(graph.n), k):
-            if is_dominating(graph, cand):
-                return Gamma.of(k)
-    return None
 
 
 def sum_number(G, L: Lattice, deadline: float | None = None) -> CoverResult:

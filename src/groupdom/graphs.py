@@ -9,7 +9,7 @@ actions (vertices are the distinct proper non-trivial point stabilizers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,17 +61,13 @@ def _adjacency_from_masks(masks: Sequence[int]) -> np.ndarray:
     return adj
 
 
-def _labels(L: Lattice, indices: Iterable[int]) -> tuple[str, ...]:
-    return tuple(f"H{L.subgroups[i].order}_{i}" for i in indices)
-
-
 def intersection_graph(L: Lattice) -> IntersectionGraph:
     """The full intersection graph on all proper non-trivial subgroups."""
     verts = L.vertex_set
     masks = tuple(L.subgroups[i].mask for i in verts)
     return IntersectionGraph(vertices=verts, masks=masks,
                              adjacency=_adjacency_from_masks(masks),
-                             mode="full", labels=_labels(L, verts))
+                             mode="full", labels=L.labels(verts))
 
 
 def restricted_graph(L: Lattice, selector) -> IntersectionGraph:
@@ -96,7 +92,7 @@ def restricted_graph(L: Lattice, selector) -> IntersectionGraph:
             if k is not None and k in vert_set:
                 adj[i, j] = adj[j, i] = True
     return IntersectionGraph(vertices=verts, masks=masks, adjacency=adj,
-                             mode="restricted", labels=_labels(L, verts))
+                             mode="restricted", labels=L.labels(verts))
 
 
 def p_subgroup_indices(L: Lattice, p: int) -> tuple[int, ...]:
@@ -129,10 +125,9 @@ def gset_intersection_graph(L: Lattice, bases: Sequence[int] | str) -> Intersect
     verts = tuple(sorted({j for i in base_indices if 0 < i < top
                           for j in classes[class_of[i]].members}))
     masks = tuple(L.subgroups[v].mask for v in verts)
-    labels = tuple(f"H{m.bit_count()}_{v}" for m, v in zip(masks, verts))
     return IntersectionGraph(vertices=verts, masks=masks,
                              adjacency=_adjacency_from_masks(masks),
-                             mode="gset", labels=labels)
+                             mode="gset", labels=L.labels(verts))
 
 
 def graphs_equal(a: IntersectionGraph, b: IntersectionGraph) -> bool:

@@ -20,6 +20,7 @@ and records the classes on the lattice.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,27 +61,6 @@ def close_subset(G: GroupTable, seed_mask: int) -> int:
         size = len(members)
 
 
-def _close_join(G: GroupTable, base: np.ndarray, add: np.ndarray) -> int:
-    """Closure of (closed subgroup base) union add, skipping base x base."""
-    n = G.order
-    in_set = np.zeros(n, dtype=bool)
-    in_set[base] = True
-    in_set[add] = True
-    members = np.flatnonzero(in_set)
-    new = add
-    while True:
-        if len(members) > n // 2:
-            return (1 << n) - 1
-        prods = np.concatenate([G.mul[np.ix_(new, members)].ravel(),
-                                G.mul[np.ix_(members, new)].ravel()])
-        novel = prods[~in_set[prods]]
-        if novel.size == 0:
-            return array_to_mask(members, n)
-        in_set[novel] = True
-        new = np.unique(novel)
-        members = np.flatnonzero(in_set)
-
-
 def generated_subgroup(G: GroupTable, seed_mask: int) -> Subgroup:
     if seed_mask == 0:
         raise ValueError("seed must be non-empty")
@@ -107,11 +87,6 @@ def _cyclic_generators(G: GroupTable) -> tuple[dict[int, int], list[int]]:
             if gcd(k, len(powers)) == 1:
                 of_element[x] = m
     return out, of_element
-
-
-def cyclic_subgroup_masks(G: GroupTable) -> list[int]:
-    """Masks of all cyclic subgroups, trivial one excluded, deduplicated."""
-    return sorted(_cyclic_generators(G)[0], key=lambda m: (m.bit_count(), m))
 
 
 def _pack(masks, n: int) -> np.ndarray:
@@ -145,6 +120,11 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
+    def labels(self, indices) -> tuple[str, ...]:
+        """``H{order}_{index}`` for each lattice index: the one subgroup
+        label of every document."""
+        return tuple(f"H{self.subgroups[i].order}_{i}" for i in indices)
+
     def leq(self, i: int, j: int) -> bool:
         """Is subgroup i contained in subgroup j?"""
         return self.subgroups[i].mask & ~self.subgroups[j].mask == 0
@@ -155,18 +135,25 @@ class Lattice:
 
     @cached_property
     def coatoms(self) -> tuple[int, ...]:
-        """Maximal subgroups, in one pass by decreasing (order, mask): a
-        proper subgroup is maximal iff no maximal subgroup met before it
-        contains it."""
+        """Maximal subgroups, by order layers from the top: a proper
+        subgroup is maximal iff no maximal subgroup above it contains it.
+        Subgroups of one order cannot contain each other, and by Lagrange a
+        layer of order o lies only in subgroups whose order o divides, so
+        each layer is tested at once against those maximal subgroups."""
+        orders = [s.order for s in self.subgroups]
         packed = _pack([s.mask for s in self.subgroups], self.group.order)
-        found = packed[:0]
-        out = []
-        for i in range(len(self.subgroups) - 2, -1, -1):
-            row = packed[i]
-            if not ((found & row) == row).all(axis=1).any():
-                out.append(i)
-                found = packed[out]
-        return tuple(reversed(out))
+        out: list[int] = []
+        end = len(orders) - 1
+        while end > 0:
+            o = orders[end - 1]
+            start = bisect_left(orders, o)
+            rows = np.arange(start, end)
+            for c in out:
+                if orders[c] % o == 0:
+                    rows = rows[(packed[rows] & ~packed[c]).any(axis=1)]
+            out.extend(rows.tolist())
+            end = start
+        return tuple(sorted(out))
 
     @cached_property
     def vertex_set(self) -> tuple[int, ...]:
@@ -562,68 +549,6 @@ def enumerate_subgroups(G: GroupTable, deadline: float | None = None) -> Lattice
     if series is not None:  # a cached property takes a value set before its first read
         L.derived_series = tuple(series)
     return L
-
-
-def enumerate_subgroups_allpairs(G: GroupTable) -> set[int]:
-    """Independent enumeration strategy: close the cyclic seeds under
-    pairwise joins of subgroups.  Returns the set of subgroup masks."""
-    n = G.order
-    full = (1 << n) - 1
-    known = {1, full}
-    known.update(cyclic_subgroup_masks(G))
-    frontier = sorted(known)
-    seen_seeds = set()
-    while frontier:
-        current = sorted(known)
-        next_frontier = []
-        for h in frontier:
-            h_members = None
-            for k in current:
-                if k & ~h == 0 or h & ~k == 0:
-                    continue
-                seed = h | k
-                if seed in seen_seeds:
-                    continue
-                seen_seeds.add(seed)
-                if seed in known:
-                    continue
-                if h.bit_count() * k.bit_count() // (h & k).bit_count() > n // 2:
-                    j = full
-                else:
-                    if h_members is None:
-                        h_members = mask_to_array(h, n)
-                    j = _close_join(G, h_members, mask_to_array(k & ~h, n))
-                if j not in known:
-                    known.add(j)
-                    next_frontier.append(j)
-        frontier = next_frontier
-    return known
-
-
-def subgroups_bruteforce(G: GroupTable) -> set[int]:
-    """Brute-force oracle: every subgroup is a union of cyclic subgroups, so
-    try all unions and keep the ones that are closed.  The unions are
-    walked depth first, each one OR from its prefix, and a union already
-    tried is not closed again.  Only sane for small groups (at most 20
-    cyclic subgroups)."""
-    cyclic = cyclic_subgroup_masks(G)
-    if len(cyclic) > 20:
-        raise ValueError(f"too many cyclic subgroups ({len(cyclic)}) for brute force")
-    n = G.order
-    found = {1, (1 << n) - 1}
-    tried = set(found)
-    stack = [(0, 1)]  # (first cyclic subgroup still to add, union so far)
-    while stack:
-        start, prefix = stack.pop()
-        for i in range(start, len(cyclic)):
-            m = prefix | cyclic[i]
-            stack.append((i + 1, m))
-            if m in tried:
-                continue
-            tried.add(m)
-            if n % m.bit_count() == 0 and close_subset(G, m) == m:
-                found.add(m)
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,33 @@
 [G/H][G/K] is the sum of [G/(H meet gKg^-1)] over (H,K)-double coset
 representatives g (Mackey's decomposition).  This route reads the double
 cosets, one conjugation per representative and the lattice's class index,
-never the marks.
+never the marks.  ``double_cosets`` labels every element with the least
+element of its double coset.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from groupdom.burnside import double_cosets
-from groupdom.groups import array_to_mask, mask_to_array
-from groupdom.lattice import conjugate_rows
+from groupdom.groups import GroupTable, array_to_mask, mask_to_array
+from groupdom.lattice import Subgroup, conjugate_rows
+
+
+@dataclass(frozen=True)
+class DoubleCosetSet:
+    reps: tuple[int, ...]   # minimal-index element of each (H,K)-double coset
+    sizes: tuple[int, ...]  # |HgK| per representative
+
+
+def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosetSet:
+    """(H,K)-double cosets, each represented by its smallest element, in
+    increasing order.  Every g is labelled with min HgK, the least of
+    min hgK over h in H."""
+    n = G.order
+    coset_min = G.mul[:, mask_to_array(K.mask, n)].min(axis=1)  # min gK
+    label = coset_min[G.mul[mask_to_array(H.mask, n), :]].min(axis=0)
+    reps, sizes = np.unique(label, return_counts=True)
+    return DoubleCosetSet(reps=tuple(reps.tolist()), sizes=tuple(sizes.tolist()))
 
 
 def reference_product(ring, ca: int, cb: int) -> tuple[tuple[int, int], ...]:

@@ -5,9 +5,15 @@ plain copy so the kernel can be checked against it face for face.
 Faces are bitmasks; ``count`` and ``cx`` map each live face to its number
 of live immediate cofaces and the xor of their masks.  Free faces are
 popped as ``(bit_count, mask)`` tuples from a heap.
+
+``greedy_collapse`` runs the library's collapse kernel on every face of a
+complex, without the strong core, as the oracle for the probe that
+``topology_report`` starts from the core.
 """
 
 import heapq
+
+from groupdom.complexes import SimplicialComplex, _collapse, _collapse_probe
 
 
 def _coface_counts(faces):
@@ -66,3 +72,15 @@ def reference_greedy_collapse(faces):
     alive = reference_collapse(faces)
     return {"collapsed_to_point": len(alive) == 1, "steps": (len(faces) - len(alive)) // 2,
             "remaining_faces": len(alive)}
+
+
+def greedy_collapse(complex_: SimplicialComplex) -> dict:
+    """Deterministic collapse probe on every face of the complex (at most
+    ``DEFAULT_FACE_BUDGET``): repeatedly remove the free face of minimal
+    dimension with the smallest mask (the collapse kernel).  Full collapse
+    to a point certifies contractibility; anything else is inconclusive,
+    since some collapse orders get stuck even on collapsible complexes.  It
+    does not go through the strong core, so it is the oracle for the probe
+    that ``topology_report`` runs there."""
+    faces = complex_.faces()
+    return _collapse_probe(len(faces), _collapse(faces))

@@ -11,14 +11,14 @@ from math import comb
 
 import numpy as np
 from burnside_reference import reference_product
+from collapse_reference import greedy_collapse
+from domination_reference import domination_oracle, is_dominating
 
 from groupdom.burnside import BurnsideRing
 from groupdom.complexes import (atom_nerve, betti, coatom_nerve,
-                                greedy_collapse, intersection_complex,
-                                order_complex)
+                                intersection_complex, order_complex)
 from groupdom.corpus import corpus, get_gamma, get_lattice
-from groupdom.domination import (Gamma, domination_oracle, gamma_exact,
-                                 gamma_graph, is_dominating, sum_number)
+from groupdom.domination import Gamma, gamma_exact, gamma_graph, sum_number
 from groupdom.formulas import (gamma_abelian_formula, gamma_dihedral_formula,
                                symmetric_cover_bound)
 from groupdom.graphs import (graphs_equal, gset_intersection_graph,

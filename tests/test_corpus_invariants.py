@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from groupdom.corpus import corpus, get_gamma, get_lattice
-from groupdom.domination import Gamma, is_dominating, sum_number
+from groupdom.domination import Gamma, sum_number
 from groupdom.formulas import VIOLATION, verify_bounds
 from groupdom.graphs import intersection_graph
 from groupdom.lattice import (array_to_mask, characteristic_subgroups,
                               classify_group, mask_to_array, subgroup_classes)
 from classes_reference import reference_classes
+from domination_reference import is_dominating
 
 LEQ48 = [e.label for e in corpus() if e.order <= 48]
 ALL = [e.label for e in corpus()]

@@ -8,11 +8,11 @@ from operator import or_
 import numpy as np
 import pytest
 
+from domination_reference import domination_oracle, is_dominating
 from groupdom import domination
 from groupdom.corpus import find_entry
 from groupdom.domination import (ALEPH0, Gamma, _Instance, _set_bits, coatom_action,
-                                 domination_oracle, gamma_exact, gamma_graph,
-                                 is_dominating, min_set_cover,
+                                 gamma_exact, gamma_graph, min_set_cover,
                                  set_cover_lower_bound, sum_number)
 from groupdom.graphs import intersection_graph, p_subgroup_indices, restricted_graph
 from groupdom.groups import quotient_group

@@ -9,9 +9,9 @@ from groupdom import lattice as lattice_module
 from groupdom.corpus import corpus, get_group
 from groupdom.groups import build_group, is_prime, parse_group_spec
 from groupdom.lattice import (characteristic_subgroups, classify_group,
-                              enumerate_subgroups, enumerate_subgroups_allpairs,
-                              generated_subgroup, mobius, subgroup_classes,
-                              subgroups_bruteforce, sylow_counts)
+                              enumerate_subgroups, generated_subgroup, mobius,
+                              subgroup_classes, sylow_counts)
+from lattice_reference import enumerate_subgroups_allpairs, subgroups_bruteforce
 from mobius_reference import mobius_from_marks, mobius_one_to_top
 
 
@@ -60,6 +60,35 @@ class TestEnumeration:
         for text in ["S4", "S5", "A5", "D36", "C2xC2xC2xC2", "Q8", "SD(13,3)"]:
             G, L = built(text)
             assert enumerate_subgroups_allpairs(G) == {s.mask for s in L.subgroups}, text
+
+    def test_references_do_not_share_the_cyclic_seeds(self, monkeypatch):
+        # a fast path that loses <g> for the last involution finds 4 of
+        # C2xC2's 5 subgroups; the references walk their own cyclic
+        # subgroups, so the loss shows as a disagreement
+        original = lattice_module._cyclic_generators
+
+        def drop_last_involution(G):
+            cyclic, of_element = original(G)
+            last = max(g for g in range(1, G.order) if G.elem_order[g] == 2)
+            del cyclic[of_element[last]]
+            return cyclic, of_element
+
+        monkeypatch.setattr(lattice_module, "_cyclic_generators", drop_last_involution)
+        G, L = built("C2xC2")
+        fast = {s.mask for s in L.subgroups}
+        assert len(fast) == 4
+        assert enumerate_subgroups_allpairs(G) == subgroups_bruteforce(G)
+        assert len(subgroups_bruteforce(G)) == 5
+        assert fast < subgroups_bruteforce(G)
+
+    @pytest.mark.parametrize("label", ["C2", "S4", "SD(7,3)", "C2xC2xC2xC2xC2",
+                                       "D200", "S5", "A6", "S6"])
+    def test_coatoms_are_the_subgroups_below_only_g(self, lattice, label):
+        # a proper subgroup is maximal iff it lies in itself and G only
+        L = lattice(label)
+        top = len(L.subgroups) - 1
+        expected = tuple(i for i in range(top) if L.containment[i].sum() == 2)
+        assert L.coatoms == expected
 
     def test_atoms_are_prime_order(self, lattice):
         for label in ["S4", "D36", "C2xC4"]:

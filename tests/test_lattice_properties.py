@@ -24,13 +24,15 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
-from burnside_reference import reference_product  # noqa: E402
+from burnside_reference import double_cosets, reference_product  # noqa: E402
 from groups_reference import reference_table  # noqa: E402
+from lattice_reference import (cyclic_subgroup_masks,  # noqa: E402
+                               enumerate_subgroups_allpairs, subgroups_bruteforce)
 from mobius_reference import mobius_one_to_top  # noqa: E402
 from residual_quotient_reference import (reference_residual_quotient,  # noqa: E402
                                          residual_quotient_report)
 
-from groupdom.burnside import BurnsideRing, double_cosets  # noqa: E402
+from groupdom.burnside import BurnsideRing  # noqa: E402
 from groupdom.complexes import (SimplicialComplex, atom_nerve,  # noqa: E402
                                 betti, coatom_nerve, intersection_complex,
                                 intersection_f_vector, order_complex)
@@ -42,10 +44,8 @@ from groupdom.groups import (GroupSpec, array_to_mask, build_group,  # noqa: E40
                              is_normal, mask_to_array, parse_group_spec,
                              quotient_group)
 from groupdom.lattice import (characteristic_subgroups, classify_group,  # noqa: E402
-                              close_subset, conjugates, cyclic_subgroup_masks,
-                              enumerate_subgroups, enumerate_subgroups_allpairs,
-                              lower_central_series, mobius, subgroup_classes,
-                              subgroups_bruteforce)
+                              close_subset, conjugates, enumerate_subgroups,
+                              lower_central_series, mobius, subgroup_classes)
 
 MAX_ORDER = 60
 
