@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, mask_to_array
+from .groups import GroupTable, left_cosets, mask_to_array
 from .lattice import Lattice, Subgroup
 
 # index_bound searches families of up to three classes exhaustively among
@@ -133,9 +133,7 @@ class BurnsideRing:
                     H = self.rep_subgroup(j)
                     M[i, j] = index if H.mask & ~K.mask == 0 else 0
                 continue
-            # label each g with min gK; the labels are the coset reps
-            coset_min = self.G.mul[:, mask_to_array(K.mask, n)].min(axis=1)
-            reps = np.flatnonzero(coset_min == np.arange(n))
+            coset_min, reps = left_cosets(self.G, mask_to_array(K.mask, n))
             for j in range(m):
                 if self.class_order(j) > K.order:
                     continue

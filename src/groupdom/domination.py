@@ -374,8 +374,8 @@ def sum_number(G, L: Lattice, deadline: float | None = None) -> CoverResult:
     n = G.order
     sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]  # drop the identity bit
     # conjugation fixes the identity and permutes the coatoms; it is trivial
-    # on an abelian G, whose lattice records no orbits
-    symmetry = None if L.orbits is None else partial(coatom_action, L)
+    # on an abelian G
+    symmetry = None if G.is_abelian() else partial(coatom_action, L)
     chosen, optimal = min_set_cover(n - 1, sets, deadline=deadline, symmetry=symmetry)
     witness = tuple(sorted(L.coatoms[i] for i in chosen))
     bracket = None

@@ -100,7 +100,11 @@ def detect_frobenius(G: GroupTable, L: Lattice) -> FrobeniusStructure | None:
 
     Test used: a proper normal N and a subgroup H with N intersect H = 1,
     NH = G, and the centralizer of every non-identity element of N inside N.
+    No N passes when G has a central z != 1: if z is in N then C_G(z) = G,
+    and otherwise z centralizes N from outside it.
     """
+    if G.center != 1:
+        return None
     n = G.order
     full = (1 << n) - 1
     normal_masks = {L.subgroups[c.rep].mask for c in L.classes if len(c.members) == 1}

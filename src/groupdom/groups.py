@@ -5,14 +5,17 @@ can live in bitmasks and multiplication is a table lookup.  Groups built
 from permutation generators enumerate elements by breadth-first closure in
 lexicographic image order, which makes indexing reproducible; their table
 is filled from the right action of the generators that the closure
-records.  A quotient labels each element with the least element of its
-coset, and cyclic groups are built as abelian groups with one factor.
+records.  Left cosets are labelled by their least elements in one place,
+``left_cosets``, which quotients and the layers above share; the centre,
+and with it the abelian test, is read from the generators.  Cyclic groups
+are built as abelian groups with one factor.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
@@ -79,41 +82,21 @@ class Permutation:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Structured description of a finite group to build.
+    """Structured description of a finite group to build; ``text``, the
+    spec it was parsed from, is the group's label.
 
     kind is one of: cyclic, abelian, dihedral, symmetric, alternating,
-    quaternion8, semidirect, perm, quotient.
+    quaternion8, semidirect, perm.
     """
 
     kind: str
+    text: str
     n: int = 0
     factors: tuple[int, ...] = ()
     degree: int = 0
     generators: tuple[Permutation, ...] = ()
     p: int = 0
     q: int = 0
-    base: "GroupSpec | None" = None
-    kernel_seed: tuple[int, ...] = ()
-    text: str = ""
-
-    def label(self) -> str:
-        if self.text:
-            return self.text
-        if self.kind == "cyclic":
-            return f"C{self.n}"
-        if self.kind == "abelian":
-            return "x".join(f"C{f}" for f in self.factors)
-        if self.kind == "dihedral":
-            return f"D{self.n}"
-        if self.kind == "symmetric":
-            return f"S{self.degree}"
-        if self.kind == "alternating":
-            return f"A{self.degree}"
-        if self.kind == "quaternion8":
-            return "Q8"
-        if self.kind == "semidirect":
-            return f"SD({self.p},{self.q})"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,7 @@ class GroupTable:
     """A finite group: multiplication table plus derived element data.
 
     All arrays are frozen after construction; tables are safe to share
-    between threads read-only.
+    between threads read-only.  ``generators`` generate G.
     """
 
     order: int
@@ -144,8 +127,15 @@ class GroupTable:
             e = e * int(k) // gcd(e, int(k))
         return e
 
+    @cached_property
+    def center(self) -> int:
+        """Mask of Z(G), the elements that commute with every generator:
+        since ``generators`` generate G, they commute with all of G."""
+        gens = list(self.generators)
+        return _bools_to_mask((self.mul[:, gens] == self.mul[gens].T).all(axis=1))
+
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        return self.center.bit_count() == self.order
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +246,6 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
     the kinds whose spec gives the order, before the table is built, and
     otherwise when a generator closure would grow past ``cap``.
     """
-    if spec.kind == "quotient":
-        base = build_group(spec.base, cap=cap)
-        quot, _ = quotient_group(base, _normal_closure_mask(base, spec.kernel_seed))
-        return replace(quot, label=spec.label(), spec=spec)
-
     order = {"cyclic": spec.n, "abelian": prod(spec.factors), "dihedral": spec.n,
              "quaternion8": 8}.get(spec.kind, 0)
     if order > cap:
@@ -295,7 +280,7 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
 
     if perm_gens is not None:
         mul, gens = _perm_closure_table(perm_gens, perm_gens[0].degree, cap)
-    return _finalize(mul, spec.label(), spec, gens)
+    return _finalize(mul, spec.text, spec, gens)
 
 
 def _finalize(mul: np.ndarray, label: str, spec, generators) -> GroupTable:
@@ -512,14 +497,12 @@ def _bools_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _normal_closure_mask(G: GroupTable, seed: tuple[int, ...]) -> int:
-    """Smallest normal subgroup containing the seed elements: the subgroup
-    generated by their conjugacy classes, which is normal because the
-    union of classes is closed under conjugation."""
-    from .lattice import close_subset, conjugate_rows  # local import to avoid a cycle
-
-    classes = conjugate_rows(G, np.asarray(seed, dtype=np.int64), slice(None))
-    return close_subset(G, array_to_mask(classes.ravel(), G.order))
+def left_cosets(G: GroupTable, members) -> tuple[np.ndarray, np.ndarray]:
+    """Left cosets gK of the subgroup K given by ``members`` (an index array
+    or a boolean row over G): the least element of gK for each g, and the
+    coset representatives, ascending, which are their own least elements."""
+    coset_min = G.mul[:, members].min(axis=1)
+    return coset_min, np.flatnonzero(coset_min == np.arange(G.order))
 
 
 def is_normal(G: GroupTable, mask: int) -> bool:
@@ -545,9 +528,7 @@ def quotient_group(G: GroupTable, normal_mask: int) -> tuple[GroupTable, np.ndar
         raise SpecError("subgroup is not normal; cannot form quotient")
     n = G.order
     members = mask_to_array(normal_mask, n)
-    # label each g with min gN; the representatives are their own labels
-    coset_min = G.mul[:, members].min(axis=1)
-    reps = np.flatnonzero(coset_min == np.arange(n))
+    coset_min, reps = left_cosets(G, members)
     projection = np.searchsorted(reps, coset_min).astype(np.int32)
     mul_q = projection[G.mul[np.ix_(reps, reps)]]
     if n <= 64:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .groups import (GroupTable, _bools_to_mask, array_to_mask, is_prime,
-                     mask_to_array)
+                     left_cosets, mask_to_array)
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,10 @@ def _cyclic_generators(G: GroupTable) -> tuple[dict[int, int], list[int]]:
 
 
 def _pack(masks, n: int) -> np.ndarray:
-    words = (n + 63) // 64 or 1
-    out = np.zeros((len(masks), words), dtype=np.uint64)
-    for i, m in enumerate(masks):
-        out[i] = np.frombuffer(m.to_bytes(words * 8, "little"), dtype="<u8")
-    return out
+    """Subgroup masks as rows of little-endian uint64 words."""
+    width = 8 * ((n + 63) // 64 or 1)
+    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype="<u8")
+    return data.reshape(len(masks), width // 8)
 
 
 class Lattice:
@@ -248,8 +247,7 @@ def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     in_h = np.zeros(n, dtype=bool)
     in_h[members] = True
     normalizes = in_h[rows].all(axis=1)
-    coset_min = G.mul[:, normalizes].min(axis=1)
-    firsts = np.flatnonzero(coset_min == np.arange(n))
+    _, firsts = left_cosets(G, normalizes)
     orbit = {array_to_mask(rows[g], n): int(g) for g in firsts}
     return orbit, _bools_to_mask(normalizes)
 
@@ -652,10 +650,9 @@ def characteristic_subgroups(G: GroupTable, L: Lattice) -> CharacteristicSubgrou
     frattini = Subgroup.from_mask(frat)
 
     residual = Subgroup.from_mask(lower_central_series(G, commutator)[-1])
-    center_mask = _bools_to_mask((G.mul == G.mul.T).all(axis=1))
     return CharacteristicSubgroups(
         atom_join=atom_join, frattini=frattini, nilpotent_residual=residual,
-        center=Subgroup.from_mask(center_mask),
+        center=Subgroup.from_mask(G.center),
         derived=Subgroup.from_mask(commutator), atom_elements=atom_mask)
 
 

@@ -10,6 +10,7 @@ from groupdom.formulas import (BOUND_HOLDS, MATCH, VIOLATION,
                                detect_frobenius, gamma_abelian_formula,
                                gamma_dihedral_formula, symmetric_cover_bound,
                                verify_bounds)
+from groupdom.groups import is_prime
 from groupdom.lattice import characteristic_subgroups, classify_group
 
 
@@ -98,6 +99,22 @@ class TestFrobeniusDetection:
         for label in ["S4", "Q8", "C12", "D8"]:
             L = lattice(label)
             assert detect_frobenius(L.group, L) is None
+
+    def test_structures_on_the_corpus_up_to_order_200(self, lattice):
+        # no other corpus group of order <= 200 has one
+        expected = {f"D{2 * p}": (p, 1, 2) for p in range(3, 98) if is_prime(p)}
+        expected |= {"S3": (3, 1, 2), "A4": (2, 2, 3), "SD(3,2)": (3, 1, 2),
+                     "SD(5,2)": (5, 1, 2), "SD(7,2)": (7, 1, 2), "SD(7,3)": (7, 1, 3),
+                     "SD(13,3)": (13, 1, 3), "S4/V4": (3, 1, 2)}
+        found = {}
+        for entry in corpus():
+            if entry.order <= 200:
+                L = lattice(entry.label)
+                frob = detect_frobenius(L.group, L)
+                if frob is not None:
+                    found[entry.label] = (frob.p, frob.r, frob.q)
+        assert len(expected) == 32
+        assert found == expected
 
 
 class TestVerifyBounds:

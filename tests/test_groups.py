@@ -1,5 +1,8 @@
 """Group construction: parsing, builders, validation, quotients."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from groups_reference import reference_quotient, reference_table
@@ -7,8 +10,8 @@ from groups_reference import reference_quotient, reference_table
 from groupdom import groups as groups_module
 from groupdom.corpus import corpus
 from groupdom.errors import CapExceeded, SpecError
-from groupdom.groups import (Permutation, build_group, is_normal,
-                             parse_group_spec, quotient_group)
+from groupdom.groups import (Permutation, array_to_mask, build_group,
+                             is_normal, parse_group_spec, quotient_group)
 from groupdom.lattice import enumerate_subgroups
 
 
@@ -202,23 +205,35 @@ class TestQuotients:
                     Q, _ = quotient_group(G, s.mask)
                     assert Q.order * s.order == G.order
 
-    def test_quotient_spec_kind(self):
-        # the kernel is the normal closure of the seed: for an involution
-        # of S4 that is either the Klein four (double transpositions) or
-        # the whole group (transpositions)
-        from groupdom.groups import GroupSpec
-        base = parse_group_spec("S4")
-        G = build_group(base)
-        quotient_orders = set()
-        for i in range(1, 24):
-            if G.elem_order[i] != 2:
+
+class TestGeneratorFacts:
+    """The centre and the abelian test are read from the generators; the
+    whole table says which elements commute with everything."""
+
+    @staticmethod
+    def relabelled(G, seed):
+        # a permutation fixing the identity, with the generators mapped
+        rest = list(range(1, G.order))
+        random.Random(seed).shuffle(rest)
+        p = np.array([0] + rest)
+        back = np.argsort(p)
+        return dataclasses.replace(
+            G, mul=p[G.mul[np.ix_(back, back)]].astype(G.mul.dtype),
+            inv=p[G.inv[back]].astype(G.inv.dtype), elem_order=G.elem_order[back].copy(),
+            generators=tuple(int(p[g]) for g in G.generators))
+
+    def test_center_and_abelian_match_the_whole_table(self, group):
+        checked = 0
+        for entry in corpus():
+            if entry.order > 200:
                 continue
-            spec = GroupSpec(kind="quotient", base=base, kernel_seed=(i,),
-                             text="S4/N")
-            Q = build_group(spec)
-            assert Q.label == "S4/N"
-            quotient_orders.add(Q.order)
-        assert quotient_orders == {1, 6}
+            G = group(entry.label)
+            for H in (G, self.relabelled(G, entry.label)):
+                commutes = (H.mul == H.mul.T).all(axis=1)
+                assert H.center == array_to_mask(np.flatnonzero(commutes), H.order), entry.label
+                assert H.is_abelian() == bool(commutes.all()), entry.label
+            checked += 1
+        assert checked == 299
 
 
 class TestAgainstReference:

@@ -1,6 +1,7 @@
 """The independent references live beside the tests, out of the library's
 reach: none of them is defined in or exported by ``groupdom``, and no
-library module imports a test module."""
+library module imports a test module.  ``groups`` is the library's bottom
+layer: of its own package it imports only ``errors``."""
 
 import ast
 import importlib
@@ -60,3 +61,17 @@ def test_no_library_module_imports_a_test_module():
             else:
                 continue
             assert not roots & test_modules, (filename, roots)
+
+
+def test_groups_imports_no_groupdom_module_but_errors():
+    imported = set()
+    for node in ast.walk(_trees()["groups.py"]):  # function-local imports too
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:  # relative: inside groupdom
+            imported |= ({f"groupdom.{node.module}"} if node.module
+                         else {f"groupdom.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    own = {name for name in imported if name.split(".")[0] == "groupdom"}
+    assert own == {"groupdom.errors"}, own
