@@ -4,7 +4,7 @@ domination numbers, Burnside ring arithmetic, and subgroup complexes."""
 from .burnside import BurnsideRing, GSetDecomposition
 from .complexes import (HomologyProfile, SimplicialComplex, atom_nerve, betti,
                         coatom_nerve, intersection_complex, intersection_f_vector,
-                        nerve, order_complex, topology_report)
+                        nerve, order_complex, poset_core, topology_report)
 from .domination import (ALEPH0, CoverResult, DominationCertificate, Gamma,
                          gamma_exact, gamma_graph, min_set_cover,
                          set_cover_lower_bound, sum_number)

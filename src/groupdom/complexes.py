@@ -16,24 +16,27 @@ the budget, the strong core of the nerve of the core's facets takes its
 place (any set of facets meets in a simplex, so by the nerve lemma that
 nerve is homotopy equivalent to the complex); if neither fits,
 BudgetExceeded is raised.  The faces of the chosen core are shrunk by
-elementary collapses, and ranks over the rationals, by fraction-free
-integer elimination, finish the job.  The Euler characteristic is taken
-from the face counts of the input when they fit the budget, and otherwise
-from those of the chosen core before its elementary collapses; its
-agreement with the Betti numbers checks the reductions.  The per-group
-report never enumerates the intersection complex's faces: it counts them
-from the Möbius function of the subgroup lattice
-(``intersection_f_vector``), whatever their number, so there the Betti
-numbers check μ(1, G).  Elementary
+elementary collapses, and the boundary ranks on the faces left finish the
+job: over F2 first, then, unless the F2 Betti vector is non-zero in at
+most one degree (which certifies it as the rational one), over the
+rationals by fraction-free integer elimination; both reduce d_{k+1} before
+d_k and clear (see ``_boundary_ranks``).  The Euler characteristic is
+taken from the face counts of the input when they fit the budget, and
+otherwise from those of the chosen core before its elementary collapses;
+its agreement with the Betti numbers checks the reductions.  Elementary
 collapses have one kernel on faces numbered in (dimension, mask) order,
-with one pop order, a heap that takes the smallest free face first.  The
-homology ranks the faces it leaves, and the collapse probe reads its
-block from the same faces, so ``topology_report`` collapses the
-intersection complex's strong core once (strong collapses are
-collapses; see ``_collapse_probe``).  The kernel numbers the faces by
-sorted byte keys, builds their boundaries with array operations one
-vertex at a time, and marks a removed face by a negative coface count
-(see ``_collapse``).
+with one pop order, a heap that takes the smallest free face first (see
+``_collapse``).
+
+The per-group report (``topology_report``) computes three of the four
+profiles and reads the fourth.  It never enumerates the intersection
+complex K's faces: it counts them from the Möbius function of the
+subgroup lattice (``intersection_f_vector``), so there the Betti numbers
+check μ(1, G); it collapses K's strong core once, for the homology and
+the collapse probe (see ``_collapse_probe``).  K strong-collapses onto the
+coatom nerve, so the coatom nerve takes K's Betti numbers.  The order
+complex's homology comes from the order complex of Stong's core of the
+poset (``poset_core``), which is the strong core of the order complex.
 """
 
 from __future__ import annotations
@@ -178,6 +181,9 @@ class HomologyProfile:
     # ``topology_report``'s intersection profile, whose counts come from
     # the lattice (``intersection_f_vector``) and are never None
     f_vector: tuple[int, ...] | None = None
+    # the model whose Betti numbers these are, when not computed on this
+    # complex (``_read_off``)
+    betti_from: str | None = None
 
     def reduced(self) -> tuple[int, ...]:
         """Betti vector with trailing zeros stripped, for comparisons."""
@@ -230,19 +236,59 @@ def intersection_f_vector(L: Lattice) -> tuple[int, ...]:
     return tuple(-sum(m * comb(u, k + 1) for m, u in terms) for k in range(width))
 
 
+def _covers(L: Lattice, verts) -> tuple[np.ndarray, np.ndarray]:
+    """Strict containment S among the lattice indices ``verts`` and its
+    covers: w covers u iff S[u, w] and no vertex lies strictly between,
+    which one matrix product finds, as (S S)[u, w] counts those vertices."""
+    strict = L.containment[np.ix_(verts, verts)] & ~np.eye(len(verts), dtype=bool)
+    as_float = strict.astype(np.float32)  # exact counts below 2^24 vertices
+    return strict, strict & ((as_float @ as_float) == 0)
+
+
+def poset_core(L: Lattice) -> tuple[int, ...]:
+    """Stong's core of the poset of proper non-trivial subgroups, as
+    lattice indices: the poset left when no vertex is a beat point, one
+    with exactly one upper cover or exactly one lower cover.
+
+    Removing a beat point is a strong collapse of the order complex, and
+    the order complex of a poset without beat points has no dominated
+    vertex (Barmak-Minian 2012), so ``order_complex(L, poset_core(L))`` is
+    the strong core of ``order_complex(L)`` (Stong 1966: the core is
+    unique up to isomorphism).  Each round scans the beat points in
+    ascending order, removes each one that is not protected, and protects
+    its unique covers.  This is valid in the order of the scan: a beat
+    point x with unique upper cover y keeps y as its only upper cover
+    while vertices other than y go, and if y went earlier in the round, y
+    went as a beat point with unique upper cover y' (had its unique lower
+    cover been x, x would be protected), which y protected, so y' is then
+    x's only upper cover; dually for lower covers.  Rounds repeat until
+    one removes nothing."""
+    alive = np.array(L.vertex_set, dtype=np.intp)
+    while True:
+        _, covers = _covers(L, alive)
+        up, down = covers.sum(axis=1), covers.sum(axis=0)
+        keep = np.ones(len(alive), dtype=bool)
+        protected = np.zeros(len(alive), dtype=bool)
+        for v in np.flatnonzero((up == 1) | (down == 1)).tolist():
+            if protected[v]:
+                continue
+            keep[v] = False
+            if up[v] == 1:
+                protected |= covers[v]
+            if down[v] == 1:
+                protected |= covers[:, v]
+        if keep.all():
+            return tuple(alive.tolist())
+        alive = alive[keep]
+
+
 def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:
     """Facets are the maximal chains of the chosen subposet (default: all
     proper non-trivial subgroups); BudgetExceeded past
-    ``DEFAULT_FACE_BUDGET`` of them.
-
-    From strict containment S among the vertices, w covers u iff S[u, w]
-    and no vertex lies strictly between, which one matrix product finds:
-    (S S)[u, w] counts those vertices.  Maximal chains are the paths of
-    covers from a minimal vertex to a maximal one."""
+    ``DEFAULT_FACE_BUDGET`` of them.  Maximal chains are the paths of
+    covers (``_covers``) from a minimal vertex to a maximal one."""
     verts = tuple(vertices) if vertices is not None else L.vertex_set
-    strict = L.containment[np.ix_(verts, verts)] & ~np.eye(len(verts), dtype=bool)
-    as_float = strict.astype(np.float32)  # exact counts below 2^24 vertices
-    cover_matrix = strict & ((as_float @ as_float) == 0)
+    strict, cover_matrix = _covers(L, verts)
     covers = [np.flatnonzero(row).tolist() for row in cover_matrix]
     facets = []
 
@@ -417,15 +463,16 @@ def _collapse_probe(n_faces: int, rest: list[int]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _exact_rank(columns: list[dict[int, int]]) -> int:
-    """Rank over the rationals of a matrix given by sparse integer columns.
+def _exact_pivots(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Column reduction over the rationals of a matrix given by sparse
+    integer columns; returns the reduced columns by pivot row, their
+    lowest row.
 
     Fraction-free elimination: a column whose lowest row holds a pivot is
     replaced by a*col - b*pivot, with a and b the two entries of that row
     divided by their gcd, and then divided by the gcd of its entries.
     Scaling by non-zero integers does not change the rank over Q.
     """
-    rank = 0
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         cur = {r: v for r, v in col.items() if v}
@@ -434,7 +481,6 @@ def _exact_rank(columns: list[dict[int, int]]) -> int:
             pivot = pivots.get(r)
             if pivot is None:
                 pivots[r] = cur
-                rank += 1
                 break
             d = gcd(pivot[r], cur[r])
             a, b = pivot[r] // d, cur[r] // d
@@ -449,32 +495,62 @@ def _exact_rank(columns: list[dict[int, int]]) -> int:
             d = gcd(*cur.values())
             if d > 1:
                 cur = {pr: v // d for pr, v in cur.items()}
-    return rank
+    return pivots
 
 
-def _boundary_ranks(faces, top_dim: int) -> list[int]:
-    """Ranks of the boundary maps d_k for k = 1..top_dim+1 on the complex
-    spanned by ``faces`` (must be closed under taking subfaces)."""
-    by_dim: dict[int, list[int]] = {}
-    for f in faces:
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for k in by_dim:
-        by_dim[k].sort()
-    ranks = []
-    for k in range(1, top_dim + 2):
-        if k not in by_dim or (k - 1) not in by_dim:
-            ranks.append(0)
-            continue
-        row_index = {f: i for i, f in enumerate(by_dim[k - 1])}
-        cols = []
-        for g in by_dim[k]:
-            verts = mask_to_indices(g)
-            col = {}
-            for i, v in enumerate(verts):
-                s = g ^ (1 << v)
-                col[row_index[s]] = -1 if i % 2 else 1
-            cols.append(col)
-        ranks.append(_exact_rank(cols))
+def _exact_rank(columns: list[dict[int, int]]) -> int:
+    """Rank over the rationals of a matrix given by sparse integer columns."""
+    return len(_exact_pivots(columns))
+
+
+def _f2_pivots(columns: list[int]) -> dict[int, int]:
+    """Column reduction over F2 of a matrix whose columns are ints with one
+    bit per row; returns the reduced columns by pivot row, their highest
+    set bit.  A column is reduced by xor with the pivot column of its
+    highest set bit."""
+    pivots: dict[int, int] = {}
+    for col in columns:
+        while col:
+            r = col.bit_length() - 1
+            pivot = pivots.get(r)
+            if pivot is None:
+                pivots[r] = col
+                break
+            col ^= pivot
+    return pivots
+
+
+def _boundary_ranks(faces, top_dim: int, exact: bool) -> list[int]:
+    """Ranks of the boundary maps d_k for k = 0..top_dim+1 (d_0 is 0) on
+    the complex spanned by ``faces`` (must be closed under taking
+    subfaces), over the rationals when ``exact``, else over F2.
+
+    Clearing (Chen-Kerber 2011): d_{k+1} is reduced before d_k, and the d_k
+    column of every k-face that is a pivot row of the reduced d_{k+1} is
+    skipped.  The reduced column with that pivot is a cycle, so the
+    boundary of its pivot face is a combination of the boundaries of its
+    other faces, all on one side of the pivot in row order (below the
+    highest-bit F2 pivots, above the lowest-row exact ones); by induction
+    from that side the skipped column lies in the span of the columns
+    kept, and the rank is unchanged."""
+    by_dim: list[list[int]] = [[] for _ in range(top_dim + 2)]
+    for f in sorted(faces):
+        if f.bit_count() <= top_dim + 2:
+            by_dim[f.bit_count() - 1].append(f)
+    ranks = [0] * (top_dim + 2)
+    cleared: set[int] = set()
+    for k in range(top_dim + 1, 0, -1):
+        rows = by_dim[k - 1]
+        row_index = {f: i for i, f in enumerate(rows)}
+        cols = [[row_index[g ^ (1 << v)] for v in mask_to_indices(g)]
+                for g in by_dim[k] if g not in cleared]
+        if exact:
+            pivots = _exact_pivots([{r: -1 if i % 2 else 1 for i, r in enumerate(col)}
+                                    for col in cols])
+        else:
+            pivots = _f2_pivots([sum(1 << r for r in col) for col in cols])
+        ranks[k] = len(pivots)
+        cleared = {rows[r] for r in pivots}
     return ranks
 
 
@@ -486,13 +562,25 @@ def _f_vector(faces) -> tuple[int, ...]:
 
 def _reduced_betti(rest: list[int], top_dim: int) -> tuple[int, ...]:
     """Reduced Betti numbers b_0..b_top_dim of the complex spanned by
-    ``rest``, the faces that the collapse kernel left (``_collapse``):
-    exact ranks of the boundary maps on them."""
+    ``rest``, the faces that the collapse kernel left (``_collapse``),
+    which is homotopy equivalent to a complex of dimension ``top_dim``.
+
+    The ranks are taken over F2 first.  By universal coefficients
+    b_k(F2) >= b_k(Q) for every k, and both vectors have the reduced Euler
+    characteristic as alternating sum, so an F2 vector that is non-zero in
+    at most one degree is the rational one.  Any other takes the exact
+    ranks over the rationals."""
     counts = _f_vector(rest) + (0,) * (top_dim + 1)
-    ranks = [0] + _boundary_ranks(rest, top_dim)  # ranks[k] = rank d_k
-    b = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
-    b[0] -= 1  # reduced homology
-    return tuple(b)
+
+    def from_ranks(ranks):
+        b = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
+        b[0] -= 1  # reduced homology
+        return tuple(b)
+
+    b = from_ranks(_boundary_ranks(rest, top_dim, exact=False))
+    if sum(map(bool, b)) > 1:
+        b = from_ranks(_boundary_ranks(rest, top_dim, exact=True))
+    return b
 
 
 def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
@@ -504,15 +592,17 @@ def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
 
 
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
-          model: str = "") -> HomologyProfile:
+          model: str = "", core: SimplicialComplex | None = None) -> HomologyProfile:
     """Reduced rational Betti numbers and Euler characteristic.
 
     The homology is computed on the complex's strong-collapse core
-    (``SimplicialComplex.strong_core``), or, when the core has more faces
-    than the budget, on the strong core of the nerve of the core's facets,
-    which is homotopy equivalent to it; BudgetExceeded is raised when
-    neither fits.  The faces used are reduced by the collapse kernel
-    before the exact rank computations.  The dimension comes from the
+    (``SimplicialComplex.strong_core``, or ``core`` when given: a complex
+    without dominated vertex that the complex strong-collapses to), or,
+    when the core has more faces than the budget, on the strong core of
+    the nerve of the core's facets, which is homotopy equivalent to it;
+    BudgetExceeded is raised when neither fits.  The faces used are
+    reduced by the collapse kernel before the rank computations
+    (``_reduced_betti``).  The dimension comes from the
     facets.  The Euler characteristic and the f-vector come from the face
     counts of the complex itself when they fit the budget; otherwise the
     f-vector is None and the Euler characteristic comes from the face
@@ -521,19 +611,21 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     """
     faces = _faces_within(complex_, face_budget)
     return _profile(complex_, None if faces is None else _f_vector(faces),
-                    face_budget, model)[0]
+                    face_budget, model, core=core)[0]
 
 
 def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
-             budget: int, model: str) -> tuple[HomologyProfile, list[int]]:
+             budget: int, model: str, core: SimplicialComplex | None = None
+             ) -> tuple[HomologyProfile, list[int]]:
     """``betti`` of a complex whose f-vector (None past the budget) is
     given, and the faces that the collapse kernel leaves of its homology
-    faces: those of the strong core on its used vertices, or, past the
-    budget, those of the strong core of the nerve of the core's facets.
-    The Euler characteristic past the budget comes from the homology
-    faces, not from what the kernel leaves: from those its check against
-    the Betti numbers would hold by construction."""
-    core = complex_.strong_core()
+    faces: those of the strong core (``core`` when given) on its used
+    vertices, or, past the budget, those of the strong core of the nerve
+    of the core's facets.  The Euler characteristic past the budget comes
+    from the homology faces, not from what the kernel leaves: from those
+    its check against the Betti numbers would hold by construction."""
+    if core is None:
+        core = complex_.strong_core()
     used = _faces_within(core.on_used_vertices(), budget)
     if used is None:
         used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(budget)
@@ -547,6 +639,33 @@ def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
     return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
                            f_vector=f_vector), rest
+
+
+def _read_off(complex_: SimplicialComplex, source: HomologyProfile | None,
+              budget: int, model: str) -> HomologyProfile | None:
+    """The profile of a complex homotopy equivalent to the one ``source``
+    profiles (None when ``source`` is), with ``source``'s Betti numbers
+    cut to this complex's dimension; the entries cut off must be zero.
+    The f-vector is this complex's own face count (None past the budget),
+    and so is the Euler characteristic, which must equal the alternating
+    Betti sum; past the budget it is ``source``'s."""
+    if source is None:
+        return None
+    dim = complex_.dim()
+    b = source.betti[:dim + 1]
+    if any(source.betti[dim + 1:]):
+        raise AssertionError("homology above the dimension of a homotopy equivalent complex")
+    if dim < 0:
+        return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=(),
+                               betti_from=source.model)
+    faces = _faces_within(complex_, budget)
+    f_vector = None if faces is None else _f_vector(faces)
+    euler = source.euler if f_vector is None else sum(
+        (-1) ** k * c for k, c in enumerate(f_vector))
+    if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
+        raise AssertionError("Euler characteristic disagrees with Betti numbers")
+    return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
+                           f_vector=f_vector, betti_from=source.model)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +696,8 @@ class TopologyReport:
             # every profile is exact; "complete" stays in the document for its readers
             "profiles": {k: (None if p is None else {
                 "betti": list(p.betti), "euler": p.euler, "dim": p.dim,
-                "complete": True}) for k, p in sorted(self.profiles.items())},
+                "complete": True, **({"betti_from": p.betti_from} if p.betti_from else {})})
+                for k, p in sorted(self.profiles.items())},
             "simplex_atom_nerve": self.simplex_atom_nerve,
             "simplex_coatom_nerve": self.simplex_coatom_nerve,
             "frattini_nontrivial": self.frattini_nontrivial,
@@ -596,27 +716,44 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     nerve is a simplex iff gamma is 1.  The report keeps the complexes it
     built; BudgetExceeded propagates when the order complex's maximal
     chains exceed ``DEFAULT_FACE_BUDGET``.  A profile is None when neither
-    its complex's strong core nor the nerve's fits the face budget."""
-    complexes: dict[str, SimplicialComplex] = {}
-    profiles: dict[str, HomologyProfile | None] = {}
-    collapse = None
-    for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve),
-                        ("intersection", intersection_complex), ("order", order_complex)):
-        cx = complexes[name] = build(L)
-        try:
-            if name == "intersection":
-                f_vector = intersection_f_vector(L)  # K's faces are never enumerated
-                # one collapse of the core's faces for the profile and the probe
-                profiles[name], rest = _profile(cx, f_vector, DEFAULT_FACE_BUDGET, name)
-                n_faces = sum(f_vector)
-                if 0 < n_faces <= DEFAULT_FACE_BUDGET:  # the core's faces, a subset of K's
-                    collapse = _collapse_probe(n_faces, rest)
-            else:
-                profiles[name] = betti(cx, model=name)
-        except BudgetExceeded:
-            profiles[name] = None
+    its complex's strong core nor the nerve's fits the face budget.
 
-    complete = [p for p in profiles.values() if p is not None]
+    Three profiles are computed: the atom nerve's, the intersection
+    complex K's and the order complex's, the last on the order complex of
+    ``poset_core(L)``.  The coatom nerve's Betti numbers are read off K's
+    (``_read_off``): a vertex H of K that is not a coatom is dominated by
+    any coatom M above it (every atom up-set containing H contains M), in
+    every induced subcomplex that keeps M, and K induced on the coatoms is
+    the coatom nerve, so K strong-collapses onto it.  ``profiles_agree``
+    compares the three computed profiles that are not None."""
+    complexes = {name: build(L) for name, build in (
+        ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve),
+        ("intersection", intersection_complex), ("order", order_complex))}
+    profiles: dict[str, HomologyProfile | None] = dict.fromkeys(complexes)
+    collapse = None
+    try:
+        profiles["atom_nerve"] = betti(complexes["atom_nerve"], model="atom_nerve")
+    except BudgetExceeded:
+        pass
+    f_vector = intersection_f_vector(L)  # K's faces are never enumerated
+    try:
+        # one collapse of the core's faces for the profile and the probe
+        profiles["intersection"], rest = _profile(complexes["intersection"], f_vector,
+                                                  DEFAULT_FACE_BUDGET, "intersection")
+        n_faces = sum(f_vector)
+        if 0 < n_faces <= DEFAULT_FACE_BUDGET:  # the core's faces, a subset of K's
+            collapse = _collapse_probe(n_faces, rest)
+    except BudgetExceeded:
+        pass
+    profiles["coatom_nerve"] = _read_off(complexes["coatom_nerve"], profiles["intersection"],
+                                         DEFAULT_FACE_BUDGET, "coatom_nerve")
+    try:
+        profiles["order"] = betti(complexes["order"], model="order",
+                                  core=order_complex(L, poset_core(L)))
+    except BudgetExceeded:
+        pass
+
+    complete = [p for p in profiles.values() if p is not None and p.betti_from is None]
     agree: bool | None
     if len(complete) < 2:
         agree = None

@@ -322,8 +322,15 @@ def _validate_table(mul: np.ndarray) -> None:
         if not np.array_equal(a, b):
             raise SpecError("table is not associative")
     else:
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, n, size=(10000, 3))
+        # 10,000 fixed triples from SplitMix64 (Steele, Lea and Flood 2014):
+        # the golden-ratio Weyl sequence, mixed by two xor-shift-multiply
+        # rounds so that consecutive draws are unrelated; unlike numpy.random
+        # it costs no import.  uint64 arithmetic wraps, as the hash intends.
+        z = np.arange(1, 30001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        idx = (z % np.uint64(n)).astype(np.intp).reshape(10000, 3)
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
         if not np.array_equal(mul[mul[i, j], k], mul[i, mul[j, k]]):
             raise SpecError("table failed sampled associativity check")

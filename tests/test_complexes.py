@@ -1,20 +1,23 @@
 """Subgroup complexes: constructions, homology, collapses, reports."""
 
+import dataclasses
+
 import pytest
 
 import groupdom.complexes
 from collapse_reference import greedy_collapse, reference_collapse, reference_greedy_collapse
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
                                reference_order_complex)
-from groupdom.complexes import (SimplicialComplex, _collapse, _collapse_probe,
-                                _exact_rank, _reduced_betti, atom_nerve, betti, coatom_nerve,
+from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _boundary_ranks,
+                                _collapse, _collapse_probe, _exact_rank, _read_off,
+                                _reduced_betti, atom_nerve, betti, coatom_nerve,
                                 intersection_complex, intersection_f_vector, nerve,
-                                order_complex, topology_report)
+                                order_complex, poset_core, topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups, mobius
 from mobius_reference import mobius_one_to_top
-from rank_reference import reference_rank
+from rank_reference import RP2_FACETS, boundary_columns, reference_rank
 
 MODELS = [("intersection", intersection_complex), ("order", order_complex),
           ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)]
@@ -350,23 +353,88 @@ def test_collapse_kernel_matches_reference(lattice, label):
 BENCHMARK_COMPLEX_GROUPS = ("S4", "A5", "D24", "D36", "C4xC2xC2", "C3xC2xC2xC2", "C6xC6")
 
 
-def test_integer_rank_matches_fraction_rank(lattice, monkeypatch):
-    """Every boundary matrix that the four models' profiles of the benchmark
-    groups ask a rank of has the same rank by fraction-free integer
-    elimination as by elimination over Fraction."""
-    calls = []
+def test_integer_rank_matches_fraction_rank(lattice, gamma_of, monkeypatch):
+    """On the faces that each computed profile of the benchmark groups
+    ranks, the exact path, called directly on every uncleared boundary
+    matrix, has the rank by elimination over Fraction; the cleared exact
+    ranks equal the uncleared ones, and the cleared F2 ranks equal them
+    too.  The F2 certificate settles every one of these profiles, so the
+    report never takes the exact path."""
+    ranked, exact_calls = [], []
+    reduced_betti = groupdom.complexes._reduced_betti
+    exact_pivots = groupdom.complexes._exact_pivots
 
-    def recorded_rank(columns):
-        calls.append(columns)
-        return _exact_rank(columns)
+    def recorded_betti(rest, top_dim):
+        ranked.append((rest, top_dim))
+        return reduced_betti(rest, top_dim)
 
-    monkeypatch.setattr(groupdom.complexes, "_exact_rank", recorded_rank)
+    def recorded_pivots(columns):
+        exact_calls.append(columns)
+        return exact_pivots(columns)
+
+    monkeypatch.setattr(groupdom.complexes, "_reduced_betti", recorded_betti)
+    monkeypatch.setattr(groupdom.complexes, "_exact_pivots", recorded_pivots)
     for label in BENCHMARK_COMPLEX_GROUPS:
-        for _, build in MODELS:
-            betti(build(lattice(label)))
-    assert len(calls) == 24  # as many as the complexes workload makes
-    for columns in calls:
-        assert _exact_rank(columns) == reference_rank(columns)
+        topology_report(lattice(label), gamma_of(label).gamma)
+    assert len(ranked) == 3 * len(BENCHMARK_COMPLEX_GROUPS)  # the coatom nerve reads K's
+    assert exact_calls == []
+    monkeypatch.undo()
+    for rest, top_dim in ranked:
+        uncleared = [0]
+        for k in range(1, top_dim + 2):
+            columns = boundary_columns(rest, k)
+            uncleared.append(_exact_rank(columns))
+            assert uncleared[-1] == reference_rank(columns), (top_dim, k)
+        assert _boundary_ranks(rest, top_dim, exact=True) == uncleared
+        assert _boundary_ranks(rest, top_dim, exact=False) == uncleared
+
+
+def test_projective_plane_takes_the_exact_fallback(monkeypatch):
+    # over F2 the reduced Betti vector of RP^2 is (0, 1, 1), not in one
+    # degree, so the certificate fails and the rational ranks decide
+    RP2 = SimplicialComplex.from_facets(tuple("abcdef"), RP2_FACETS)
+    faces = RP2.faces()
+    assert RP2.f_vector() == (6, 15, 10)
+    rest = _collapse(faces)
+    assert set(rest) == faces  # no free face: a closed surface
+    f2 = _boundary_ranks(rest, 2, exact=False)
+    assert [15 - f2[1] - f2[2], 10 - f2[2] - f2[3]] == [1, 1]
+    exact_calls = []
+    exact_pivots = groupdom.complexes._exact_pivots
+    monkeypatch.setattr(groupdom.complexes, "_exact_pivots",
+                        lambda columns: exact_calls.append(columns) or exact_pivots(columns))
+    assert _reduced_betti(rest, 2) == (0, 0, 0)
+    assert exact_calls
+    p = betti(RP2)
+    assert (p.betti, p.euler) == ((0, 0, 0), 1)
+
+
+CORE_LABELS = [e.label for e in corpus() if e.order and e.order <= 48]
+
+
+@pytest.mark.parametrize("label", CORE_LABELS + ["S5", "A5"])
+def test_poset_core_order_complex_has_no_dominated_vertex(lattice, label):
+    """Barmak-Minian 2012: a poset without beat points has an order complex
+    without dominated vertex, so ``strong_core`` deletes nothing from the
+    order complex of Stong's core."""
+    L = lattice(label)
+    core = poset_core(L)
+    assert set(core) <= set(L.vertex_set)
+    cx = order_complex(L, core)
+    assert cx.strong_core() == cx, label
+
+
+@pytest.mark.parametrize("label", CORE_LABELS + ["S5", "A6"])
+def test_report_profiles_match_whole_complex_references(lattice, gamma_of, label):
+    """The order profile, ranked on the poset core, and the coatom nerve's,
+    read off K, against ``betti`` of the whole complexes."""
+    L = lattice(label)
+    rep = topology_report(L, gamma_of(label).gamma)
+    assert rep.profiles["order"] == betti(order_complex(L), model="order"), label
+    read = rep.profiles["coatom_nerve"]
+    assert read.betti_from == "intersection"
+    assert dataclasses.replace(read, betti_from=None) == betti(coatom_nerve(L),
+                                                                model="coatom_nerve"), label
 
 
 class TestTopologyReport:
@@ -405,6 +473,49 @@ class TestTopologyReport:
         for name, build in MODELS:
             assert rep.complexes[name] == build(L), name
             assert rep.profiles[name].f_vector == build(L).f_vector(), name
+
+    def test_coatom_nerve_reads_k_betti_cut_to_its_dimension(self, lattice, gamma_of):
+        # A5: K has dimension 6, the coatom nerve 4
+        rep = self.report(lattice, gamma_of, "A5")
+        k, m = rep.profiles["intersection"], rep.profiles["coatom_nerve"]
+        assert (k.dim, m.dim) == (6, 4)
+        assert m.betti_from == "intersection" and m.betti == k.betti[:5] == (0, 60, 0, 0, 0)
+        profiles = rep.to_json()["profiles"]
+        assert profiles["coatom_nerve"]["betti_from"] == "intersection"
+        assert all("betti_from" not in profiles[name]
+                   for name in ("atom_nerve", "intersection", "order"))
+        nerve_cx = rep.complexes["coatom_nerve"]
+        # a class of K above the coatom nerve's dimension cannot be read off
+        with pytest.raises(AssertionError, match="above the dimension"):
+            _read_off(nerve_cx, dataclasses.replace(k, betti=k.betti[:6] + (1,)),
+                      DEFAULT_FACE_BUDGET, "coatom_nerve")
+        # nor Betti numbers whose alternating sum is off the nerve's Euler
+        # characteristic
+        with pytest.raises(AssertionError, match="Euler"):
+            _read_off(nerve_cx, dataclasses.replace(k, betti=(0, 61) + k.betti[2:]),
+                      DEFAULT_FACE_BUDGET, "coatom_nerve")
+
+    def test_coatom_nerve_is_null_with_k_without_enumeration(self, lattice, gamma_of,
+                                                            monkeypatch):
+        # past the budget on K, the coatom nerve's profile is None at once:
+        # its faces are never enumerated
+        profile = groupdom.complexes._profile
+
+        def k_past_budget(cx, f_vector, budget, model, **kwargs):
+            if model == "intersection":
+                raise BudgetExceeded("face budget exceeded")
+            return profile(cx, f_vector, budget, model, **kwargs)
+
+        enumerated = []
+        faces = SimplicialComplex.faces
+        monkeypatch.setattr(groupdom.complexes, "_profile", k_past_budget)
+        monkeypatch.setattr(SimplicialComplex, "faces",
+                            lambda cx, *args: enumerated.append(cx) or faces(cx, *args))
+        rep = self.report(lattice, gamma_of, "S4")
+        assert rep.profiles["intersection"] is None and rep.profiles["coatom_nerve"] is None
+        assert rep.complexes["coatom_nerve"] not in enumerated
+        assert rep.profiles["atom_nerve"] and rep.profiles["order"]
+        assert rep.profiles_agree is True
 
     # measured when the probe moved to the strong core: on all 93 corpus
     # groups of order <= 48 whose intersection complex fits the face budget,
@@ -448,7 +559,7 @@ class TestTopologyReport:
     def test_frattini_matches_characteristic_subgroups(self, lattice, gamma_of, monkeypatch):
         # the report's mask intersection against the lattice layer's; the
         # homology does not enter the Frattini check, so it is skipped
-        def no_homology(*args):
+        def no_homology(*args, **kwargs):
             raise BudgetExceeded("homology skipped")
 
         monkeypatch.setattr(groupdom.complexes, "_profile", no_homology)

@@ -1,7 +1,11 @@
 """Group construction: parsing, builders, validation, quotients."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,30 @@ class TestBuilders:
         mul = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
         with pytest.raises(SpecError):
             groups_module._finalize(mul, "bad", None, [1])
+
+    def test_sampled_associativity_refuses_a_latin_square(self):
+        # C2xC33 (order 66, past the full check) with one intercalate
+        # swapped: rows x = 1 and xz = 34 and columns y = 2 and yz = 35,
+        # where z = 33 has order 2, hold xy, xyz / xyz, xy.  The table is
+        # still a Latin square with identity 0, and 1,008 of its 287,496
+        # triples are not associative
+        mul = groups_module._abelian_table((2, 33))
+        assert (mul[1, 2], mul[1, 35], mul[34, 2], mul[34, 35]) == (3, 36, 36, 3)
+        mul[1, 2] = mul[34, 35] = 36
+        mul[1, 35] = mul[34, 2] = 3
+        assert (np.sort(mul, axis=0) == np.arange(66)[:, None]).all()
+        with pytest.raises(SpecError, match="associativity"):
+            groups_module._validate_table(mul)
+
+    def test_sampled_associativity_does_not_import_numpy_random(self):
+        # the sample is a fixed hash sequence: building A6 (order 360, past
+        # the full check) in a fresh process leaves numpy.random unloaded
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys; from groupdom.groups import build_group, parse_group_spec; "
+                "build_group(parse_group_spec('A6')); "
+                "sys.exit('numpy.random' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_determinism(self):
         a = build("S4")
