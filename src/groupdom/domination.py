@@ -14,7 +14,8 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 
 import numpy as np
 
@@ -188,7 +189,8 @@ def _set_bits(perms: np.ndarray) -> np.ndarray:
 
 def min_set_cover(universe_size: int, sets: list[int],
                   deadline: float | None = None,
-                  symmetry: Callable[[], np.ndarray] | None = None) -> tuple[list[int], bool]:
+                  symmetry: Callable[[], np.ndarray] | None = None,
+                  start: list[int] | None = None) -> tuple[list[int], bool]:
     """Minimum set cover by branch and bound.
 
     ``sets`` are bitmasks over a universe of ``universe_size`` points.
@@ -196,12 +198,17 @@ def min_set_cover(universe_size: int, sets: list[int],
     node.  ``symmetry``, if given, returns an array whose rows are a group
     of permutations of the set indices, each induced by a permutation of
     the points that maps the instance to itself; it is called at most
-    once.  Returns (chosen indices, optimal); ``optimal`` is False only
+    once.  ``start``, if given, holds the indices of sets that cover the
+    universe.  Returns (chosen indices, optimal); ``optimal`` is False only
     when the deadline passed, and the chosen sets are then the best cover
     found.
 
-    The incumbent starts as a greedy cover of the whole universe.  The
-    search then runs over the points kept by the dominance reduction of
+    The incumbent starts as a greedy cover of the whole universe.  A
+    ``start`` of h sets, fewer than the greedy cover's, replaces it, and
+    the search then looks only for covers of at most h sets, as if the
+    incumbent had h + 1: there is one, ``start`` itself, so unless the
+    deadline passes the cover returned is one the search found.
+    The search then runs over the points kept by the dominance reduction of
     ``_Instance``; a cover of the kept points covers every point.  A node
     with uncovered set U branches on the uncovered point lying in the
     fewest sets (smallest index on ties), trying those sets in index
@@ -253,7 +260,13 @@ def min_set_cover(universe_size: int, sets: list[int],
     does not cut it.  Every prune, by either bound, infeasibility or
     either memo, removes only subtrees with no cover smaller than the
     incumbent, and the incumbent changes only on a strict improvement, so
-    the first optimum in search order is still the one returned.
+    the first optimum in search order is still the one returned.  That
+    holds for any starting incumbent size above the optimum: no earlier
+    cover is as small as the first optimum, so until it is met the
+    incumbent stays above the optimum and no prune cuts its path.  A
+    ``start`` of h sets, fewer than the greedy cover's, shows that the
+    greedy cover is not optimal, so a search from h + 1 returns the same
+    first optimum as a search from the greedy size.
     """
     inst = _Instance(universe_size, sets)
     covers, reduced = inst.covers, inst.sets
@@ -272,8 +285,14 @@ def min_set_cover(universe_size: int, sets: list[int],
             uncovered &= ~sets[best]
         return chosen
 
-    incumbent = greedy((1 << universe_size) - 1)
+    full = (1 << universe_size) - 1
+    incumbent = greedy(full)
     best_size = len(incumbent)
+    if start is not None:
+        if reduce(or_, (sets[si] for si in start), 0) & full != full:
+            raise ValueError("start does not cover the universe")
+        if len(start) < best_size:
+            incumbent, best_size = list(start), len(start) + 1
     optimal = True
     fail: dict[int, int] = {}
     orbit_fail: dict[int, int] = {}
@@ -365,18 +384,49 @@ def gamma_graph(graph: IntersectionGraph) -> DominationCertificate:
                                  optimal=optimal, method="setcover")
 
 
+def class_cover(sets: list[int], classes: list[list[int]]) -> list[int]:
+    """A cover made of whole classes of sets, as sorted set indices.
+    ``classes`` partitions the indices of ``sets``; classes are taken
+    greedily by the number of newly covered points per member, the first
+    class on ties, until the union of ``sets`` is covered.  ``sum_number``
+    passes the conjugacy classes of maximal subgroups: on A6 that is one
+    class of A5 (6) and the class of 3^2:4 (10), Cohn's 16, where the
+    greedy cover by single subgroups takes 18."""
+    unions = [reduce(or_, (sets[i] for i in members)) for members in classes]
+    uncovered = reduce(or_, sets)
+    chosen: list[int] = []
+    while uncovered:
+        best, best_gain = 0, -1
+        for ci, members in enumerate(classes):
+            gain = (unions[ci] & uncovered).bit_count()
+            # gain / |members| > best_gain / |classes[best]|, in integers
+            if gain * len(classes[best]) > best_gain * len(members):
+                best, best_gain = ci, gain
+        chosen += classes[best]
+        uncovered &= ~unions[best]
+    return sorted(chosen)
+
+
 def sum_number(G, L: Lattice, deadline: float | None = None) -> CoverResult:
     """Least number of proper subgroups whose union is the whole group;
-    aleph-0 for cyclic groups.  Solved exactly over the maximal subgroups.
-    Past ``deadline`` the result carries a (lower, upper) bracket."""
+    aleph-0 for cyclic groups.  Solved exactly over the maximal subgroups,
+    the search of a non-abelian G started from ``class_cover``.  Past
+    ``deadline`` the result carries a (lower, upper) bracket."""
     if G.elem_order.max() == G.order:  # cyclic; S3's exponent is 6 = |S3| too
         return CoverResult(value=ALEPH0, witness=(), optimal=True)
     n = G.order
     sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]  # drop the identity bit
-    # conjugation fixes the identity and permutes the coatoms; it is trivial
-    # on an abelian G
-    symmetry = None if G.is_abelian() else partial(coatom_action, L)
-    chosen, optimal = min_set_cover(n - 1, sets, deadline=deadline, symmetry=symmetry)
+    # conjugation fixes the identity and permutes the coatoms; on an abelian
+    # G it is trivial, every class is one coatom and the class cover is the
+    # greedy cover
+    symmetry = start = None
+    if not G.is_abelian():
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(L.coatoms):
+            classes.setdefault(L.class_of[c], []).append(i)
+        symmetry, start = partial(coatom_action, L), class_cover(sets, list(classes.values()))
+    chosen, optimal = min_set_cover(n - 1, sets, deadline=deadline, symmetry=symmetry,
+                                    start=start)
     witness = tuple(sorted(L.coatoms[i] for i in chosen))
     bracket = None
     if not optimal:

@@ -597,24 +597,41 @@ def squarefree_part(n: int) -> int:
     return r
 
 
+def _commutators(G: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The |A| x |B| array of commutators a^-1 b^-1 a b, for a in ``a`` and
+    b in ``b`` (element index arrays)."""
+    return G.mul[G.mul[np.ix_(G.inv[a], G.inv[b])], G.mul[np.ix_(a, b)]]
+
+
 def _commutator_mask(G: GroupTable, a_mask: int, b_mask: int) -> int:
     """Mask of [A, B], the subgroup generated by the commutators
     a^-1 b^-1 a b with a in A and b in B (element masks)."""
     n = G.order
-    a = mask_to_array(a_mask, n)
-    b = mask_to_array(b_mask, n)
-    inverses = G.mul[np.ix_(G.inv[a], G.inv[b])]
-    comms = G.mul[inverses, G.mul[np.ix_(a, b)]]
+    comms = _commutators(G, mask_to_array(a_mask, n), mask_to_array(b_mask, n))
     return close_subset(G, array_to_mask(comms.ravel(), n))
 
 
 def derived_series(G: GroupTable) -> list[int]:
     """Masks of the derived series G = D_0 > D_1 = [D_0, D_0] > ..., down
     to its stable term, which is 1 iff G is solvable.  Its readers take it
-    from ``Lattice.derived_series``, which computes it once per group."""
-    series = [(1 << G.order) - 1]
+    from ``Lattice.derived_series``, which computes it once per group.
+
+    [D, D] is formed as the subgroup H generated by the commutators [x, s]
+    for x in D and s in a generating set S of D: ``G.generators`` for D_0,
+    and for each later term the distinct commutators that generated it.
+    H is normal in D, since [x, s]^y = [xy, s][y, s]^-1, and D/H is
+    generated by the images of S, each central, so D/H is abelian and
+    [D, D] <= H <= [D, D].  That takes |D| |S| products, never more than
+    the |D|^2 of all commutators: 1,440 instead of 518,400 for S6's first
+    term."""
+    n = G.order
+    series = [(1 << n) - 1]
+    gens = np.array(G.generators, dtype=np.intp)
     while series[-1] != 1:
-        nxt = _commutator_mask(G, series[-1], series[-1])
+        # x = 1 gives the identity, which np.unique sorts first; it
+        # generates nothing
+        gens = np.unique(_commutators(G, mask_to_array(series[-1], n), gens))[1:]
+        nxt = close_subset(G, array_to_mask(gens, n))
         if nxt == series[-1]:
             break
         series.append(nxt)

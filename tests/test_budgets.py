@@ -74,6 +74,15 @@ def test_sum_number_bracket_on_budget_abort():
     assert hi == res.value.finite
 
 
+def test_sum_number_of_a6_cut_off_at_the_root():
+    # the incumbent is the class cover of 16, Cohn's value, not the greedy
+    # cover of 18; the bracket's lower end is the root bound
+    G = build_group(parse_group_spec("A6"))
+    res = sum_number(G, enumerate_subgroups(G), deadline=time.monotonic())
+    assert not res.optimal
+    assert res.value.finite == 16 and res.bracket == (11, 16)
+
+
 def test_min_set_cover_budget_flag():
     sets = [1 << i for i in range(12)]
     chosen, optimal = min_set_cover(12, sets, deadline=time.monotonic())

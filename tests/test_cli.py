@@ -267,8 +267,9 @@ class TestBudgetFlag:
         from groupdom.errors import BudgetExceeded
         from groupdom.groups import DEFAULT_ELEMENT_CAP
 
-        # a greedy sigma(A6) is 18, not Cohn's 16: a solve cut off by the
-        # deadline must abort verify, never fail the pinned check
+        # a solve of A6 cut off by the deadline reports its class cover,
+        # whose 16 equals Cohn's pin only because that start happens to be
+        # optimal: verify must abort on a cut-off solve, never check it
         with pytest.raises(BudgetExceeded, match="A6"):
             cli._verify_one("A6", DEFAULT_ELEMENT_CAP, time.monotonic())
 

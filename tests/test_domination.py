@@ -1,6 +1,8 @@
 """Domination numbers: solver, brute-force oracle, and sum numbers."""
 
 import random
+import time
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -11,8 +13,8 @@ import pytest
 from domination_reference import domination_oracle, is_dominating
 from groupdom import domination
 from groupdom.corpus import find_entry
-from groupdom.domination import (ALEPH0, Gamma, _Instance, _set_bits, coatom_action,
-                                 gamma_exact, gamma_graph, min_set_cover,
+from groupdom.domination import (ALEPH0, Gamma, _Instance, _set_bits, class_cover,
+                                 coatom_action, gamma_exact, gamma_graph, min_set_cover,
                                  set_cover_lower_bound, sum_number)
 from groupdom.graphs import intersection_graph, p_subgroup_indices, restricted_graph
 from groupdom.groups import quotient_group
@@ -55,6 +57,10 @@ class TestSetCover:
     def test_uncoverable_raises(self):
         with pytest.raises(ValueError):
             min_set_cover(3, [0b011])
+
+    def test_start_that_is_no_cover_raises(self):
+        with pytest.raises(ValueError, match="start"):
+            min_set_cover(4, [0b0011, 0b1100, 0b0110], start=[0, 2])
 
 
 class TestGammaExact:
@@ -245,6 +251,34 @@ class TestSumNumber:
         res = sum_number(L.group, L)
         assert res.optimal and res.value == Gamma.of(expected)
         assert res.witness == self.WITNESSES[label]
+
+    def test_a6_search_starts_from_the_class_cover(self, lattice, monkeypatch):
+        # one class of A5 (6) and the class of 3^2:4 (10) cover A6 where the
+        # greedy cover takes 18, so the search looks only for covers of at
+        # most 16 sets: 2,630 lower-bound calls against 3,657 from 18, and
+        # the same first optimum
+        L = lattice("A6")
+        starts, calls = [], [0]
+        cover, bound = class_cover, _Instance.lower_bound
+
+        def recorded_cover(*args):
+            starts.append(cover(*args))
+            return starts[-1]
+
+        def counted_bound(self, *args):
+            calls[0] += 1
+            return bound(self, *args)
+
+        monkeypatch.setattr(domination, "class_cover", recorded_cover)
+        monkeypatch.setattr(_Instance, "lower_bound", counted_bound)
+        res = sum_number(L.group, L)
+        assert res.optimal and res.witness == self.WITNESSES["A6"]
+        assert calls[0] <= 2700
+        [start] = starts
+        assert sorted(Counter(L.class_of[L.coatoms[i]] for i in start).values()) == [6, 10]
+        sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]
+        greedy, _ = min_set_cover(L.group.order - 1, sets, deadline=time.monotonic())
+        assert len(greedy) == 18
 
     @pytest.mark.parametrize("label,bound", [
         ("S5", 13), ("A5", 8), ("A6", 11), ("S6", 11), ("C2xC2xC2xC2", 3), ("D36", 3)])

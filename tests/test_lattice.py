@@ -8,9 +8,10 @@ import pytest
 from groupdom import lattice as lattice_module
 from groupdom.corpus import corpus, get_group
 from groupdom.groups import build_group, is_prime, parse_group_spec
-from groupdom.lattice import (characteristic_subgroups, classify_group,
+from groupdom.lattice import (characteristic_subgroups, classify_group, derived_series,
                               enumerate_subgroups, generated_subgroup, mobius,
                               subgroup_classes, sylow_counts)
+from derived_series_reference import derived_series_all_commutators
 from lattice_reference import enumerate_subgroups_allpairs, subgroups_bruteforce
 from mobius_reference import mobius_from_marks, mobius_one_to_top
 
@@ -356,6 +357,26 @@ class TestCharacteristicSubgroups:
                     x = int(G.mul[x, g])
                 torsion |= (1 << g) if x == 0 else 0
             assert ch.atom_join.mask == torsion | 1, label
+
+
+class TestDerivedSeries:
+    def test_matches_all_commutators_on_the_corpus_up_to_720(self):
+        # the quotients' generators are all of their elements, so their
+        # first term takes every commutator
+        entries = [e for e in corpus() if e.order <= 720]
+        assert len(entries) == 301
+        for e in entries:
+            G = get_group(e.label)
+            if e.quotient_of is not None:
+                assert G.generators == tuple(range(G.order)), e.label
+            assert derived_series(G) == derived_series_all_commutators(G), e.label
+
+    @pytest.mark.parametrize("text,orders", [("S7", [5040, 2520]), ("A7", [2520])])
+    def test_matches_all_commutators_on_degree_7(self, text, orders):
+        G = build_group(parse_group_spec(text))
+        series = derived_series(G)
+        assert [m.bit_count() for m in series] == orders
+        assert series == derived_series_all_commutators(G)
 
 
 class TestClassification:

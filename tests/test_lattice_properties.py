@@ -25,6 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 from burnside_reference import double_cosets, reference_product  # noqa: E402
+from derived_series_reference import derived_series_all_commutators  # noqa: E402
 from groups_reference import reference_table  # noqa: E402
 from lattice_reference import (cyclic_subgroup_masks,  # noqa: E402
                                enumerate_subgroups_allpairs, subgroups_bruteforce)
@@ -43,7 +44,7 @@ from groupdom.formulas import verify_bounds  # noqa: E402
 from groupdom.groups import (array_to_mask, build_group, is_normal,  # noqa: E402
                              mask_to_array, parse_group_spec, quotient_group)
 from groupdom.lattice import (characteristic_subgroups, classify_group,  # noqa: E402
-                              close_subset, conjugates, enumerate_subgroups,
+                              close_subset, conjugates, derived_series, enumerate_subgroups,
                               lower_central_series, mobius, subgroup_classes)
 
 MAX_ORDER = 60
@@ -342,6 +343,7 @@ def test_commutator_series_match_double_loop(spec):
     while (nxt := commutator_subgroup_by_loop(G, derived[-1], derived[-1])) != derived[-1]:
         derived.append(nxt)
     chars = characteristic_subgroups(G, L)
+    assert derived_series(G) == derived_series_all_commutators(G) == derived, spec
     assert lower_central_series(G) == lower, spec
     assert chars.nilpotent_residual.mask == lower[-1], spec
     assert chars.derived.mask == commutator_subgroup_by_loop(G, full, full), spec

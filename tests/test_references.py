@@ -20,6 +20,7 @@ REFERENCES = {
     "domination_reference": ("domination_oracle", "is_dominating"),
     "burnside_reference": ("double_cosets", "DoubleCosetSet"),
     "collapse_reference": ("greedy_collapse",),
+    "derived_series_reference": ("derived_series_all_commutators",),
 }
 NAMES = {name for names in REFERENCES.values() for name in names}
 
