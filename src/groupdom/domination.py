@@ -109,18 +109,45 @@ class _Instance:
             for si in mask_to_indices(c):
                 self.sets[si] |= 1 << a
         self.full = (1 << len(minimal)) - 1
+        # near[a]: the kept points sharing a set with point a
+        self.near = [reduce(or_, (self.sets[si] for si in mask_to_indices(c))) for c in minimal]
 
     def lower_bound(self, uncovered: int, banned: int, limit: int) -> int:
         """A lower bound on the sets needed to cover ``uncovered`` without
-        the sets in ``banned``: the larger of the coverage bound, the least
-        k such that the k largest |S & U| sum to at least |U| (over all
-        sets, banned or not, so it is at least ceil(|U| / max_S |S & U|)),
-        and a greedy packing of points no two of which share an unbanned
-        set, each needing its own set.  A point the packing visits whose
-        sets are all banned makes the cover impossible: ``limit + 1``.
-        Returns as soon as the bound is known to exceed ``limit``."""
+        the sets in ``banned``: the larger of a greedy packing of points no
+        two of which share an unbanned set, each needing its own set, and
+        the coverage bound, the least k such that the k largest |S & U|
+        sum to at least |U| (over all sets, banned or not, so it is at
+        least ceil(|U| / max_S |S & U|)).  The packing takes the uncovered
+        points in index order and keeps a point when none of its unbanned
+        sets is used yet.  A kept point none of whose sets is banned drops
+        its ``near`` points from the rest at once: each shares an unbanned
+        set with it, so the packing would visit and refuse it, and no such
+        point has all its sets banned.  A visited point whose sets are all
+        banned makes the cover impossible: ``limit + 1``.  Returns as soon
+        as the bound is known to exceed ``limit``, the packing first, so
+        such a node skips the sort.  Callers read only whether the value
+        exceeds ``limit``, except at the root, where nothing is banned and
+        ``limit`` is the universe size, so the value is the full bound."""
         if not uncovered:
             return 0
+        used = 0
+        packing = 0
+        rest = uncovered
+        while rest and packing <= limit:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            c = self.covers[a] & ~banned
+            if not c:
+                return limit + 1
+            if c & used == 0:
+                packing += 1
+                used |= c
+                if c == self.covers[a]:
+                    rest &= ~self.near[a]
+        if packing > limit:
+            return packing
         need = uncovered.bit_count()
         coverage = 0
         for size in sorted(map(int.bit_count, map(uncovered.__and__, self.sets)), reverse=True):
@@ -128,20 +155,6 @@ class _Instance:
             need -= size
             if need <= 0 or coverage > limit:
                 break
-        if coverage > limit:
-            return coverage
-        used = 0
-        packing = 0
-        rest = uncovered
-        while rest and packing <= limit:
-            low = rest & -rest
-            rest ^= low
-            c = self.covers[low.bit_length() - 1] & ~banned
-            if not c:
-                return limit + 1
-            if c & used == 0:
-                packing += 1
-                used |= c
         return max(coverage, packing)
 
 

@@ -12,8 +12,8 @@ lie in the solvable residual G^(∞); when G is not solvable, a
 join-with-cyclic closure inside it finds them, each join closed by a
 breadth-first search under the subgroup's carried generators, and cyclic
 extension continues from there.  Conjugacy orbits and normalizers come
-from one vectorised kernel, ``conjugates``, which reads the orbit of H
-from the left cosets of N_G(H); the enumeration calls it once per class
+from one vectorised kernel, ``conjugates``, which conjugates H by its
+left-coset representatives only; the enumeration calls it once per class
 and records the classes on the lattice.
 """
 
@@ -162,12 +162,19 @@ class Lattice:
     @cached_property
     def containment(self) -> np.ndarray:
         """Boolean matrix, [i, j] true iff subgroup i lies in subgroup j:
-        no word of i's packed mask outside j's.  Upper triangular, since a
-        subgroup's subgroups come before it in (order, mask) order."""
-        packed = _pack([s.mask for s in self.subgroups], self.group.order)
-        out = np.zeros((len(packed), len(packed)), dtype=bool)
-        for j in range(len(packed)):
-            out[:j + 1, j] = ~(packed[:j + 1] & ~packed[j]).any(axis=1)
+        iff |H_i & H_j| = |H_i|.  Upper triangular, since a subgroup's
+        subgroups come before it in (order, mask) order.  The intersection
+        sizes are a float32 product of membership rows, exact while they
+        stay below 2^24; it is taken in blocks of rows, each against the
+        rows from its first on, so the product stays near 2^20 entries."""
+        rows = _unpack([s.mask for s in self.subgroups], self.group.order).astype(np.float32)
+        orders = rows.sum(axis=1)
+        k = len(rows)
+        out = np.zeros((k, k), dtype=bool)
+        step = max(1, (1 << 20) // k)
+        for i in range(0, k, step):
+            block = rows[i:i + step] @ rows[i:].T
+            out[i:i + step, i:] = block == orders[i:i + step, None]
         out.flags.writeable = False
         return out
 
@@ -233,22 +240,29 @@ def conjugate_rows(G: GroupTable, members: np.ndarray, g) -> np.ndarray:
 def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     """The conjugacy orbit and the normalizer of subgroup ``mask``.
 
-    ``conjugate_rows`` over all g gives the |G| x |H| array of g h g^-1;
-    the rows that lie inside H give N = N_G(H).  Two elements g and g'
-    conjugate H to the same subgroup iff gN = g'N, so the orbit is read
-    from the left cosets of N: the smallest element of each coset gN is
-    the smallest g giving its conjugate.  Returns ({conjugate mask:
-    smallest g with g H g^-1 equal to it}, normalizer mask).  Temporaries
-    stay at |G| x max(|H|, |N|) entries.
+    Every element of a left coset rH conjugates H alike, since
+    (rh) H (rh)^-1 = r H r^-1, so only the |G:H| coset representatives r
+    of ``left_cosets``, each the least element of its coset, are
+    conjugated (Holt, Eick and O'Brien 2005, orbits and stabilizers from
+    a transversal).  A representative normalizes H exactly when its whole
+    coset does, which gives N = N_G(H) through each element's coset
+    minimum.  The elements sending H to one conjugate form a coset gN, a
+    union of H-cosets, so the smallest of them is the first
+    representative, in ascending order, whose row gives that conjugate.
+    Returns ({conjugate mask: smallest g with g H g^-1 equal to it},
+    normalizer mask).  That is about |G| |H| + 2 |G| gathers, and the
+    membership rows of all representatives are packed at once.
     """
     n = G.order
     members = mask_to_array(mask, n)
-    rows = conjugate_rows(G, members, slice(None))
+    coset_min, reps = left_cosets(G, members)
+    rows = conjugate_rows(G, members, reps)
     in_h = np.zeros(n, dtype=bool)
     in_h[members] = True
-    normalizes = in_h[rows].all(axis=1)
-    _, firsts = left_cosets(G, normalizes)
-    orbit = {array_to_mask(rows[g], n): int(g) for g in firsts}
+    normalizes = in_h[rows].all(axis=1)[np.searchsorted(reps, coset_min)]
+    orbit: dict[int, int] = {}
+    for m, r in zip(_membership(rows, n)[1], reps.tolist()):
+        orbit.setdefault(m, r)
     return orbit, _bools_to_mask(normalizes)
 
 
@@ -259,10 +273,14 @@ def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
 
     Starts from the product set HC and closes it by a breadth-first search
     under right multiplication by ``gens``, so each element is multiplied
-    once per generator.
+    once per generator.  ``top`` is the solvable residual R = G^(∞), which
+    is perfect, so the search stops once the set passes |R|/5: a proper
+    subgroup of R of index k < 5 would map R, by its action on the k
+    cosets, onto a transitive perfect subgroup of S_k, and S_k is
+    solvable for k <= 4.
     """
     n = G.order
-    half = top.bit_count() // 2
+    fifth = top.bit_count() // 5
     prods = G.mul[h_members[:, None], c_members].ravel()
     gens = np.array(gens)
     in_set = np.zeros(n, dtype=bool)
@@ -276,8 +294,8 @@ def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
         fresh[novel] = True
         frontier = fresh.nonzero()[0]
         size += frontier.size
-        # a subgroup of top of order greater than |top|/2 is top
-        if size > half:
+        # a subgroup of the perfect top of order greater than |top|/5 is top
+        if size > fifth:
             return top
         in_set |= fresh
         prods = G.mul[frontier[:, None], gens].ravel()
@@ -337,6 +355,17 @@ def _extension_steps(G: GroupTable, cyclic: dict[int, int]):
     return steps, rank
 
 
+def _membership(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
+    """Membership rows over n elements of the element index rows ``rows``,
+    one bool row each, and their masks, packed at once."""
+    found = np.zeros((len(rows), n), dtype=bool)
+    found[np.arange(len(rows))[:, None], rows] = True
+    width = (n + 7) // 8
+    data = np.packbits(found, axis=1, bitorder="little").tobytes()
+    return found, [int.from_bytes(data[r * width:(r + 1) * width], "little")
+                   for r in range(len(rows))]
+
+
 def _unpack(masks: list[int], n: int) -> np.ndarray:
     """Membership rows of subgroup masks, one bool row of length n each."""
     width = (n + 7) // 8
@@ -376,7 +405,6 @@ def _extend(G: GroupTable, layers: dict[int, list], steps, rank,
     the case exactly when G is solvable.
     """
     n = G.order
-    width = (n + 7) // 8
     reached = False
     normal = None
     while layers:
@@ -393,12 +421,9 @@ def _extend(G: GroupTable, layers: dict[int, list], steps, rank,
                 continue
             rows = _cyclic_extensions(G, members, inside, normal, *step, rank)
             reached |= size * p == n and len(rows) > 0
-            found = np.zeros((len(rows), n), dtype=bool)
-            found[np.arange(len(rows))[:, None], rows] = True
-            data = np.packbits(found, axis=1, bitorder="little").tobytes()
+            found, masks = _membership(rows, n)
             keep = []
-            for r in range(len(rows)):
-                mask = int.from_bytes(data[r * width:(r + 1) * width], "little")
+            for r, mask in enumerate(masks):
                 if mask in known:
                     continue
                 if orbits is None:
@@ -415,8 +440,8 @@ def _extend(G: GroupTable, layers: dict[int, list], steps, rank,
 def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
                   cyclic_of: list[int], known: dict[int, int], orbits,
                   check) -> dict[int, list[int]]:
-    """Find every subgroup of ``top``, a normal subgroup of the
-    non-abelian group G, by join-with-cyclic closure from the cyclic
+    """Find every subgroup of ``top``, the solvable residual G^(∞) of the
+    non-solvable group G, by join-with-cyclic closure from the cyclic
     subgroups inside it; classes not in ``known`` are recorded, and their
     representatives are returned by order.  ``check`` runs after each new
     subgroup and each extended representative.
@@ -438,7 +463,9 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
     subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated onto the
     representative when the orbit's representative is a conjugate of the
     subgroup reached.  A join is closed by ``_join``, a breadth-first
-    search under those generators.  Which subgroups the closure has
+    search under those generators, unless |HC| already shows it is
+    ``top``: ``top`` is perfect, so, as ``_join`` argues, none of its
+    proper subgroups has index below 5.  Which subgroups the closure has
     reached is kept apart from ``known``, so its frontier does not depend
     on what cyclic extension found before it.
     """
@@ -479,7 +506,7 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
     frontier = [admit(c, (cyclic[c],)) for c in seeds if c not in reached]
     check()
     seen_seeds = set()
-    half = top.bit_count() // 2
+    fifth = top.bit_count() // 5
     while frontier:
         next_frontier = []
         for h in frontier:
@@ -497,9 +524,9 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
                 if seed in reached:
                     continue
                 gens = gens_of[h] + (c_gen,)
-                # |<H,C>| >= |HC| = |H||C|/|H&C|, and a subgroup of top of
-                # order greater than |top|/2 is top
-                if h_count * c_count // (h & c).bit_count() > half:
+                # |<H,C>| >= |HC| = |H||C|/|H&C|, and a subgroup of the
+                # perfect top of order greater than |top|/5 is top
+                if h_count * c_count // (h & c).bit_count() > fifth:
                     j = top
                 else:
                     if h_members is None:

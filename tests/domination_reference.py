@@ -33,3 +33,36 @@ def domination_oracle(graph: IntersectionGraph, k_max: int) -> Gamma | None:
             if is_dominating(graph, cand):
                 return Gamma.of(k)
     return None
+
+
+def lower_bound_visiting_every_point(inst, uncovered: int, banned: int, limit: int) -> int:
+    """The set-cover node bound as ``_Instance.lower_bound`` once computed
+    it, for an instance ``inst`` with its ``covers`` and ``sets``: the
+    k-largest coverage bound over all sets first, then a greedy packing
+    that visits every uncovered point in index order and keeps it when it
+    shares no unbanned set with the points kept before."""
+    if not uncovered:
+        return 0
+    need = uncovered.bit_count()
+    coverage = 0
+    for size in sorted(((uncovered & s).bit_count() for s in inst.sets), reverse=True):
+        coverage += 1
+        need -= size
+        if need <= 0 or coverage > limit:
+            break
+    if coverage > limit:
+        return coverage
+    used = 0
+    packing = 0
+    for a in range(uncovered.bit_length()):
+        if packing > limit:
+            break
+        if not uncovered >> a & 1:
+            continue
+        c = inst.covers[a] & ~banned
+        if not c:
+            return limit + 1
+        if c & used == 0:
+            packing += 1
+            used |= c
+    return max(coverage, packing)

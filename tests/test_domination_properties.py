@@ -16,7 +16,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from domination_reference import domination_oracle  # noqa: E402
+from domination_reference import (domination_oracle,  # noqa: E402
+                                  lower_bound_visiting_every_point)
 from groupdom.domination import (Gamma, _Instance, class_cover, gamma_exact,  # noqa: E402
                                  min_set_cover, set_cover_lower_bound, sum_number)
 from groupdom.graphs import intersection_graph  # noqa: E402
@@ -191,6 +192,26 @@ def test_lower_bound_is_bracketed(instance):
     universe_size, sets = instance
     bound = set_cover_lower_bound(universe_size, sets)
     assert ceiling_bound(universe_size, sets) <= bound <= brute_force_size(universe_size, sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_instances(), st.data())
+def test_lower_bound_decides_as_the_reference(instance, data):
+    # the packing skips the neighbours of a packed point and runs before
+    # the coverage sort; the search reads only ``> limit``, and at or
+    # below the limit the value is the reference's
+    universe_size, sets = instance
+    inst = _Instance(universe_size, sets)
+    uncovered = data.draw(st.integers(min_value=0, max_value=inst.full), "uncovered") & inst.full
+    banned = data.draw(st.integers(min_value=0, max_value=(1 << len(sets)) - 1), "banned")
+    limit = data.draw(st.integers(min_value=0, max_value=universe_size), "limit")
+    got = inst.lower_bound(uncovered, banned, limit)
+    want = lower_bound_visiting_every_point(inst, uncovered, banned, limit)
+    assert (got > limit) == (want > limit)
+    if want <= limit:
+        assert got == want
+    root = inst.lower_bound(inst.full, 0, universe_size)
+    assert root == lower_bound_visiting_every_point(inst, inst.full, 0, universe_size)
 
 
 @settings(max_examples=30, deadline=None)

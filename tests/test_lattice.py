@@ -26,18 +26,29 @@ class TestEnumeration:
         L = lattice("S4")
         assert len(L.subgroups) == 30
 
-    # No oracle is fast enough for these two lattices (all-pairs takes
-    # about 50 s on A6), so their masks at the CLI labelling are pinned:
-    # sha256 of the ascending masks in decimal, joined by commas
-    @pytest.mark.parametrize("label, count, digest", [
-        ("A6", 501, "4528dd7c47a59b9caf21fb86a635a90bb39984c08a50fdd5ba380a748d146cfc"),
-        ("S6", 1455, "b567dfd1c8ac352fdf9b2800a95cb6b5486353dd87395546fc1c06bb67bf1931")],
-        ids=["A6", "S6"])
-    def test_large_lattice_masks_pinned(self, label, count, digest):
+    # No oracle is fast enough for these lattices (all-pairs takes about
+    # 50 s on A6), so their masks at the CLI labelling are pinned: sha256
+    # of the ascending masks in decimal, joined by commas.  The subgroup
+    # and class counts of A7 and S7 are OEIS A005432/A029725 and
+    # A000638/A029726
+    @pytest.mark.parametrize("label, count, classes, digest", [
+        ("A6", 501, 22, "4528dd7c47a59b9caf21fb86a635a90bb39984c08a50fdd5ba380a748d146cfc"),
+        ("S6", 1455, 56, "b567dfd1c8ac352fdf9b2800a95cb6b5486353dd87395546fc1c06bb67bf1931"),
+        ("A7", 3786, 40, "a35fdbfad41a9e2ccb2a6ee5e680d15016b12f0f43a8a53bdfa3ef8e0c8047a0"),
+        ("S7", 11300, 96, "be182e328176923cc91ea92302cfa1d160ae641b9f98b43129c1c65ce4b04bdb")],
+        ids=["A6", "S6", "A7", "S7"])
+    def test_large_lattice_masks_pinned(self, label, count, classes, digest):
         _, L = built(label)
         masks = sorted(s.mask for s in L.subgroups)
-        assert len(masks) == count
+        assert (len(masks), len(L.classes)) == (count, classes)
         assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("label", ["A5", "A6", "A7"])
+    def test_no_proper_subgroup_of_a_perfect_group_has_index_below_5(self, label):
+        # what lets ``_join`` stop at |R|/5 inside the perfect residual R
+        G, L = built(label)
+        assert derived_series(G) == [(1 << G.order) - 1]
+        assert max(s.order for s in L.subgroups[:-1]) * 5 <= G.order
 
     def test_elementary_abelian_8(self, lattice):
         # subspace counts of a 3-dimensional binary space: 1 + 7 + 7 + 1
@@ -140,9 +151,13 @@ class TestJoinWork:
     # prime-power cyclic subgroup per N_G(H)-orbit.  Joining it with every
     # prime-power cyclic subgroup instead took 771 _join calls on S5 and
     # 3,010 on A6, and joining inside all of S5 took 144, so a lost
-    # pruning shows up here as a count rather than as a timing.
+    # pruning shows up here as a count rather than as a timing.  A join
+    # whose product set HC passes |G^(∞)|/5 is G^(∞) without a _join call,
+    # since a perfect group has no proper subgroup of index below 5; with
+    # |G^(∞)|/2 there the counts were 27, 383 and 289.
     @pytest.mark.parametrize("label, subgroups, joins",
-                             [("S5", 156, 27), ("A6", 501, 383), ("S6", 1455, 289)])
+                             [("S5", 156, 18), ("A6", 501, 355), ("S6", 1455, 267)],
+                             ids=["S5", "A6", "S6"])
     def test_join_count(self, monkeypatch, label, subgroups, joins):
         calls = []
         join = lattice_module._join
@@ -271,6 +286,15 @@ class TestMobius:
         L = lattice("D24")
         C = L.containment
         assert C.tolist() == [[L.leq(i, j) for j in range(len(L))] for i in range(len(L))]
+
+    @pytest.mark.parametrize("label", ["D36", "S5", "A6", "S6"])
+    def test_containment_matches_the_mask_test(self, lattice, label):
+        # S6's 1,455 subgroups take the intersection sizes in three blocks
+        # of rows; the reference tests each column's mask against all rows
+        L = lattice(label)
+        masks = np.array([s.mask for s in L.subgroups], dtype=object)
+        expected = np.array([(masks & ~m) == 0 for m in masks]).T
+        assert np.array_equal(L.containment, expected)
 
 
 class TestGeneratedSubgroup:

@@ -325,6 +325,19 @@ def test_s5_conjugates_match_elementwise_conjugation():
         assert_conjugates_match_loop(G, s.mask, "S5")
 
 
+@pytest.mark.parametrize("label, seed", [("A6", None), ("S6", 11)])
+def test_large_conjugates_match_elementwise_conjugation(label, seed):
+    # ``conjugates`` conjugates by left-coset representatives only; on the
+    # class representatives of A6 and of a relabelled S6 its orbits, with
+    # the least conjugating element, and normalizers are those of every g
+    G = build_group(parse_group_spec(label))
+    if seed is not None:
+        G = relabelled(G, seed)
+    L = enumerate_subgroups(G)
+    for c in L.classes:
+        assert_conjugates_match_loop(G, L.subgroups[c.rep].mask, label)
+
+
 @PROPERTY
 @given(perm_specs())
 def test_commutator_series_match_double_loop(spec):

@@ -17,7 +17,8 @@ TESTS = Path(__file__).parent
 REFERENCES = {
     "lattice_reference": ("enumerate_subgroups_allpairs", "subgroups_bruteforce",
                           "_close_join", "cyclic_subgroup_masks"),
-    "domination_reference": ("domination_oracle", "is_dominating"),
+    "domination_reference": ("domination_oracle", "is_dominating",
+                             "lower_bound_visiting_every_point"),
     "burnside_reference": ("double_cosets", "DoubleCosetSet"),
     "collapse_reference": ("greedy_collapse",),
     "derived_series_reference": ("derived_series_all_commutators",),
