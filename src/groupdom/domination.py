@@ -211,16 +211,15 @@ def min_set_cover(universe_size: int, sets: list[int],
     node.  ``symmetry``, if given, returns an array whose rows are a group
     of permutations of the set indices, each induced by a permutation of
     the points that maps the instance to itself; it is called at most
-    once.  ``start``, if given, holds the indices of sets that cover the
-    universe.  Returns (chosen indices, optimal); ``optimal`` is False only
-    when the deadline passed, and the chosen sets are then the best cover
-    found.
+    once.  ``start``, if given, holds distinct indices of sets that cover
+    the universe; anything else raises ``ValueError``.  Returns (chosen
+    indices, optimal); ``optimal`` is False only when the deadline passed,
+    and the chosen sets are then the best cover found.
 
     The incumbent starts as a greedy cover of the whole universe.  A
-    ``start`` of h sets, fewer than the greedy cover's, replaces it, and
-    the search then looks only for covers of at most h sets, as if the
-    incumbent had h + 1: there is one, ``start`` itself, so unless the
-    deadline passes the cover returned is one the search found.
+    ``start`` of h sets, fewer than the greedy cover's, replaces it at its
+    own size h, so the search looks only for covers of fewer than h sets;
+    when there is none, ``sorted(start)`` comes back as optimal.
     The search then runs over the points kept by the dominance reduction of
     ``_Instance``; a cover of the kept points covers every point.  A node
     with uncovered set U branches on the uncovered point lying in the
@@ -264,22 +263,24 @@ def min_set_cover(universe_size: int, sets: list[int],
     memo on U and the bound, and only such nodes look up their key, so a
     search settled at the root never pays for the action.
 
-    Why the witness is the one a plain depth-first search returns: a
-    dropped point is never the branching point, since whenever it is
-    uncovered so is a kept point in fewer sets, or in as many with a
-    smaller index; and it never decides whether a node is a full cover.
-    So the search tree is the same up to exclusion.  By the argument
-    above the first optimum's path never uses a banned set, so exclusion
-    does not cut it.  Every prune, by either bound, infeasibility or
-    either memo, removes only subtrees with no cover smaller than the
-    incumbent, and the incumbent changes only on a strict improvement, so
-    the first optimum in search order is still the one returned.  That
-    holds for any starting incumbent size above the optimum: no earlier
-    cover is as small as the first optimum, so until it is met the
-    incumbent stays above the optimum and no prune cuts its path.  A
-    ``start`` of h sets, fewer than the greedy cover's, shows that the
-    greedy cover is not optimal, so a search from h + 1 returns the same
-    first optimum as a search from the greedy size.
+    Which cover is returned.  Without a ``start``, the one a plain
+    depth-first search returns: a dropped point is never the branching
+    point, since whenever it is uncovered so is a kept point in fewer
+    sets, or in as many with a smaller index; and it never decides whether
+    a node is a full cover.  So the search tree is the same up to
+    exclusion.  By the argument above the first optimum's path never uses
+    a banned set, so exclusion does not cut it.  Every prune, by either
+    bound, infeasibility or either memo, removes only subtrees with no
+    cover smaller than the incumbent, and the incumbent changes only on a
+    strict improvement, so the first optimum in search order is still the
+    one returned.  That holds for any starting incumbent size above the
+    optimum: no earlier cover is as small as the first optimum, so until
+    it is met the incumbent stays above the optimum and no prune cuts its
+    path.  A ``start`` of h sets, fewer than the greedy cover's, is such
+    a size unless it is optimal, and then the same first optimum comes
+    back.  An optimal ``start`` admits no strictly smaller cover, so the
+    incumbent never changes and the start itself is returned.  The memo
+    arguments above hold for any incumbent, so they cover both cases.
     """
     inst = _Instance(universe_size, sets)
     covers, reduced = inst.covers, inst.sets
@@ -302,10 +303,12 @@ def min_set_cover(universe_size: int, sets: list[int],
     incumbent = greedy(full)
     best_size = len(incumbent)
     if start is not None:
+        if len(set(start)) < len(start) or not all(0 <= si < len(sets) for si in start):
+            raise ValueError("start repeats a set or names one out of range")
         if reduce(or_, (sets[si] for si in start), 0) & full != full:
             raise ValueError("start does not cover the universe")
         if len(start) < best_size:
-            incumbent, best_size = list(start), len(start) + 1
+            incumbent, best_size = list(start), len(start)
     optimal = True
     fail: dict[int, int] = {}
     orbit_fail: dict[int, int] = {}
@@ -349,6 +352,10 @@ def min_set_cover(universe_size: int, sets: list[int],
                 orbit_fail[key] = allowed
 
     branch(inst.full, 0, [])
+    # ``branch`` holds itself through its closure; breaking that cycle
+    # frees the memos and the action on return, not at a later full
+    # garbage collection
+    del branch
     return sorted(incumbent), optimal
 
 
@@ -423,7 +430,10 @@ def class_cover(sets: list[int], classes: list[list[int]]) -> list[int]:
 def sum_number(G, L: Lattice, deadline: float | None = None) -> CoverResult:
     """Least number of proper subgroups whose union is the whole group;
     aleph-0 for cyclic groups.  Solved exactly over the maximal subgroups,
-    the search of a non-abelian G started from ``class_cover``.  Past
+    the search of a non-abelian G started from ``class_cover``: a class
+    cover shorter than the greedy cover is the incumbent, so the search
+    only has to prove it optimal (A6's 16), and is then the witness;
+    otherwise the witness is the first optimum in depth-first order.  Past
     ``deadline`` the result carries a (lower, upper) bracket."""
     if G.elem_order.max() == G.order:  # cyclic; S3's exponent is 6 = |S3| too
         return CoverResult(value=ALEPH0, witness=(), optimal=True)

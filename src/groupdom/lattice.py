@@ -630,14 +630,6 @@ def _commutators(G: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return G.mul[G.mul[np.ix_(G.inv[a], G.inv[b])], G.mul[np.ix_(a, b)]]
 
 
-def _commutator_mask(G: GroupTable, a_mask: int, b_mask: int) -> int:
-    """Mask of [A, B], the subgroup generated by the commutators
-    a^-1 b^-1 a b with a in A and b in B (element masks)."""
-    n = G.order
-    comms = _commutators(G, mask_to_array(a_mask, n), mask_to_array(b_mask, n))
-    return close_subset(G, array_to_mask(comms.ravel(), n))
-
-
 def derived_series(G: GroupTable) -> list[int]:
     """Masks of the derived series G = D_0 > D_1 = [D_0, D_0] > ..., down
     to its stable term, which is 1 iff G is solvable.  Its readers take it
@@ -668,15 +660,29 @@ def derived_series(G: GroupTable) -> list[int]:
 def lower_central_series(G: GroupTable, commutator: int | None = None) -> list[int]:
     """Masks of the lower central series G = g_1 > g_2 = [g_1, G] > ...,
     down to its stable term.  ``commutator`` is g_2 = [G, G] when the
-    caller already has it."""
-    full = (1 << G.order) - 1
-    series = [full]
-    nxt = _commutator_mask(G, full, full) if commutator is None else commutator
+    caller already has it.
+
+    [N, G] is formed as the subgroup K generated by the commutators
+    [x, s] for x in N and s in ``G.generators``.  K is normal in G: each
+    of its generators h = x^-1 x^s lies in N, so h^s = h [h, s] is a
+    product of two of them, and K^s <= K gives K^s = K.  Each xK commutes
+    with the image of every generator, so xK is central in G/K and
+    [N, G] <= K <= [N, G].  That takes |N| |S| commutators instead of
+    |N| |G|: 5,040 instead of 12.7 M for S7's [A7, S7]."""
+    n = G.order
+    gens = np.array(G.generators, dtype=np.intp)
+
+    def with_g(mask: int) -> int:  # [N, G] for N = mask
+        comms = _commutators(G, mask_to_array(mask, n), gens)
+        return close_subset(G, array_to_mask(comms.ravel(), n))
+
+    series = [(1 << n) - 1]
+    nxt = with_g(series[0]) if commutator is None else commutator
     while nxt != series[-1]:
         series.append(nxt)
         if nxt == 1:
             break
-        nxt = _commutator_mask(G, nxt, full)
+        nxt = with_g(nxt)
     return series
 
 

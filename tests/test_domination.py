@@ -62,6 +62,16 @@ class TestSetCover:
         with pytest.raises(ValueError, match="start"):
             min_set_cover(4, [0b0011, 0b1100, 0b0110], start=[0, 2])
 
+    def test_start_repeating_a_set_raises(self):
+        # counted twice, [0, 0, 1] would make the incumbent size 3
+        with pytest.raises(ValueError, match="start"):
+            min_set_cover(4, [0b0011, 0b1100, 0b0110, 0b1001], start=[0, 0, 1])
+
+    @pytest.mark.parametrize("start", [[0, 3], [-1, 0, 1]])
+    def test_start_out_of_range_raises(self, start):
+        with pytest.raises(ValueError, match="start"):
+            min_set_cover(4, [0b0011, 0b1100, 0b0110], start=start)
+
 
 class TestGammaExact:
     @pytest.mark.parametrize("label,expected", [
@@ -254,9 +264,11 @@ class TestSumNumber:
 
     def test_a6_search_starts_from_the_class_cover(self, lattice, monkeypatch):
         # one class of A5 (6) and the class of 3^2:4 (10) cover A6 where the
-        # greedy cover takes 18, so the search looks only for covers of at
-        # most 16 sets: 2,630 lower-bound calls at the CLI labelling against
-        # 3,657 from 18, and the same first optimum
+        # greedy cover takes 18, so that cover is the incumbent at its own
+        # size and the search only proves that no 15 sets cover: 1,090
+        # lower-bound calls at the CLI labelling.  The class cover is the
+        # witness; at this labelling it is also the first optimum in
+        # search order
         L = lattice("A6")
         starts, calls = [], [0]
         cover, bound = class_cover, _Instance.lower_bound
@@ -273,8 +285,9 @@ class TestSumNumber:
         monkeypatch.setattr(_Instance, "lower_bound", counted_bound)
         res = sum_number(L.group, L)
         assert res.optimal and res.witness == self.WITNESSES["A6"]
-        assert calls[0] == 2630
+        assert calls[0] == 1090
         [start] = starts
+        assert res.witness == tuple(L.coatoms[i] for i in start)
         assert sorted(Counter(L.class_of[L.coatoms[i]] for i in start).values()) == [6, 10]
         sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]
         greedy, _ = min_set_cover(L.group.order - 1, sets, deadline=time.monotonic())

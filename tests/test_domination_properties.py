@@ -52,18 +52,34 @@ def brute_force_size(universe_size: int, sets: list[int]) -> int:
     raise AssertionError("instance is not coverable")
 
 
+def greedy_cover(universe_size: int, sets: list[int]) -> list[int]:
+    """The cover that takes, while points are uncovered, the first set
+    covering the most of them."""
+    chosen, uncovered = [], (1 << universe_size) - 1
+    while uncovered:
+        gains = [(s & uncovered).bit_count() for s in sets]
+        chosen.append(gains.index(max(gains)))
+        uncovered &= ~sets[chosen[-1]]
+    return chosen
+
+
+def solve_from(universe_size: int, sets: list[int], start: list[int]) -> tuple[list[int], bool]:
+    """What ``min_set_cover`` must return from ``start``: the solve with no
+    start, except that a start shorter than the greedy cover and of the
+    optimal size comes back itself."""
+    chosen, optimal = min_set_cover(universe_size, sets)
+    if len(chosen) == len(start) < len(greedy_cover(universe_size, sets)):
+        return sorted(start), optimal
+    return chosen, optimal
+
+
 def plain_search(universe_size: int, sets: list[int]) -> list[int]:
     """Reference for the witness: the greedy cover, replaced only by the
     first strictly smaller cover met by a depth-first search that branches
     on the uncovered point in the fewest sets (smallest index on ties),
     trying its sets in index order, with no reduction, bound or memo."""
     full = (1 << universe_size) - 1
-    greedy, uncovered = [], full
-    while uncovered:
-        gains = [(s & uncovered).bit_count() for s in sets]
-        greedy.append(gains.index(max(gains)))
-        uncovered &= ~sets[greedy[-1]]
-    best = [greedy]
+    best = [greedy_cover(universe_size, sets)]
 
     def branch(uncovered, chosen):
         if uncovered == 0:
@@ -156,18 +172,22 @@ def test_orbit_memo_keeps_the_optimum_and_the_witness(instance):
 @settings(max_examples=300, deadline=None)
 @given(symmetric_instances())
 # the class covers of these are optimal and shorter than the greedy covers
-# (by two sets and one), but they are not the first optimum
+# (by two sets and one), but they are not the first optimum: they come
+# back in its place
 @example(rotation_instance(6, 2, [{6}, {0, 1, 2}, {1, 5, 9}, {5}]))
 @example(rotation_instance(5, 2, [{7, 8}, {1, 2}, {2, 5}]))
+# this class cover is shorter than the greedy cover (12 sets against 13)
+# but not optimal (10): the first optimum comes back
+@example(rotation_instance(6, 3, [{0, 3}, {2, 6}, {15, 17}]))
 def test_class_cover_start_keeps_the_optimum_and_the_witness(instance):
     # as ``sum_number`` solves: started from whole rotation classes, with
     # and without the orbit memo
     universe_size, sets, rows = instance
     k = len(rows)
     start = class_cover(sets, [list(range(j, j + k)) for j in range(0, len(sets), k)])
-    plain = min_set_cover(universe_size, sets)
-    assert min_set_cover(universe_size, sets, start=start) == plain
-    assert min_set_cover(universe_size, sets, symmetry=lambda: rows, start=start) == plain
+    want = solve_from(universe_size, sets, start)
+    assert min_set_cover(universe_size, sets, start=start) == want
+    assert min_set_cover(universe_size, sets, symmetry=lambda: rows, start=start) == want
 
 
 def ceiling_bound(universe_size: int, sets: list[int]) -> int:
@@ -228,14 +248,21 @@ def test_gamma_exact_matches_oracle(spec):
 
 
 def assert_same_sum_without_action(G, L):
-    """``sum_number`` gives the value, witness and ``optimal`` of the same
-    solve with no symmetry and no class cover passed."""
+    """``sum_number`` gives the value and ``optimal`` of the same solve with
+    no symmetry and no class cover passed, and its witness too, unless the
+    class cover is shorter than the greedy cover and optimal: then the
+    witness is the class cover.  An abelian G's classes are single
+    coatoms, so its class cover is the greedy cover."""
     res = sum_number(G, L)
     if res.value.is_aleph0:
         return
-    chosen, optimal = min_set_cover(G.order - 1, [L.subgroups[c].mask >> 1 for c in L.coatoms])
-    plain = (Gamma.of(len(chosen)), tuple(sorted(L.coatoms[i] for i in chosen)), optimal)
-    assert (res.value, res.witness, res.optimal) == plain, G.label
+    sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(L.coatoms):
+        classes.setdefault(L.class_of[c], []).append(i)
+    chosen, optimal = solve_from(G.order - 1, sets, class_cover(sets, list(classes.values())))
+    want = (Gamma.of(len(chosen)), tuple(sorted(L.coatoms[i] for i in chosen)), optimal)
+    assert (res.value, res.witness, res.optimal) == want, G.label
 
 
 @settings(max_examples=30, deadline=None)

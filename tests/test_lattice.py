@@ -9,9 +9,10 @@ from groupdom import lattice as lattice_module
 from groupdom.corpus import corpus, get_group
 from groupdom.groups import build_group, is_prime, parse_group_spec
 from groupdom.lattice import (characteristic_subgroups, classify_group, derived_series,
-                              enumerate_subgroups, generated_subgroup, mobius,
-                              subgroup_classes, sylow_counts)
-from derived_series_reference import derived_series_all_commutators
+                              enumerate_subgroups, generated_subgroup,
+                              lower_central_series, mobius, subgroup_classes, sylow_counts)
+from derived_series_reference import (derived_series_all_commutators,
+                                      lower_central_series_all_commutators)
 from lattice_reference import enumerate_subgroups_allpairs, subgroups_bruteforce
 from mobius_reference import mobius_from_marks, mobius_one_to_top
 
@@ -401,6 +402,26 @@ class TestDerivedSeries:
         series = derived_series(G)
         assert [m.bit_count() for m in series] == orders
         assert series == derived_series_all_commutators(G)
+
+
+class TestLowerCentralSeries:
+    def test_matches_all_commutators_on_the_corpus_up_to_720(self):
+        entries = [e for e in corpus() if e.order <= 720]
+        assert len(entries) == 301
+        for e in entries:
+            G = get_group(e.label)
+            series = lower_central_series(G)
+            assert series == lower_central_series_all_commutators(G), e.label
+            # as ``characteristic_subgroups`` passes [G, G]
+            derived = derived_series(G)
+            assert lower_central_series(G, derived[min(1, len(derived) - 1)]) == series, e.label
+
+    @pytest.mark.parametrize("text,orders", [("S7", [5040, 2520]), ("A7", [2520])])
+    def test_matches_all_commutators_on_degree_7(self, text, orders):
+        G = build_group(parse_group_spec(text))
+        series = lower_central_series(G)
+        assert [m.bit_count() for m in series] == orders
+        assert series == lower_central_series_all_commutators(G)
 
 
 class TestClassification:

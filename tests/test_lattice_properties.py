@@ -25,7 +25,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 from burnside_reference import double_cosets, reference_product  # noqa: E402
-from derived_series_reference import derived_series_all_commutators  # noqa: E402
+from derived_series_reference import (derived_series_all_commutators,  # noqa: E402
+                                      lower_central_series_all_commutators)
 from groups_reference import reference_table  # noqa: E402
 from lattice_reference import (cyclic_subgroup_masks,  # noqa: E402
                                enumerate_subgroups_allpairs, subgroups_bruteforce)
@@ -357,7 +358,7 @@ def test_commutator_series_match_double_loop(spec):
         derived.append(nxt)
     chars = characteristic_subgroups(G, L)
     assert derived_series(G) == derived_series_all_commutators(G) == derived, spec
-    assert lower_central_series(G) == lower, spec
+    assert lower_central_series(G) == lower_central_series_all_commutators(G) == lower, spec
     assert chars.nilpotent_residual.mask == lower[-1], spec
     assert chars.derived.mask == commutator_subgroup_by_loop(G, full, full), spec
     assert classify_group(G, L).is_solvable == (derived[-1] == 1), spec

@@ -21,7 +21,8 @@ REFERENCES = {
                              "lower_bound_visiting_every_point"),
     "burnside_reference": ("double_cosets", "DoubleCosetSet"),
     "collapse_reference": ("greedy_collapse",),
-    "derived_series_reference": ("derived_series_all_commutators",),
+    "derived_series_reference": ("derived_series_all_commutators",
+                                 "lower_central_series_all_commutators"),
 }
 NAMES = {name for names in REFERENCES.values() for name in names}
 
