@@ -302,8 +302,14 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> Simpli
         for w in nxt:
             extend(chain_mask | (1 << w), w)
 
-    for v in np.flatnonzero(~strict.any(axis=0)).tolist():
-        extend(1 << v, v)
+    try:
+        for v in np.flatnonzero(~strict.any(axis=0)).tolist():
+            extend(1 << v, v)
+    finally:
+        # ``extend`` holds itself through its closure; breaking that cycle
+        # frees the covers on return or on BudgetExceeded, not at a later
+        # full garbage collection
+        del extend
     # saturated chains from a minimal to a maximal element are maximal and
     # distinct: only from_facets' order is needed, not its O(F^2) filter
     return SimplicialComplex(L.labels(verts),

@@ -9,12 +9,13 @@ subgroup up, the subgroups of each order are read off the conjugacy class
 representatives of smaller ones as unions of cosets, with no closure
 search.  That reaches every solvable subgroup.  The perfect subgroups all
 lie in the solvable residual G^(∞); when G is not solvable, a
-join-with-cyclic closure inside it finds them, each join closed by a
-breadth-first search under the subgroup's carried generators, and cyclic
-extension continues from there.  Conjugacy orbits and normalizers come
-from one vectorised kernel, ``conjugates``, which conjugates H by its
-left-coset representatives only; the enumeration calls it once per class
-and records the classes on the lattice.
+join-with-cyclic closure inside it finds them, the joins of each frontier
+round closed together by one breadth-first search under each subgroup's
+carried generators, and cyclic extension continues from there.
+Conjugacy orbits and normalizers come from one vectorised kernel,
+``conjugates``, which conjugates H by its left-coset representatives
+only; the enumeration calls it once per class and records the classes on
+the lattice.
 """
 
 from __future__ import annotations
@@ -266,40 +267,71 @@ def conjugates(G: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     return orbit, _bools_to_mask(normalizes)
 
 
-def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
-          gens: tuple[int, ...], top: int) -> int:
-    """Mask of <H, C> for subgroups H and C of the subgroup ``top`` given by
-    their members, where ``gens`` generate H and include a generator of C.
+def _close_joins(G: GroupTable, joins: list, top: int) -> list[int]:
+    """Masks of the joins <H, C>, one per (H members, C members, gens)
+    triple of ``joins``, for subgroups H and C of the subgroup ``top``,
+    where gens generate H and include a generator of C.
 
-    Starts from the product set HC and closes it by a breadth-first search
-    under right multiplication by ``gens``, so each element is multiplied
-    once per generator.  ``top`` is the solvable residual R = G^(∞), which
-    is perfect, so the search stops once the set passes |R|/5: a proper
+    All joins are closed by one breadth-first search.  Its state is one
+    flat membership array of k |G| entries, row r's element x at
+    r |G| + x.  Row r starts from H_r and the products H_r C_r, gathered
+    at once from member matrices padded with the identity, which every H
+    and C contains.  Each step keeps the products not yet present,
+    dedupes them by scattering into a fresh flat array and multiplies
+    the new elements on the right by their row's generators, padded by
+    repetition; so each element of a row is multiplied once per
+    generator.  ``top`` is the solvable residual R = G^(∞), which is
+    perfect, so a row retires as ``top`` once it passes |R|/5: a proper
     subgroup of R of index k < 5 would map R, by its action on the k
     cosets, onto a transitive perfect subgroup of S_k, and S_k is
-    solvable for k <= 4.
+    solvable for k <= 4.  The rows that never retire close, and become
+    masks through one ``packbits``.
     """
     n = G.order
+    k = len(joins)
     fifth = top.bit_count() // 5
-    prods = G.mul[h_members[:, None], c_members].ravel()
-    gens = np.array(gens)
-    in_set = np.zeros(n, dtype=bool)
-    in_set[h_members] = True
-    size = len(h_members)
+    hs, cs, gens = zip(*joins)
+
+    def padded(rows, fill=None):
+        """Ragged rows as a matrix, padded with ``fill`` or by repeating
+        each row's first entry."""
+        lengths = np.array([len(row) for row in rows])
+        flat = np.concatenate(rows)
+        out = np.empty((k, lengths.max()), dtype=np.intp)
+        out[:] = flat[np.cumsum(lengths) - lengths, None] if fill is None else fill
+        out[np.arange(out.shape[1]) < lengths[:, None]] = flat
+        return out
+
+    offset = np.arange(k) * n
+    h_rows = padded(hs, 0)
+    gen_rows = padded(gens)
+    in_set = np.zeros(k * n, dtype=bool)
+    in_set[(h_rows + offset[:, None]).ravel()] = True
+    size = np.array([len(h) for h in hs])
+    out = [top] * k
+    prods = (G.mul[h_rows[:, :, None], padded(cs, 0)[:, None, :]] + offset[:, None, None]).ravel()
     while True:
         novel = prods[~in_set[prods]]
         if novel.size == 0:
             break
-        fresh = np.zeros(n, dtype=bool)
+        fresh = np.zeros(k * n, dtype=bool)
         fresh[novel] = True
         frontier = fresh.nonzero()[0]
-        size += frontier.size
-        # a subgroup of the perfect top of order greater than |top|/5 is top
-        if size > fifth:
-            return top
-        in_set |= fresh
-        prods = G.mul[frontier[:, None], gens].ravel()
-    return _bools_to_mask(in_set)
+        rows = frontier // n
+        size += np.bincount(rows, minlength=k)
+        # a subgroup of the perfect top of order greater than |top|/5 is
+        # top: such a row retires, and its frontier goes no further
+        growing = (size <= fifth)[rows]
+        frontier, rows = frontier[growing], rows[growing]
+        in_set[frontier] = True
+        start = rows * n
+        prods = (G.mul[(frontier - start)[:, None], gen_rows[rows]] + start[:, None]).ravel()
+    closed = np.flatnonzero(size <= fifth)
+    width = (n + 7) // 8
+    data = np.packbits(in_set.reshape(k, n)[closed], axis=1, bitorder="little").tobytes()
+    for i, r in enumerate(closed.tolist()):
+        out[r] = int.from_bytes(data[i * width:(i + 1) * width], "little")
+    return out
 
 
 def _cyclic_extensions(G: GroupTable, members: np.ndarray, inside: np.ndarray,
@@ -444,7 +476,7 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
     non-solvable group G, by join-with-cyclic closure from the cyclic
     subgroups inside it; classes not in ``known`` are recorded, and their
     representatives are returned by order.  ``check`` runs after each new
-    subgroup and each extended representative.
+    subgroup and each frontier round's closure.
 
     Three shortcuts keep this tractable: joining with prime-power cyclic
     subgroups suffices (every cyclic subgroup is the join of the
@@ -462,12 +494,23 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
     Each representative carries a generating set: (g,) for a cyclic
     subgroup <g>, gens(H) + (c,) for a join <H, <c>>, conjugated onto the
     representative when the orbit's representative is a conjugate of the
-    subgroup reached.  A join is closed by ``_join``, a breadth-first
-    search under those generators, unless |HC| already shows it is
-    ``top``: ``top`` is perfect, so, as ``_join`` argues, none of its
-    proper subgroups has index below 5.  Which subgroups the closure has
-    reached is kept apart from ``known``, so its frontier does not depend
-    on what cyclic extension found before it.
+    subgroup reached.  A join is closed by a breadth-first search under
+    those generators, unless |HC| already shows it is ``top``: ``top`` is
+    perfect, so, as ``_close_joins`` argues, none of its proper subgroups
+    has index below 5.  Which subgroups the closure has reached is kept
+    apart from ``known``, so its frontier does not depend on what cyclic
+    extension found before it.
+
+    The joins of one frontier round are picked first, in order, and
+    closed by one ``_close_joins`` call; their results are then admitted
+    in that order, so the round finds what joining and admitting one at
+    a time would.  Only the ``reached`` test of a seed H | C could see an
+    admit of the same round, and it cannot: a group is never the union of
+    two proper subgroups, so H | C is a subgroup, and can be reached,
+    only when H < C, and then it is the cyclic seed C, reached before the
+    first round.  An admit reaches only representatives not yet reached,
+    so the generators and normalizers of the round's own representatives
+    stay as they were.
     """
     n = G.order
     seeds = sorted((c for c in cyclic if c & ~top == 0), key=lambda m: (m.bit_count(), m))
@@ -508,7 +551,8 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
     seen_seeds = set()
     fifth = top.bit_count() // 5
     while frontier:
-        next_frontier = []
+        picked = []  # (gens, whether |HC| already shows the join is top), in order
+        joins = []
         for h in frontier:
             h_count = h.bit_count()
             h_members = None
@@ -526,17 +570,20 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
                 gens = gens_of[h] + (c_gen,)
                 # |<H,C>| >= |HC| = |H||C|/|H&C|, and a subgroup of the
                 # perfect top of order greater than |top|/5 is top
-                if h_count * c_count // (h & c).bit_count() > fifth:
-                    j = top
-                else:
+                is_top = h_count * c_count // (h & c).bit_count() > fifth
+                picked.append((gens, is_top))
+                if not is_top:
                     if h_members is None:
                         h_members = mask_to_array(h, n)
-                    j = _join(G, h_members, c_members, gens, top)
-                if j not in reached:
-                    next_frontier.append(admit(j, gens))
-                    check()
-            check()
-        frontier = next_frontier
+                    joins.append((h_members, c_members, gens))
+        closed = iter(_close_joins(G, joins, top) if joins else ())
+        check()
+        frontier = []
+        for gens, is_top in picked:
+            j = top if is_top else next(closed)
+            if j not in reached:
+                frontier.append(admit(j, gens))
+                check()
     return new
 
 

@@ -1,6 +1,8 @@
 """Two independent enumerations of the subgroup lattice, as the references
 for ``enumerate_subgroups``, which builds lattices by cyclic extension over
-conjugacy class representatives.
+conjugacy class representatives, and the one-join breadth-first search,
+``_join``, as the reference for the batched join closure
+``lattice._close_joins``.
 
 Both start from the cyclic subgroups, each walked from its own generator's
 powers over the multiplication table, so neither shares the fast path's
@@ -11,7 +13,7 @@ and keeps the closed ones.
 
 import numpy as np
 
-from groupdom.groups import GroupTable, array_to_mask, mask_to_array
+from groupdom.groups import GroupTable, _bools_to_mask, array_to_mask, mask_to_array
 from groupdom.lattice import close_subset
 
 
@@ -34,6 +36,42 @@ def _close_join(G: GroupTable, base: np.ndarray, add: np.ndarray) -> int:
         in_set[novel] = True
         new = np.unique(novel)
         members = np.flatnonzero(in_set)
+
+
+def _join(G: GroupTable, h_members: np.ndarray, c_members: np.ndarray,
+          gens: tuple[int, ...], top: int) -> int:
+    """Mask of <H, C> for subgroups H and C of the subgroup ``top`` given by
+    their members, where ``gens`` generate H and include a generator of C.
+
+    Starts from the product set HC and closes it by a breadth-first search
+    under right multiplication by ``gens``, so each element is multiplied
+    once per generator.  ``top`` is the solvable residual R = G^(∞), which
+    is perfect, so the search stops once the set passes |R|/5: a proper
+    subgroup of R of index k < 5 would map R, by its action on the k
+    cosets, onto a transitive perfect subgroup of S_k, and S_k is
+    solvable for k <= 4.
+    """
+    n = G.order
+    fifth = top.bit_count() // 5
+    prods = G.mul[h_members[:, None], c_members].ravel()
+    gens = np.array(gens)
+    in_set = np.zeros(n, dtype=bool)
+    in_set[h_members] = True
+    size = len(h_members)
+    while True:
+        novel = prods[~in_set[prods]]
+        if novel.size == 0:
+            break
+        fresh = np.zeros(n, dtype=bool)
+        fresh[novel] = True
+        frontier = fresh.nonzero()[0]
+        size += frontier.size
+        # a subgroup of the perfect top of order greater than |top|/5 is top
+        if size > fifth:
+            return top
+        in_set |= fresh
+        prods = G.mul[frontier[:, None], gens].ravel()
+    return _bools_to_mask(in_set)
 
 
 def cyclic_subgroup_masks(G: GroupTable) -> list[int]:

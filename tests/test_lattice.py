@@ -46,7 +46,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("label", ["A5", "A6", "A7"])
     def test_no_proper_subgroup_of_a_perfect_group_has_index_below_5(self, label):
-        # what lets ``_join`` stop at |R|/5 inside the perfect residual R
+        # what lets ``_close_joins`` stop at |R|/5 inside the perfect residual R
         G, L = built(label)
         assert derived_series(G) == [(1 << G.order) - 1]
         assert max(s.order for s in L.subgroups[:-1]) * 5 <= G.order
@@ -147,26 +147,30 @@ class TestEnumeration:
 
 
 class TestJoinWork:
-    # Joins run only inside the solvable residual G^(∞) (A5 in S5, A6 in
-    # A6 and S6), and each class representative H there is joined with one
-    # prime-power cyclic subgroup per N_G(H)-orbit.  Joining it with every
-    # prime-power cyclic subgroup instead took 771 _join calls on S5 and
-    # 3,010 on A6, and joining inside all of S5 took 144, so a lost
-    # pruning shows up here as a count rather than as a timing.  A join
-    # whose product set HC passes |G^(∞)|/5 is G^(∞) without a _join call,
-    # since a perfect group has no proper subgroup of index below 5; with
-    # |G^(∞)|/2 there the counts were 27, 383 and 289.
-    @pytest.mark.parametrize("label, subgroups, joins",
-                             [("S5", 156, 18), ("A6", 501, 355), ("S6", 1455, 267)],
-                             ids=["S5", "A6", "S6"])
-    def test_join_count(self, monkeypatch, label, subgroups, joins):
+    # Joins run only inside the solvable residual G^(∞) (A5 in A5 and S5,
+    # A6 in A6 and S6, A7 in A7), and each class representative H there is
+    # joined with one prime-power cyclic subgroup per N_G(H)-orbit.
+    # Joining it with every prime-power cyclic subgroup instead took 771
+    # one-join searches on S5 and 3,010 on A6, and joining inside all of
+    # S5 took 144, so a lost pruning shows up here as a count rather than
+    # as a timing.  A join whose product set HC passes |G^(∞)|/5 is G^(∞)
+    # with no search, since a perfect group has no proper subgroup of
+    # index below 5; with |G^(∞)|/2 there the counts were 27, 383 and 289.
+    # The joins of one frontier round are closed by one ``_close_joins``
+    # call, one row per join, so the rows are the joins the one-join
+    # search ran and the calls are the rounds.
+    @pytest.mark.parametrize("label, subgroups, joins, rounds",
+                             [("A5", 59, 25, 2), ("S5", 156, 18, 2), ("A6", 501, 355, 3),
+                              ("S6", 1455, 267, 3), ("A7", 3786, 1872, 3)],
+                             ids=["A5", "S5", "A6", "S6", "A7"])
+    def test_join_count(self, monkeypatch, label, subgroups, joins, rounds):
         calls = []
-        join = lattice_module._join
-        monkeypatch.setattr(lattice_module, "_join",
-                            lambda *args: calls.append(args) or join(*args))
+        close = lattice_module._close_joins
+        monkeypatch.setattr(lattice_module, "_close_joins",
+                            lambda G, rows, top: calls.append(len(rows)) or close(G, rows, top))
         G, L = built(label)
         assert len(L) == subgroups
-        assert len(calls) == joins
+        assert (sum(calls), len(calls)) == (joins, rounds)
 
 
 class TestClassWork:
@@ -177,7 +181,7 @@ class TestClassWork:
     # subgroup_classes reads the records and calls it no more.
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_join": [], "conjugates": []}
+        calls = {"_close_joins": [], "conjugates": []}
         for name, seen in calls.items():
             original = getattr(lattice_module, name)
             monkeypatch.setattr(lattice_module, name,
@@ -197,7 +201,7 @@ class TestClassWork:
         assert len(nonabelian) == 33 and "S4" in nonabelian
         for label in nonabelian:
             self.assert_one_call_per_class(label, calls, 2)
-        assert calls["_join"] == []
+        assert calls["_close_joins"] == []
 
     @pytest.mark.parametrize("label, preset", [("A5", 2), ("S5", 3), ("A6", 2), ("S6", 3)])
     def test_non_solvable_groups(self, calls, label, preset):
@@ -219,8 +223,9 @@ class TestExtensionWork:
     # k-dimensional subspace lies in (p^(n-k) - 1)/(p - 1) subspaces of
     # dimension k + 1, so the count is
     # sum_k [n, k]_p (p^(n-k) - 1)/(p - 1): C2^5 2,077 and C3^3 78.
-    # Closing the same lattices by joins instead took 8,525 _join calls on
-    # C2^5, so a lost deduplication shows up here as a count.
+    # Closing the same lattices by joins instead took 8,525 one-join
+    # searches on C2^5, so a lost deduplication shows up here as a count;
+    # no join is closed at all.
     @pytest.fixture
     def kept(self, monkeypatch):
         """Row count of every ``_cyclic_extensions`` result."""
@@ -240,7 +245,7 @@ class TestExtensionWork:
                               ("C6xC6", 30, 76)])
     def test_extension_count(self, monkeypatch, kept, label, subgroups, extensions):
         joins = []
-        monkeypatch.setattr(lattice_module, "_join", lambda *args: joins.append(args))
+        monkeypatch.setattr(lattice_module, "_close_joins", lambda *args: joins.append(args))
         G, L = built(label)
         assert len(L) == subgroups
         assert sum(kept) == extensions

@@ -13,6 +13,7 @@ identity.
 """
 
 import dataclasses
+import functools
 import random
 import re
 import time
@@ -28,7 +29,7 @@ from burnside_reference import double_cosets, reference_product  # noqa: E402
 from derived_series_reference import (derived_series_all_commutators,  # noqa: E402
                                       lower_central_series_all_commutators)
 from groups_reference import reference_table  # noqa: E402
-from lattice_reference import (cyclic_subgroup_masks,  # noqa: E402
+from lattice_reference import (_join, cyclic_subgroup_masks,  # noqa: E402
                                enumerate_subgroups_allpairs, subgroups_bruteforce)
 from mobius_reference import mobius_one_to_top  # noqa: E402
 from residual_quotient_reference import (reference_residual_quotient,  # noqa: E402
@@ -44,9 +45,10 @@ from groupdom.errors import BudgetExceeded, CapExceeded  # noqa: E402
 from groupdom.formulas import verify_bounds  # noqa: E402
 from groupdom.groups import (array_to_mask, build_group, is_normal,  # noqa: E402
                              mask_to_array, parse_group_spec, quotient_group)
-from groupdom.lattice import (characteristic_subgroups, classify_group,  # noqa: E402
-                              close_subset, conjugates, derived_series, enumerate_subgroups,
-                              lower_central_series, mobius, subgroup_classes)
+from groupdom.lattice import (_close_joins, characteristic_subgroups,  # noqa: E402
+                              classify_group, close_subset, conjugates, derived_series,
+                              enumerate_subgroups, lower_central_series, mobius,
+                              prime_factors, subgroup_classes)
 
 MAX_ORDER = 60
 
@@ -186,6 +188,92 @@ def test_enumeration_matches_allpairs_under_relabelling(spec, seed):
     assert renamed_classes(LH, np.arange(H.order)) == renamed_classes(L, p), spec
     if G.order <= 120:
         assert masks == enumerate_subgroups_allpairs(H), spec
+
+
+class CountingTable(np.ndarray):
+    """A multiplication table that counts the products read from it."""
+    reads = 0
+
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        CountingTable.reads += out.size
+        return out
+
+
+def join_row(G, h, c, order):
+    """The ``_close_joins`` row of subgroup masks h and c: H's members,
+    C's members, and a generating set of H picked greedily in ``order``
+    (H's members, shuffled) followed by a generator of C."""
+    n = G.order
+    gens, closure = [], 1
+    for x in order:
+        if not closure >> x & 1:
+            gens.append(x)
+            closure = close_subset(G, closure | 1 << x)
+    c_members = mask_to_array(c, n)
+    c_gen = next(x for x in c_members.tolist() if G.elem_order[x] == c.bit_count())
+    return mask_to_array(h, n), c_members, tuple(gens) + (c_gen,)
+
+
+@functools.lru_cache(maxsize=None)
+def residual_joins(label):
+    """G with a counting table, its solvable residual R, the subgroups of
+    R, its prime-power cyclic subgroups, and two anchor pairs (H, C) of
+    cyclic subgroups: the first whose product set HC fits in |R|/5 but
+    whose join is R, and the first whose join grows past HC to a
+    subgroup of the largest order below R."""
+    G = get_group(label)
+    G = dataclasses.replace(G, mul=G.mul.view(CountingTable))
+    R = derived_series(G)[-1]
+    subs = [s.mask for s in enumerate_subgroups(G).subgroups if s.mask & ~R == 0]
+    largest = max(m.bit_count() for m in subs if m != R)
+    cyclic = [c for c in cyclic_subgroup_masks(G)
+              if c & ~R == 0 and len(prime_factors(c.bit_count())) == 1]
+    pairs = [(h, c) for h in cyclic for c in cyclic if h & ~c and c & ~h]
+    fifth = R.bit_count() // 5
+
+    def join(h, c):
+        return _join(G, *join_row(G, h, c, mask_to_array(h, G.order).tolist()), R)
+
+    retiring = next((h, c) for h, c in pairs
+                    if h.bit_count() * c.bit_count() <= fifth and join(h, c) == R)
+    closing = next((h, c) for h, c in pairs if h.bit_count() * c.bit_count()
+                   < join(h, c).bit_count() == largest)
+    return G, R, subs, cyclic, (retiring, closing)
+
+
+@PROPERTY
+@given(st.sampled_from(["A5", "S5", "A6"]),
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0)), max_size=12),
+       st.randoms(use_true_random=False))
+def test_batched_joins_match_the_one_join_search(label, picks, rnd):
+    # one ``_close_joins`` call over joins inside the residual R (A5 in A5
+    # and S5, A6 in A6): subgroups H of every order with prime-power
+    # cyclic C, and the two anchors, one retiring as R and one closing
+    # below |R|/5.  Every row equals the one-join search ``_join``, and
+    # the batch multiplies no element its row's search does not: each
+    # search reads |H||C| products and then |gens| per element it
+    # multiplies, and the batch pads H and C to the largest of each and
+    # gens to the longest
+    G, R, subs, cyclic, anchors = residual_joins(label)
+    pairs = [(subs[i % len(subs)], cyclic[j % len(cyclic)]) for i, j in picks]
+    for pair in anchors:
+        pairs.insert(rnd.randrange(len(pairs) + 1), pair)
+    rows = []
+    for h, c in pairs:
+        order = mask_to_array(h, G.order).tolist()
+        rnd.shuffle(order)
+        rows.append(join_row(G, h, c, order))
+    expected, multiplied = [], 0
+    for h_members, c_members, gens in rows:
+        CountingTable.reads = 0
+        expected.append(_join(G, h_members, c_members, gens, R))
+        multiplied += (CountingTable.reads - len(h_members) * len(c_members)) // len(gens)
+    assert R in expected and any(j != R for j in expected)
+    CountingTable.reads = 0
+    assert _close_joins(G, rows, R) == expected, label
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    assert CountingTable.reads <= len(rows) * widths[0] * widths[1] + widths[2] * multiplied
 
 
 @PROPERTY

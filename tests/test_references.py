@@ -16,7 +16,7 @@ TESTS = Path(__file__).parent
 # every name here is defined in a tests/*_reference.py module
 REFERENCES = {
     "lattice_reference": ("enumerate_subgroups_allpairs", "subgroups_bruteforce",
-                          "_close_join", "cyclic_subgroup_masks"),
+                          "_close_join", "cyclic_subgroup_masks", "_join"),
     "domination_reference": ("domination_oracle", "is_dominating",
                              "lower_bound_visiting_every_point"),
     "burnside_reference": ("double_cosets", "DoubleCosetSet"),
