@@ -51,7 +51,7 @@ import numpy as np
 
 from .domination import Gamma
 from .errors import BudgetExceeded
-from .groups import _bools_to_mask, mask_to_indices
+from .groups import mask_to_indices, rows_to_masks
 from .lattice import Lattice, mobius
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -201,7 +201,7 @@ class HomologyProfile:
 def _atom_upsets(L: Lattice, verts) -> list[int]:
     """Per atom, the mask of the positions in ``verts`` of the subgroups
     containing it."""
-    return [_bools_to_mask(row) for row in L.containment[np.ix_(L.atoms, verts)]]
+    return rows_to_masks(L.containment[np.ix_(L.atoms, verts)])
 
 
 def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:
@@ -350,8 +350,7 @@ def atom_nerve(L: Lattice) -> SimplicialComplex:
 
 def coatom_nerve(L: Lattice) -> SimplicialComplex:
     """Nerve of the downward-closed covering by coatom down-sets."""
-    below = L.containment[np.ix_(L.vertex_set, L.coatoms)].T
-    covers = [_bools_to_mask(row) for row in below]
+    covers = rows_to_masks(L.containment[np.ix_(L.vertex_set, L.coatoms)].T)
     labels = tuple(f"M{L.subgroups[c].order}_{c}" for c in L.coatoms)
     return nerve(covers, labels)
 

@@ -20,7 +20,7 @@ from functools import cache
 from .domination import DominationCertificate, gamma_exact
 from .groups import (DEFAULT_ELEMENT_CAP, GroupTable, build_group,
                      parse_group_spec, quotient_group)
-from .lattice import Lattice, enumerate_subgroups
+from .lattice import Lattice, enumerate_subgroups, prime_factors, subgroup_classes
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
 def abelian_types(max_order: int) -> list[tuple[int, ...]]:
     """Primary-decomposition factor tuples for every abelian isomorphism
     type of order 2..max_order, sorted by (order, factors)."""
-    from .lattice import prime_factors
-
     types = []
     for n in range(2, max_order + 1):
         per_prime = []
@@ -136,7 +134,6 @@ def build_entry(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP) -> GroupTabl
     base_text, kernel_order = entry.quotient_of
     base = get_group(base_text, cap=cap)
     L = get_lattice(base_text, cap=cap)
-    from .lattice import subgroup_classes
     normals = [c for c in subgroup_classes(base, L)
                if len(c.members) == 1 and L.subgroups[c.rep].order == kernel_order]
     if len(normals) != 1:

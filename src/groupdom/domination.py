@@ -20,8 +20,8 @@ from operator import or_
 import numpy as np
 
 from .graphs import IntersectionGraph
-from .groups import array_to_mask, mask_to_array, mask_to_indices
-from .lattice import Lattice, conjugate_rows
+from .groups import mask_to_array, mask_to_indices, rows_to_masks
+from .lattice import Lattice, _membership, conjugate_rows
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,10 @@ def coatom_action(L: Lattice) -> np.ndarray:
     G, n, m = L.group, L.group.order, len(L.coatoms)
     position = {L.subgroups[c].mask: i for i, c in enumerate(L.coatoms)}
     gens = list(G.generators)
-    steps = np.array([[position[array_to_mask(row, n)]
-                       for row in conjugate_rows(G, mask_to_array(L.subgroups[c].mask, n), gens)]
-                      for c in L.coatoms], dtype=np.min_scalar_type(m)).T
+    conjugated = [_membership(conjugate_rows(G, mask_to_array(L.subgroups[c].mask, n), gens), n)[1]
+                  for c in L.coatoms]
+    steps = np.array([[position[mask] for mask in row] for row in conjugated],
+                     dtype=np.min_scalar_type(m)).T
     # steps[s, i]: coatom i conjugated by gens[s]; rows maps each
     # permutation's bytes to it, in the order found
     identity = np.arange(m, dtype=steps.dtype)
@@ -216,7 +217,8 @@ def min_set_cover(universe_size: int, sets: list[int],
     indices, optimal); ``optimal`` is False only when the deadline passed,
     and the chosen sets are then the best cover found.
 
-    The incumbent starts as a greedy cover of the whole universe.  A
+    The incumbent starts as the greedy cover of the whole universe,
+    ``class_cover`` on single sets.  A
     ``start`` of h sets, fewer than the greedy cover's, replaces it at its
     own size h, so the search looks only for covers of fewer than h sets;
     when there is none, ``sorted(start)`` comes back as optimal.
@@ -287,20 +289,9 @@ def min_set_cover(universe_size: int, sets: list[int],
     if len(sets) > 64:
         symmetry = None
 
-    def greedy(uncovered: int) -> list[int]:
-        chosen = []
-        while uncovered:
-            best, best_gain = -1, -1
-            for si, s in enumerate(sets):
-                gain = (s & uncovered).bit_count()
-                if gain > best_gain:
-                    best, best_gain = si, gain
-            chosen.append(best)
-            uncovered &= ~sets[best]
-        return chosen
-
     full = (1 << universe_size) - 1
-    incumbent = greedy(full)
+    # cut to the universe, so that a bit outside it cannot change a pick
+    incumbent = class_cover([s & full for s in sets], [[i] for i in range(len(sets))])
     best_size = len(incumbent)
     if start is not None:
         if len(set(start)) < len(start) or not all(0 <= si < len(sets) for si in start):
@@ -392,13 +383,7 @@ def gamma_graph(graph: IntersectionGraph) -> DominationCertificate:
     n = graph.n
     if n == 0:
         return DominationCertificate(gamma=ALEPH0, witness=(), optimal=True, method="setcover")
-    sets = []
-    for v in range(n):
-        s = 1 << v
-        for u in range(n):
-            if graph.adjacency[v, u]:
-                s |= 1 << u
-        sets.append(s)
+    sets = rows_to_masks(graph.adjacency | np.eye(n, dtype=bool))
     chosen, optimal = min_set_cover(n, sets)
     return DominationCertificate(gamma=Gamma.of(len(chosen)), witness=tuple(chosen),
                                  optimal=optimal, method="setcover")
@@ -413,7 +398,7 @@ def class_cover(sets: list[int], classes: list[list[int]]) -> list[int]:
     class of A5 (6) and the class of 3^2:4 (10), Cohn's 16, where the
     greedy cover by single subgroups takes 18."""
     unions = [reduce(or_, (sets[i] for i in members)) for members in classes]
-    uncovered = reduce(or_, sets)
+    uncovered = reduce(or_, sets, 0)
     chosen: list[int] = []
     while uncovered:
         best, best_gain = 0, -1

@@ -504,6 +504,28 @@ def _bools_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
+def rows_to_masks(rows: np.ndarray) -> list[int]:
+    """Masks of the rows of a boolean matrix, one per row, packed at once."""
+    width = (rows.shape[1] + 7) // 8
+    data = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[r * width:(r + 1) * width], "little") for r in range(len(rows))]
+
+
+def masks_to_rows(masks, n: int) -> np.ndarray:
+    """Membership rows of masks over n elements, one bool row each."""
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(data.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _pack(masks, n: int) -> np.ndarray:
+    """Subgroup masks as rows of little-endian uint64 words."""
+    width = 8 * ((n + 63) // 64 or 1)
+    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype="<u8")
+    return data.reshape(len(masks), width // 8)
+
+
 def left_cosets(G: GroupTable, members) -> tuple[np.ndarray, np.ndarray]:
     """Left cosets gK of the subgroup K given by ``members`` (an index array
     or a boolean row over G): the least element of gK for each g, and the

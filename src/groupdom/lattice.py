@@ -30,8 +30,8 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetExceeded
-from .groups import (GroupTable, _bools_to_mask, array_to_mask, is_prime,
-                     left_cosets, mask_to_array)
+from .groups import (GroupTable, _bools_to_mask, _pack, array_to_mask, is_prime,
+                     left_cosets, mask_to_array, masks_to_rows, rows_to_masks)
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,6 @@ def _cyclic_generators(G: GroupTable) -> tuple[dict[int, int], list[int]]:
             if gcd(k, len(powers)) == 1:
                 of_element[x] = m
     return out, of_element
-
-
-def _pack(masks, n: int) -> np.ndarray:
-    """Subgroup masks as rows of little-endian uint64 words."""
-    width = 8 * ((n + 63) // 64 or 1)
-    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype="<u8")
-    return data.reshape(len(masks), width // 8)
 
 
 class Lattice:
@@ -168,7 +161,7 @@ class Lattice:
         sizes are a float32 product of membership rows, exact while they
         stay below 2^24; it is taken in blocks of rows, each against the
         rows from its first on, so the product stays near 2^20 entries."""
-        rows = _unpack([s.mask for s in self.subgroups], self.group.order).astype(np.float32)
+        rows = masks_to_rows([s.mask for s in self.subgroups], self.group.order).astype(np.float32)
         orders = rows.sum(axis=1)
         k = len(rows)
         out = np.zeros((k, k), dtype=bool)
@@ -222,13 +215,6 @@ def mobius(L: Lattice) -> list[int]:
     for h in range(1, len(below)):
         mu.append(-sum(mu[k] for k in np.flatnonzero(below[:h, h]).tolist()))
     return mu
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = prime_factors(n)
-    return len(p) == 1
 
 
 def conjugate_rows(G: GroupTable, members: np.ndarray, g) -> np.ndarray:
@@ -285,7 +271,7 @@ def _close_joins(G: GroupTable, joins: list, top: int) -> list[int]:
     subgroup of R of index k < 5 would map R, by its action on the k
     cosets, onto a transitive perfect subgroup of S_k, and S_k is
     solvable for k <= 4.  The rows that never retire close, and become
-    masks through one ``packbits``.
+    masks at once.
     """
     n = G.order
     k = len(joins)
@@ -327,10 +313,8 @@ def _close_joins(G: GroupTable, joins: list, top: int) -> list[int]:
         start = rows * n
         prods = (G.mul[(frontier - start)[:, None], gen_rows[rows]] + start[:, None]).ravel()
     closed = np.flatnonzero(size <= fifth)
-    width = (n + 7) // 8
-    data = np.packbits(in_set.reshape(k, n)[closed], axis=1, bitorder="little").tobytes()
-    for i, r in enumerate(closed.tolist()):
-        out[r] = int.from_bytes(data[i * width:(i + 1) * width], "little")
+    for r, mask in zip(closed.tolist(), rows_to_masks(in_set.reshape(k, n)[closed])):
+        out[r] = mask
     return out
 
 
@@ -392,18 +376,7 @@ def _membership(rows: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     one bool row each, and their masks, packed at once."""
     found = np.zeros((len(rows), n), dtype=bool)
     found[np.arange(len(rows))[:, None], rows] = True
-    width = (n + 7) // 8
-    data = np.packbits(found, axis=1, bitorder="little").tobytes()
-    return found, [int.from_bytes(data[r * width:(r + 1) * width], "little")
-                   for r in range(len(rows))]
-
-
-def _unpack(masks: list[int], n: int) -> np.ndarray:
-    """Membership rows of subgroup masks, one bool row of length n each."""
-    width = (n + 7) // 8
-    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(data.reshape(len(masks), width), axis=1, count=n,
-                         bitorder="little").view(bool)
+    return found, rows_to_masks(found)
 
 
 def _new_class(G: GroupTable, mask: int, known: dict[int, int],
@@ -445,8 +418,8 @@ def _extend(G: GroupTable, layers: dict[int, list], steps, rank,
         if orbits is None:
             inside = np.concatenate(reps)
         else:
-            inside = _unpack(reps, n)
-            normal = _unpack([orbits[h][1] for h in reps], n)
+            inside = masks_to_rows(reps, n)
+            normal = masks_to_rows([orbits[h][1] for h in reps], n)
         members = np.nonzero(inside)[1].reshape(len(inside), size)
         for p, step in steps.items():
             if n % (size * p):
@@ -515,7 +488,7 @@ def _join_closure(G: GroupTable, top: int, cyclic: dict[int, int],
     n = G.order
     seeds = sorted((c for c in cyclic if c & ~top == 0), key=lambda m: (m.bit_count(), m))
     joiners = [(c, c.bit_count(), cyclic[c], mask_to_array(c, n)) for c in seeds
-               if _is_prime_power(c.bit_count())]
+               if len(prime_factors(c.bit_count())) == 1]
     # joiner position of <g> for every element g; other elements map past the end
     position = {c: j for j, (c, *_) in enumerate(joiners)}
     joiner_of = np.array([position.get(m, len(joiners)) for m in cyclic_of])
@@ -671,10 +644,14 @@ def squarefree_part(n: int) -> int:
     return r
 
 
-def _commutators(G: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The |A| x |B| array of commutators a^-1 b^-1 a b, for a in ``a`` and
-    b in ``b`` (element index arrays)."""
-    return G.mul[G.mul[np.ix_(G.inv[a], G.inv[b])], G.mul[np.ix_(a, b)]]
+def _commutator_subgroup(G: GroupTable, mask: int, gens: np.ndarray) -> tuple[int, np.ndarray]:
+    """The subgroup generated by the commutators [x, s] = x^-1 s^-1 x s for
+    x in subgroup ``mask`` and s in ``gens``, and those commutators,
+    distinct, without the identity and ascending, as an index array."""
+    n = G.order
+    x = mask_to_array(mask, n)
+    seed = array_to_mask(G.mul[G.mul[np.ix_(G.inv[x], G.inv[gens])], G.mul[np.ix_(x, gens)]], n)
+    return close_subset(G, seed), mask_to_array(seed & ~1, n)
 
 
 def derived_series(G: GroupTable) -> list[int]:
@@ -690,14 +667,10 @@ def derived_series(G: GroupTable) -> list[int]:
     [D, D] <= H <= [D, D].  That takes |D| |S| products, never more than
     the |D|^2 of all commutators: 1,440 instead of 518,400 for S6's first
     term."""
-    n = G.order
-    series = [(1 << n) - 1]
+    series = [(1 << G.order) - 1]
     gens = np.array(G.generators, dtype=np.intp)
     while series[-1] != 1:
-        # x = 1 gives the identity, which np.unique sorts first; it
-        # generates nothing
-        gens = np.unique(_commutators(G, mask_to_array(series[-1], n), gens))[1:]
-        nxt = close_subset(G, array_to_mask(gens, n))
+        nxt, gens = _commutator_subgroup(G, series[-1], gens)
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -716,20 +689,14 @@ def lower_central_series(G: GroupTable, commutator: int | None = None) -> list[i
     with the image of every generator, so xK is central in G/K and
     [N, G] <= K <= [N, G].  That takes |N| |S| commutators instead of
     |N| |G|: 5,040 instead of 12.7 M for S7's [A7, S7]."""
-    n = G.order
     gens = np.array(G.generators, dtype=np.intp)
-
-    def with_g(mask: int) -> int:  # [N, G] for N = mask
-        comms = _commutators(G, mask_to_array(mask, n), gens)
-        return close_subset(G, array_to_mask(comms.ravel(), n))
-
-    series = [(1 << n) - 1]
-    nxt = with_g(series[0]) if commutator is None else commutator
+    series = [(1 << G.order) - 1]
+    nxt = _commutator_subgroup(G, series[0], gens)[0] if commutator is None else commutator
     while nxt != series[-1]:
         series.append(nxt)
         if nxt == 1:
             break
-        nxt = with_g(nxt)
+        nxt = _commutator_subgroup(G, nxt, gens)[0]
     return series
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: JSON shape, exit codes, determinism, DOT."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +305,17 @@ class TestErrors:
         code, out, err = run(capsys, "--cap", "10", "gamma", "S4")
         assert code == 3
         assert "budget" in err
+
+
+def test_sum_of_a5_does_not_import_numpy_ma():
+    # the derived series dedupes commutators through a mask, not np.unique,
+    # which loads numpy.ma; a fresh process shows what a command imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from groupdom import cli; cli.main(['sum', 'A5']); "
+            "sys.exit(3 * ('numpy.ma' in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestDeterminism:

@@ -54,6 +54,14 @@ class TestSetCover:
         chosen, opt = min_set_cover(universe_size, sets)
         assert opt and chosen == expected
 
+    @pytest.mark.parametrize("universe_size,sets,expected", [
+        (0, [], ([], True)),
+        # the bits outside the universe would make set 0 the greedy pick
+        (2, [0b11100001, 0b11], ([1], False)),
+    ])
+    def test_greedy_incumbent_at_the_deadline(self, universe_size, sets, expected):
+        assert min_set_cover(universe_size, sets, deadline=time.monotonic()) == expected
+
     def test_uncoverable_raises(self):
         with pytest.raises(ValueError):
             min_set_cover(3, [0b011])
@@ -270,12 +278,12 @@ class TestSumNumber:
         # witness; at this labelling it is also the first optimum in
         # search order
         L = lattice("A6")
-        starts, calls = [], [0]
+        covers, calls = [], [0]
         cover, bound = class_cover, _Instance.lower_bound
 
-        def recorded_cover(*args):
-            starts.append(cover(*args))
-            return starts[-1]
+        def recorded_cover(sets, classes):
+            covers.append((classes, cover(sets, classes)))
+            return covers[-1][1]
 
         def counted_bound(self, *args):
             calls[0] += 1
@@ -286,11 +294,12 @@ class TestSumNumber:
         res = sum_number(L.group, L)
         assert res.optimal and res.witness == self.WITNESSES["A6"]
         assert calls[0] == 1090
-        [start] = starts
+        # the start is the call with whole classes; the greedy incumbent of
+        # ``min_set_cover`` is the call with single sets
+        [start] = [chosen for classes, chosen in covers if max(map(len, classes)) > 1]
+        [greedy] = [chosen for classes, chosen in covers if max(map(len, classes)) == 1]
         assert res.witness == tuple(L.coatoms[i] for i in start)
         assert sorted(Counter(L.class_of[L.coatoms[i]] for i in start).values()) == [6, 10]
-        sets = [L.subgroups[c].mask >> 1 for c in L.coatoms]
-        greedy, _ = min_set_cover(L.group.order - 1, sets, deadline=time.monotonic())
         assert len(greedy) == 18
 
     @pytest.mark.parametrize("label,bound", [

@@ -14,8 +14,9 @@ from groups_reference import reference_quotient, reference_table
 from groupdom import groups as groups_module
 from groupdom.corpus import corpus
 from groupdom.errors import CapExceeded, SpecError
-from groupdom.groups import (Permutation, array_to_mask, build_group,
-                             is_normal, parse_group_spec, quotient_group)
+from groupdom.groups import (Permutation, array_to_mask, build_group, is_normal,
+                             masks_to_rows, parse_group_spec, quotient_group,
+                             rows_to_masks)
 from groupdom.lattice import enumerate_subgroups
 
 
@@ -262,6 +263,22 @@ class TestGeneratorFacts:
                 assert H.is_abelian() == bool(commutes.all()), entry.label
             checked += 1
         assert checked == 299
+
+
+class TestMaskRows:
+    def test_round_trip(self):
+        rng = random.Random(0)
+        for n in [*range(1, 201), 720, 5040]:
+            masks = [rng.getrandbits(n) for _ in range(5)] + [0, (1 << n) - 1]
+            rows = masks_to_rows(masks, n)
+            assert rows.shape == (len(masks), n) and rows.dtype == bool, n
+            assert rows_to_masks(rows) == masks, n
+            assert [array_to_mask(np.flatnonzero(row), n) for row in rows] == masks, n
+
+    def test_zero_rows(self):
+        # cyclic extension hands over empty batches
+        assert masks_to_rows([], 60).shape == (0, 60)
+        assert rows_to_masks(np.zeros((0, 60), dtype=bool)) == []
 
 
 class TestAgainstReference:
