@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, left_cosets, mask_to_array
+from .groups import GroupTable, left_cosets, mask_to_array, rows_to_masks
 from .lattice import Lattice, Subgroup
 
 # index_bound searches families of up to three classes exhaustively among
@@ -250,14 +250,7 @@ class BurnsideRing:
         meets = self.meets_matrix()
         n = self.G.order
         weight = {ci: n // self.classes[ci].normalizer.order for ci in vcls}
-        pos = {ci: k for k, ci in enumerate(vcls)}
-        cover = {}
-        for ci in vcls:
-            mask = 0
-            for ck in vcls:
-                if meets[ck, ci]:
-                    mask |= 1 << pos[ck]
-            cover[ci] = mask
+        cover = dict(zip(vcls, rows_to_masks(meets[np.ix_(vcls, vcls)].T)))
         full = (1 << len(vcls)) - 1
 
         best: tuple[int, list[int]] | None = None

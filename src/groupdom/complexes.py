@@ -4,9 +4,9 @@ Four constructions: the intersection complex (faces = sets of proper
 subgroups with a common non-trivial intersection), the order complex of
 the proper non-trivial subgroup poset (faces = chains), and the two
 nerves, of the atom-upset covering and the coatom-downset covering, all
-read from the lattice's containment matrix (``Lattice.containment``).  All
-four are homotopy equivalent, which the library checks by computing their
-reduced rational Betti numbers.
+read from the lattice's incidences (``Lattice.containment``, and
+``Lattice.atoms_in`` for the atoms).  All four are homotopy equivalent,
+which the library checks by computing their reduced rational Betti numbers.
 
 Faces are bitmasks over a local vertex list.  Betti numbers have one
 exact path, whose steps each preserve the homotopy type or the homology:
@@ -201,7 +201,7 @@ class HomologyProfile:
 def _atom_upsets(L: Lattice, verts) -> list[int]:
     """Per atom, the mask of the positions in ``verts`` of the subgroups
     containing it."""
-    return rows_to_masks(L.containment[np.ix_(L.atoms, verts)])
+    return rows_to_masks(L.atoms_in(verts).T)
 
 
 def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:

@@ -360,19 +360,9 @@ def gamma_exact(L: Lattice, deadline: float | None = None) -> DominationCertific
     """
     if not L.vertex_set:
         return DominationCertificate(gamma=ALEPH0, witness=(), optimal=True, method="setcover")
-    atoms = list(L.atoms)
-    coatoms = list(L.coatoms)
-    atom_pos = {a: k for k, a in enumerate(atoms)}
-    sets = []
-    for c in coatoms:
-        cm = L.subgroups[c].mask
-        s = 0
-        for a in atoms:
-            if L.subgroups[a].mask & ~cm == 0:
-                s |= 1 << atom_pos[a]
-        sets.append(s)
-    chosen, optimal = min_set_cover(len(atoms), sets, deadline=deadline)
-    witness = tuple(sorted(coatoms[i] for i in chosen))
+    sets = rows_to_masks(L.atoms_in(L.coatoms))
+    chosen, optimal = min_set_cover(len(L.atoms), sets, deadline=deadline)
+    witness = tuple(sorted(L.coatoms[i] for i in chosen))
     return DominationCertificate(gamma=Gamma.of(len(chosen)), witness=witness,
                                  optimal=optimal, method="setcover")
 

@@ -4,6 +4,8 @@ Three flavors share one structure: the full graph (edge iff the two
 subgroups meet non-trivially), restricted graphs over a chosen vertex set S
 (edge iff the intersection itself belongs to S), and graphs of group
 actions (vertices are the distinct proper non-trivial point stabilizers).
+The full and G-set graphs read adjacency from the atom incidence
+(``Lattice.atoms_in``): H ∩ K is non-trivial iff some atom lies in both.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .lattice import Lattice
 class IntersectionGraph:
     """Symmetric loop-free graph whose vertices carry subgroup masks."""
 
-    vertices: tuple[int, ...]       # lattice indices, or -1 for ad-hoc vertices
+    vertices: tuple[int, ...]       # lattice indices
     masks: tuple[int, ...]          # element bitmask per vertex
     adjacency: np.ndarray           # bool matrix
     mode: str                       # "full" | "restricted" | "gset"
@@ -42,49 +44,46 @@ class IntersectionGraph:
         return int(self.adjacency.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.adjacency[i, j]:
-                    out.append((i, j))
-        return out
+        """Pairs i < j of adjacent positions, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _adjacency_from_masks(masks: Sequence[int]) -> np.ndarray:
-    m = len(masks)
-    adj = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if mi & masks[j] != 1:
-                adj[i, j] = adj[j, i] = True
-    return adj
+def _meet_graph(L: Lattice, verts: tuple[int, ...], mode: str) -> IntersectionGraph:
+    """Graph on ``verts`` with an edge iff the two subgroups share an atom.
+    The shared-atom counts are a float32 product of atom incidence rows,
+    exact since a count is at most the number of atoms, far below 2^24."""
+    a = L.atoms_in(verts).astype(np.float32)
+    adj = a @ a.T > 0
+    np.fill_diagonal(adj, False)
+    return IntersectionGraph(vertices=verts, masks=tuple(L.subgroups[i].mask for i in verts),
+                             adjacency=adj, mode=mode, labels=L.labels(verts))
 
 
 def intersection_graph(L: Lattice) -> IntersectionGraph:
     """The full intersection graph on all proper non-trivial subgroups."""
-    verts = L.vertex_set
-    masks = tuple(L.subgroups[i].mask for i in verts)
-    return IntersectionGraph(vertices=verts, masks=masks,
-                             adjacency=_adjacency_from_masks(masks),
-                             mode="full", labels=L.labels(verts))
+    return _meet_graph(L, L.vertex_set, "full")
 
 
 def restricted_graph(L: Lattice, selector) -> IntersectionGraph:
     """Graph on S = selected vertices; edge iff the intersection lies in S.
 
-    ``selector`` is either an iterable of lattice indices or a predicate
-    over Subgroup.  Note the edge rule is membership of the intersection in
-    S, which for general S differs from the induced subgraph.
+    ``selector`` is either an iterable of vertex indices (ValueError for
+    any outside ``L.vertex_set``) or a predicate over Subgroup.  Note the
+    edge rule is membership of the intersection in S, which for general S
+    differs from the induced subgraph.
     """
     if callable(selector):
         verts = tuple(i for i in L.vertex_set if selector(L.subgroups[i]))
     else:
         verts = tuple(sorted(set(selector)))
     vert_set = set(verts)
+    if bad := vert_set - set(L.vertex_set):
+        raise ValueError(f"not proper non-trivial subgroup indices: {sorted(bad)}")
     masks = tuple(L.subgroups[i].mask for i in verts)
     m = len(verts)
     adj = np.zeros((m, m), dtype=bool)
+    # H ~ K iff H ∩ K is a member of S: a lattice lookup, not an incidence
     for i in range(m):
         for j in range(i + 1, m):
             inter = masks[i] & masks[j]
@@ -109,7 +108,8 @@ def p_subgroup_indices(L: Lattice, p: int) -> tuple[int, ...]:
 
 def gset_intersection_graph(L: Lattice, bases: Sequence[int] | str) -> IntersectionGraph:
     """Intersection graph of a G-set given as a disjoint union of coset
-    spaces G/H for the subgroups listed in ``bases`` (lattice indices).
+    spaces G/H for the subgroups listed in ``bases`` (lattice indices;
+    ValueError for any outside ``range(len(L))``).
 
     ``bases="sigma"`` means one coset space per conjugacy class of
     subgroups.  Stabilizers of points of G/H are the conjugates of H; the
@@ -121,13 +121,12 @@ def gset_intersection_graph(L: Lattice, bases: Sequence[int] | str) -> Intersect
     else:
         base_indices = list(bases)
     top = len(L.subgroups) - 1
+    if bad := [i for i in base_indices if not 0 <= i <= top]:
+        raise ValueError(f"not lattice indices: {bad}")
     # lattice order is (order, mask) order, so sorted indices sort the masks
     verts = tuple(sorted({j for i in base_indices if 0 < i < top
                           for j in classes[class_of[i]].members}))
-    masks = tuple(L.subgroups[v].mask for v in verts)
-    return IntersectionGraph(vertices=verts, masks=masks,
-                             adjacency=_adjacency_from_masks(masks),
-                             mode="gset", labels=L.labels(verts))
+    return _meet_graph(L, verts, "gset")
 
 
 def graphs_equal(a: IntersectionGraph, b: IntersectionGraph) -> bool:

@@ -172,6 +172,15 @@ class Lattice:
         out.flags.writeable = False
         return out
 
+    def atoms_in(self, indices) -> np.ndarray:
+        """Boolean matrix, [k, a] true iff the a-th atom lies in subgroup
+        ``indices[k]``.  An atom has prime order, so any of its non-identity
+        elements generates it: it lies in H iff its least one does, and the
+        matrix is one column gather on the membership rows of ``indices``."""
+        least = [((m := self.subgroups[a].mask & ~1) & -m).bit_length() - 1 for a in self.atoms]
+        rows = masks_to_rows([self.subgroups[i].mask for i in indices], self.group.order)
+        return rows[:, least]
+
     @cached_property
     def derived_series(self) -> tuple[int, ...]:
         """G's ``derived_series``."""

@@ -1,10 +1,13 @@
 """Intersection graphs: full, restricted, and G-set modes; DOT export."""
 
 import numpy as np
+import pytest
 
+from groupdom.corpus import corpus
 from groupdom.graphs import (graphs_equal, gset_intersection_graph,
                              intersection_graph, p_subgroup_indices,
                              restricted_graph, to_dot)
+from graphs_reference import adjacency_from_masks, pair_loop_edges
 
 
 class TestFullGraph:
@@ -34,6 +37,16 @@ class TestFullGraph:
             g = intersection_graph(lattice(label))
             assert not g.adjacency.diagonal().any()
             assert np.array_equal(g.adjacency, g.adjacency.T)
+
+
+@pytest.mark.parametrize("label", [e.label for e in corpus() if e.order <= 200]
+                         + ["S5", "A6", "S6"])
+def test_adjacency_matches_the_pair_loop(lattice, label):
+    # the full and sigma graphs read adjacency from the atom incidence;
+    # the reference tests every pair of vertex masks
+    L = lattice(label)
+    for g in (intersection_graph(L), gset_intersection_graph(L, "sigma")):
+        assert np.array_equal(g.adjacency, adjacency_from_masks(g.masks)), (label, g.mode)
 
 
 class TestRestrictedGraph:
@@ -72,6 +85,15 @@ class TestRestrictedGraph:
         g = restricted_graph(L, [L.vertex_set[0]])
         assert g.n == 1 and g.adjacency.sum() == 0
 
+    def test_indices_outside_the_vertex_set_are_refused(self, lattice):
+        # the trivial subgroup as a vertex would join H2_1 and H2_2 through
+        # their intersection; -1 would be the whole group
+        L = lattice("S3")
+        assert restricted_graph(L, [1, 2]).edge_count() == 0
+        for selection in ([0, 1, 2], [-1, 1], [1, len(L) - 1]):
+            with pytest.raises(ValueError):
+                restricted_graph(L, selection)
+
 
 class TestGSetGraph:
     def test_pentagon_action_is_isolated_vertices(self, lattice):
@@ -97,6 +119,12 @@ class TestGSetGraph:
         g = gset_intersection_graph(L, [0])
         assert g.n == 0
 
+    def test_bases_outside_the_lattice_are_refused(self, lattice):
+        L = lattice("S3")
+        for bases in ([-2, 99], [len(L)], [1, -1]):
+            with pytest.raises(ValueError):
+                gset_intersection_graph(L, bases)
+
 
 class TestDotExport:
     def test_dot_labels_and_stability(self, lattice):
@@ -109,3 +137,12 @@ class TestDotExport:
             assert lbl in dot
         # labels carry subgroup order and lattice index
         assert all(lbl.startswith("H") for lbl in g.labels)
+
+    @pytest.mark.parametrize("label", ["D8", "S4"])
+    def test_dot_edges_in_the_pair_loop_order(self, lattice, label):
+        g = intersection_graph(lattice(label))
+        assert all(type(x) is int for edge in g.edges() for x in edge)
+        lines = [f'  "{lbl}";' for lbl in g.labels]
+        lines += [f'  "{g.labels[i]}" -- "{g.labels[j]}";'
+                  for i, j in pair_loop_edges(adjacency_from_masks(g.masks))]
+        assert to_dot(g) == "\n".join(["graph intersection_graph {", *lines, "}"]) + "\n"

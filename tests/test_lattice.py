@@ -293,6 +293,13 @@ class TestMobius:
         C = L.containment
         assert C.tolist() == [[L.leq(i, j) for j in range(len(L))] for i in range(len(L))]
 
+    @pytest.mark.parametrize("label", [e.label for e in corpus() if e.order <= 200] + ["A6"])
+    def test_atoms_in_is_the_containment_column_slice(self, lattice, label):
+        # the gather on each atom's least element against the product path:
+        # [k, a] is containment[atom a, subgroup k]
+        L = lattice(label)
+        assert np.array_equal(L.atoms_in(range(len(L))), L.containment[list(L.atoms)].T)
+
     @pytest.mark.parametrize("label", ["D36", "S5", "A6", "S6"])
     def test_containment_matches_the_mask_test(self, lattice, label):
         # S6's 1,455 subgroups take the intersection sizes in three blocks

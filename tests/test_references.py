@@ -23,6 +23,7 @@ REFERENCES = {
     "collapse_reference": ("greedy_collapse",),
     "derived_series_reference": ("derived_series_all_commutators",
                                  "lower_central_series_all_commutators"),
+    "graphs_reference": ("adjacency_from_masks", "pair_loop_edges"),
 }
 NAMES = {name for names in REFERENCES.values() for name in names}
 
