@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domination import min_set_cover
 from .groups import GroupTable, left_cosets, mask_to_array, rows_to_masks
 from .lattice import Lattice, Subgroup
-
-# index_bound searches families of up to three classes exhaustively among
-# this many classes of least normalizer index
-_EXHAUSTIVE_POOL = 40
 
 
 @dataclass(frozen=True)
@@ -234,67 +231,25 @@ class BurnsideRing:
         return fixed @ fixed.T > 0
 
     def index_bound(self) -> dict:
-        """Smallest found family of classes meeting every vertex class, and
-        the resulting bound: the sum of the normalizer indices.
-
-        Families up to size 3 are searched exhaustively over the candidate
-        pool; a weighted greedy cover supplements larger cases.  Also
-        decides the gamma-equals-1 criterion: a single normal class whose
-        products with every vertex class stay off the regular class.
+        """The least-weight family of classes meeting every vertex class,
+        where a class H weighs |G:N_G(H)|, and the resulting bound on gamma:
+        the family's weight.  The family is found by ``min_set_cover``, the
+        search that also gives gamma and sigma.  Also decides the
+        gamma-equals-1 criterion: a single normal class whose products with
+        every vertex class stay off the regular class.
         """
         L = self.L
         top = len(L.subgroups) - 1
         vcls = [ci for ci, c in enumerate(self.classes) if 0 < c.rep < top]
         if not vcls:
             return {"family": [], "bound": None, "gamma1_criterion": False}
-        meets = self.meets_matrix()
-        n = self.G.order
-        weight = {ci: n // self.classes[ci].normalizer.order for ci in vcls}
-        cover = dict(zip(vcls, rows_to_masks(meets[np.ix_(vcls, vcls)].T)))
+        # cover[i]: the vertex classes that vertex class vcls[i] meets; it
+        # meets itself, so the classes cover
+        cover = rows_to_masks(self.meets_matrix()[np.ix_(vcls, vcls)].T)
+        weights = [self.G.order // self.classes[ci].normalizer.order for ci in vcls]
+        chosen, _ = min_set_cover(len(vcls), cover, weights=weights)
         full = (1 << len(vcls)) - 1
-
-        best: tuple[int, list[int]] | None = None
-
-        def consider(family):
-            nonlocal best
-            m = 0
-            for ci in family:
-                m |= cover[ci]
-            if m != full:
-                return
-            w = sum(weight[ci] for ci in family)
-            if best is None or (w, sorted(family)) < (best[0], best[1]):
-                best = (w, sorted(family))
-
-        pool = sorted(vcls, key=lambda ci: (weight[ci], ci))[:_EXHAUSTIVE_POOL]
-        for i, a in enumerate(pool):
-            consider([a])
-            for j in range(i + 1, len(pool)):
-                consider([a, pool[j]])
-                for k in range(j + 1, len(pool)):
-                    consider([a, pool[j], pool[k]])
-
-        # weighted greedy over the full class list as a fallback
-        uncovered = full
-        fam = []
-        while uncovered:
-            pick = None
-            for ci in vcls:
-                gain = (cover[ci] & uncovered).bit_count()
-                if gain == 0:
-                    continue
-                score = (weight[ci] / gain, weight[ci], ci)
-                if pick is None or score < pick[0]:
-                    pick = (score, ci)
-            if pick is None:
-                break
-            fam.append(pick[1])
-            uncovered &= ~cover[pick[1]]
-        if not uncovered:
-            consider(fam)
-
-        gamma1 = any(len(self.classes[ci].members) == 1 and cover[ci] == full
-                     for ci in vcls)
-        if best is None:
-            return {"family": [], "bound": None, "gamma1_criterion": gamma1}
-        return {"family": best[1], "bound": best[0], "gamma1_criterion": gamma1}
+        gamma1 = any(len(self.classes[ci].members) == 1 and c == full
+                     for ci, c in zip(vcls, cover))
+        return {"family": [vcls[i] for i in chosen],
+                "bound": sum(weights[i] for i in chosen), "gamma1_criterion": gamma1}

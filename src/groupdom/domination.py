@@ -20,7 +20,7 @@ from operator import or_
 import numpy as np
 
 from .graphs import IntersectionGraph
-from .groups import mask_to_array, mask_to_indices, rows_to_masks
+from .groups import mask_to_array, mask_to_indices, masks_to_rows, rows_to_masks
 from .lattice import Lattice, _membership, conjugate_rows
 
 
@@ -75,7 +75,7 @@ class CoverResult:
 
 
 class _Instance:
-    """A set-cover instance reduced by point dominance.
+    """A weighted set-cover instance reduced by point dominance.
 
     A point's mask is the bitmask of the sets containing it.  Of the
     points with equal masks only the one of smallest index is kept, and a
@@ -84,15 +84,14 @@ class _Instance:
     renumbered by (number of sets, index), so the lowest uncovered bit is
     the uncovered point in the fewest sets, smallest index on ties.
     ``covers[a]`` is the mask of kept point ``a`` and ``sets[si]`` the
-    kept points in set ``si``.
+    kept points in set ``si``.  ``lightest[a]`` is the least weight of a
+    set containing kept point ``a``, and ``least`` the least weight of any
+    set; with unit weights both are 1.
     """
 
-    def __init__(self, universe_size: int, sets: list[int]):
+    def __init__(self, universe_size: int, sets: list[int], weights: list[int]):
         full = (1 << universe_size) - 1
-        covers = [0] * universe_size
-        for si, s in enumerate(sets):
-            for a in mask_to_indices(s & full):
-                covers[a] |= 1 << si
+        covers = rows_to_masks(masks_to_rows([s & full for s in sets], universe_size).T)
         if 0 in covers:
             raise ValueError("sets do not cover the universe")
         first: dict[int, int] = {}
@@ -104,21 +103,24 @@ class _Instance:
                 minimal.append(c)
         minimal.sort(key=lambda c: (c.bit_count(), first[c]))
         self.covers = minimal
-        self.sets = [0] * len(sets)
-        for a, c in enumerate(minimal):
-            for si in mask_to_indices(c):
-                self.sets[si] |= 1 << a
+        rows = masks_to_rows(minimal, len(sets))  # rows[a, si]: is kept point a in set si
+        self.sets = rows_to_masks(rows.T)
         self.full = (1 << len(minimal)) - 1
         # near[a]: the kept points sharing a set with point a
         self.near = [reduce(or_, (self.sets[si] for si in mask_to_indices(c))) for c in minimal]
+        # the defaults and ``initial`` serve the empty instance, no sets
+        top = max(weights, default=1)
+        self.lightest = np.where(rows, weights, top).min(axis=1, initial=top).tolist()
+        self.least = min(weights, default=1)
 
     def lower_bound(self, uncovered: int, banned: int, limit: int) -> int:
-        """A lower bound on the sets needed to cover ``uncovered`` without
+        """A lower bound on the weight needed to cover ``uncovered`` without
         the sets in ``banned``: the larger of a greedy packing of points no
-        two of which share an unbanned set, each needing its own set, and
-        the coverage bound, the least k such that the k largest |S & U|
-        sum to at least |U| (over all sets, banned or not, so it is at
-        least ceil(|U| / max_S |S & U|)).  The packing takes the uncovered
+        two of which share an unbanned set, each needing its own set of at
+        least its ``lightest`` weight, and the coverage bound, the least k
+        such that the k largest |S & U| sum to at least |U| (over all sets,
+        banned or not, so k is at least ceil(|U| / max_S |S & U|)), times
+        the ``least`` set weight.  The packing takes the uncovered
         points in index order and keeps a point when none of its unbanned
         sets is used yet.  A kept point none of whose sets is banned drops
         its ``near`` points from the rest at once: each shares an unbanned
@@ -128,7 +130,7 @@ class _Instance:
         as the bound is known to exceed ``limit``, the packing first, so
         such a node skips the sort.  Callers read only whether the value
         exceeds ``limit``, except at the root, where nothing is banned and
-        ``limit`` is the universe size, so the value is the full bound."""
+        ``limit`` is at least the bound, so the value is the full bound."""
         if not uncovered:
             return 0
         used = 0
@@ -142,7 +144,7 @@ class _Instance:
             if not c:
                 return limit + 1
             if c & used == 0:
-                packing += 1
+                packing += self.lightest[a]
                 used |= c
                 if c == self.covers[a]:
                     rest &= ~self.near[a]
@@ -151,7 +153,7 @@ class _Instance:
         need = uncovered.bit_count()
         coverage = 0
         for size in sorted(map(int.bit_count, map(uncovered.__and__, self.sets)), reverse=True):
-            coverage += 1
+            coverage += self.least
             need -= size
             if need <= 0 or coverage > limit:
                 break
@@ -161,7 +163,7 @@ class _Instance:
 def set_cover_lower_bound(universe_size: int, sets: list[int]) -> int:
     """Lower bound on the size of any cover of the whole universe: the
     bound ``min_set_cover`` prunes its root with."""
-    inst = _Instance(universe_size, sets)
+    inst = _Instance(universe_size, sets, [1] * len(sets))
     return inst.lower_bound(inst.full, 0, universe_size)
 
 
@@ -204,24 +206,29 @@ def _set_bits(perms: np.ndarray) -> np.ndarray:
 def min_set_cover(universe_size: int, sets: list[int],
                   deadline: float | None = None,
                   symmetry: Callable[[], np.ndarray] | None = None,
-                  start: list[int] | None = None) -> tuple[list[int], bool]:
-    """Minimum set cover by branch and bound.
+                  start: list[int] | None = None,
+                  weights: list[int] | None = None) -> tuple[list[int], bool]:
+    """Minimum-weight set cover by branch and bound.
 
     ``sets`` are bitmasks over a universe of ``universe_size`` points.
-    ``deadline`` is a ``time.monotonic()`` instant, checked at every search
-    node.  ``symmetry``, if given, returns an array whose rows are a group
-    of permutations of the set indices, each induced by a permutation of
-    the points that maps the instance to itself; it is called at most
-    once.  ``start``, if given, holds distinct indices of sets that cover
-    the universe; anything else raises ``ValueError``.  Returns (chosen
-    indices, optimal); ``optimal`` is False only when the deadline passed,
-    and the chosen sets are then the best cover found.
+    ``weights``, if given, holds one positive int per set, and a cover's
+    weight is the sum of its sets' weights; the default, unit weights,
+    makes the weight the number of sets.  Anything else raises
+    ``ValueError``.  ``deadline`` is a ``time.monotonic()`` instant, checked
+    at every search node.  ``symmetry``, if given, returns an array whose
+    rows are a group of permutations of the set indices, each induced by a
+    permutation of the points that maps the instance, weights included, to
+    itself; it is called at most once.  ``start``, if given, holds distinct
+    indices of sets that cover the universe; anything else raises
+    ``ValueError``.  Returns (chosen indices, optimal); ``optimal`` is False
+    only when the deadline passed, and the chosen sets are then the best
+    cover found.
 
     The incumbent starts as the greedy cover of the whole universe,
-    ``class_cover`` on single sets.  A
-    ``start`` of h sets, fewer than the greedy cover's, replaces it at its
-    own size h, so the search looks only for covers of fewer than h sets;
-    when there is none, ``sorted(start)`` comes back as optimal.
+    ``class_cover`` on single sets, whatever the weights.  A ``start``
+    lighter than the greedy cover replaces it at its own weight h, so the
+    search looks only for covers lighter than h; when there is none,
+    ``sorted(start)`` comes back as optimal.
     The search then runs over the points kept by the dominance reduction of
     ``_Instance``; a cover of the kept points covers every point.  A node
     with uncovered set U branches on the uncovered point lying in the
@@ -229,41 +236,42 @@ def min_set_cover(universe_size: int, sets: list[int],
     order.  Branching is by exclusion: a node carries a mask B of banned
     sets, its children take the point's sets s1 < s2 < ... not in B, and
     child i also bans s1 .. s(i-1), so each combination of sets is
-    searched once.  Let ``allowed`` = incumbent size - 1 - sets chosen so
-    far, the most sets a strictly better cover may still add.  A node is
-    pruned when ``_Instance.lower_bound(U, B)`` exceeds ``allowed`` (the
-    larger of the k-largest coverage bound and the packing bound, or
-    infeasible when a point it visits has only banned sets), or when the
-    failure memo holds ``fail[U] >= allowed``.  A subtree searched to the
-    end without improving the incumbent and before the deadline shows
-    that U has no cover of ``allowed`` sets, and records
-    ``fail[U] = allowed``.
+    searched once.  Let ``allowed`` = incumbent weight - 1 - weight chosen
+    so far, the most weight a strictly lighter cover may still add.  A node
+    is pruned when ``_Instance.lower_bound(U, B)`` exceeds ``allowed`` (the
+    larger of the weighted k-largest coverage bound and the weighted
+    packing bound, or infeasible when a point it visits has only banned
+    sets), or when the failure memo holds ``fail[U] >= allowed``.  A
+    subtree searched to the end without improving the incumbent and before
+    the deadline shows that U has no cover of weight ``allowed``, and
+    records ``fail[U] = allowed``.
 
     Why the memo is keyed on U alone, though the subtree only tried covers
     avoiding B: let node N have chosen sets X and ban B, and suppose U has
-    a cover C of at most ``allowed`` sets that uses a set of B.  Then
-    T = X + C covers everything with fewer sets than the incumbent.  Its
-    canonical path takes, at each node, the first set of T containing the
-    branching point; that path avoids every ban along it, and leaves N's
-    path for an earlier sibling, so it was searched before N.  Only valid
-    prunes cut it, so the incumbent at N would be at most |T|, a
-    contradiction.  So at N a cover avoiding B exists exactly when any
+    a cover C of weight at most ``allowed`` that uses a set of B.  Then
+    T = X + C covers everything and is strictly lighter than the
+    incumbent.  Its canonical path takes, at each node, the first set of T
+    containing the branching point; that path avoids every ban along it,
+    and leaves N's path for an earlier sibling, so it was searched before
+    N.  Only valid prunes cut it, so the incumbent at N would weigh at most
+    T, a contradiction.  So at N a cover avoiding B exists exactly when any
     cover exists, and a failed subtree proves the unrestricted claim.
 
     With ``symmetry``, a second failure memo is keyed on the chosen sets X
     up to the symmetry: the least of the bitmasks p(X) over the rows p, as
     one 64-bit word, so it is used only for at most 64 sets.  Why it is
-    sound: what a failed subtree proves, "U has no cover of ``allowed``
-    sets", is a claim about X alone, "X has no completion by ``allowed``
-    sets", since X determines U and a cover of U's kept points covers every
-    point.  An automorphism g of the instance maps the completions of X to
-    those of gX, so the claim holds for X exactly when it holds for gX.
-    Equal keys p(X) = q(Y) make Y = q^-1 p(X) such an image, so a failure
-    of X refutes the subtree of any Y with that key chosen later with no
-    more sets allowed; and since the rows form a group, every image of X
-    has X's key.  The rows are built the first time a node survives the
-    memo on U and the bound, and only such nodes look up their key, so a
-    search settled at the root never pays for the action.
+    sound: what a failed subtree proves, "U has no cover of weight
+    ``allowed``", is a claim about X alone, "X has no completion of weight
+    ``allowed``", since X determines U and a cover of U's kept points
+    covers every point.  An automorphism g of the instance maps the
+    completions of X to those of gX, weights kept, so the claim holds for X
+    exactly when it holds for gX.  Equal keys p(X) = q(Y) make
+    Y = q^-1 p(X) such an image, so a failure of X refutes the subtree of
+    any Y with that key chosen later with no more weight allowed; and
+    since the rows form a group, every image of X has X's key.  The rows
+    are built the first time a node survives the memo on U and the bound,
+    and only such nodes look up their key, so a search settled at the root
+    never pays for the action.
 
     Which cover is returned.  Without a ``start``, the one a plain
     depth-first search returns: a dropped point is never the branching
@@ -273,18 +281,22 @@ def min_set_cover(universe_size: int, sets: list[int],
     exclusion.  By the argument above the first optimum's path never uses
     a banned set, so exclusion does not cut it.  Every prune, by either
     bound, infeasibility or either memo, removes only subtrees with no
-    cover smaller than the incumbent, and the incumbent changes only on a
+    cover lighter than the incumbent, and the incumbent changes only on a
     strict improvement, so the first optimum in search order is still the
-    one returned.  That holds for any starting incumbent size above the
-    optimum: no earlier cover is as small as the first optimum, so until
+    one returned.  That holds for any starting incumbent weight above the
+    optimum: no earlier cover is as light as the first optimum, so until
     it is met the incumbent stays above the optimum and no prune cuts its
-    path.  A ``start`` of h sets, fewer than the greedy cover's, is such
-    a size unless it is optimal, and then the same first optimum comes
-    back.  An optimal ``start`` admits no strictly smaller cover, so the
-    incumbent never changes and the start itself is returned.  The memo
-    arguments above hold for any incumbent, so they cover both cases.
+    path.  A ``start`` lighter than the greedy cover is such a weight
+    unless it is optimal, and then the same first optimum comes back.  An
+    optimal ``start`` admits no strictly lighter cover, so the incumbent
+    never changes and the start itself is returned.  The memo arguments
+    above hold for any incumbent, so they cover both cases.
     """
-    inst = _Instance(universe_size, sets)
+    if weights is None:
+        weights = [1] * len(sets)
+    elif len(weights) != len(sets) or not all(isinstance(w, int) and w > 0 for w in weights):
+        raise ValueError("weights must be one positive int per set")
+    inst = _Instance(universe_size, sets, weights)
     covers, reduced = inst.covers, inst.sets
     if len(sets) > 64:
         symmetry = None
@@ -292,30 +304,31 @@ def min_set_cover(universe_size: int, sets: list[int],
     full = (1 << universe_size) - 1
     # cut to the universe, so that a bit outside it cannot change a pick
     incumbent = class_cover([s & full for s in sets], [[i] for i in range(len(sets))])
-    best_size = len(incumbent)
+    best = sum(weights[si] for si in incumbent)
     if start is not None:
         if len(set(start)) < len(start) or not all(0 <= si < len(sets) for si in start):
             raise ValueError("start repeats a set or names one out of range")
         if reduce(or_, (sets[si] for si in start), 0) & full != full:
             raise ValueError("start does not cover the universe")
-        if len(start) < best_size:
-            incumbent, best_size = list(start), len(start)
+        start_weight = sum(weights[si] for si in start)
+        if start_weight < best:
+            incumbent, best = list(start), start_weight
     optimal = True
     fail: dict[int, int] = {}
     orbit_fail: dict[int, int] = {}
     bits = None  # bits[p, s]: the bit of set p(s), once the action is built
 
-    def branch(uncovered: int, banned: int, chosen: list[int]):
-        nonlocal incumbent, best_size, optimal, bits
+    def branch(uncovered: int, banned: int, chosen: list[int], spent: int):
+        nonlocal incumbent, best, optimal, bits
         if uncovered == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
+            if spent < best:
+                best = spent
                 incumbent = list(chosen)
             return
         if not optimal or (deadline is not None and time.monotonic() >= deadline):
             optimal = False
             return
-        allowed = best_size - 1 - len(chosen)
+        allowed = best - 1 - spent
         if (fail.get(uncovered, -1) >= allowed
                 or inst.lower_bound(uncovered, banned, allowed) > allowed):
             return
@@ -326,7 +339,7 @@ def min_set_cover(universe_size: int, sets: list[int],
             key = int(bits[:, chosen].sum(axis=1).min())
             if orbit_fail.get(key, -1) >= allowed:
                 return
-        size_before = best_size
+        best_before = best
         low = uncovered & -uncovered
         m = covers[low.bit_length() - 1] & ~banned
         while m:
@@ -334,15 +347,15 @@ def min_set_cover(universe_size: int, sets: list[int],
             si = low.bit_length() - 1
             m ^= low
             chosen.append(si)
-            branch(uncovered & ~reduced[si], banned, chosen)
+            branch(uncovered & ~reduced[si], banned, chosen, spent + weights[si])
             chosen.pop()
             banned |= low
-        if best_size == size_before and optimal:
+        if best == best_before and optimal:
             fail[uncovered] = allowed
             if key is not None:
                 orbit_fail[key] = allowed
 
-    branch(inst.full, 0, [])
+    branch(inst.full, 0, [], 0)
     # ``branch`` holds itself through its closure; breaking that cycle
     # frees the memos and the action on return, not at a later full
     # garbage collection

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from burnside_reference import double_cosets, reference_product
+from burnside_reference import double_cosets, pooled_index_bound, reference_product
 
 from groupdom.burnside import BurnsideRing
+from groupdom.corpus import corpus
 from groupdom.domination import Gamma
 from groupdom.graphs import graphs_equal, gset_intersection_graph, intersection_graph
 from groupdom.lattice import mask_to_array
@@ -222,6 +223,28 @@ class TestIndexBound:
                 continue
             ib = ring.index_bound()
             assert ib["gamma1_criterion"] == (gamma_of(label).gamma == Gamma.of(1)), label
+
+
+@pytest.mark.parametrize("label", [e.label for e in corpus() if e.order <= 200]
+                         + ["S5", "A6", "S6"])
+def test_index_bound_is_the_least_family(lattice, label):
+    # the pooled search's family meets every vertex class, so its weight
+    # bounds the least weight from above; on these groups it is the least
+    ring = ring_for(lattice, label)
+    ib, pooled = ring.index_bound(), pooled_index_bound(ring)
+    assert ib["gamma1_criterion"] == pooled["gamma1_criterion"], label
+    if pooled["bound"] is None:
+        assert ib == pooled, label
+        return
+    assert ib["bound"] <= pooled["bound"], label
+    assert ib["bound"] == pooled["bound"], label
+    top = len(ring.L.subgroups) - 1
+    vcls = [ci for ci, c in enumerate(ring.classes) if 0 < c.rep < top]
+    meets = ring.meets_matrix()
+    assert set(ib["family"]) <= set(vcls), label
+    assert all(meets[ib["family"], h].any() for h in vcls), label
+    weights = [ring.G.order // ring.classes[ci].normalizer.order for ci in ib["family"]]
+    assert sum(weights) == ib["bound"], label
 
 
 class TestSigmaGraph:

@@ -80,6 +80,12 @@ class TestSetCover:
         with pytest.raises(ValueError, match="start"):
             min_set_cover(4, [0b0011, 0b1100, 0b0110], start=start)
 
+    @pytest.mark.parametrize("weights", [[1, 1], [1, 1, 1, 1], [1, 0, 1], [1, -2, 1],
+                                         [1, 1.5, 1], [1, "2", 1]])
+    def test_bad_weights_raise(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            min_set_cover(4, [0b0011, 0b1100, 0b0110], weights=weights)
+
 
 class TestGammaExact:
     @pytest.mark.parametrize("label,expected", [

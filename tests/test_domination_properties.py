@@ -40,16 +40,30 @@ def cover_instances(draw):
     return len(points), sets
 
 
-def brute_force_size(universe_size: int, sets: list[int]) -> int:
+@st.composite
+def weighted_cover_instances(draw):
+    """A ``cover_instances`` instance with a weight from 1 to 4 per set."""
+    universe_size, sets = draw(cover_instances())
+    weights = draw(st.lists(st.integers(min_value=1, max_value=4),
+                            min_size=len(sets), max_size=len(sets)))
+    return universe_size, sets, weights
+
+
+def brute_force_size(universe_size: int, sets: list[int], weights: list[int]) -> int:
+    """The least weight of a cover, over every combination of sets."""
     full = (1 << universe_size) - 1
+    best = None
     for k in range(1, len(sets) + 1):
-        for combo in combinations(sets, k):
+        for combo in combinations(range(len(sets)), k):
             union = 0
-            for s in combo:
-                union |= s
+            for si in combo:
+                union |= sets[si]
             if union == full:
-                return k
-    raise AssertionError("instance is not coverable")
+                weight = sum(weights[si] for si in combo)
+                best = weight if best is None else min(best, weight)
+    if best is None:
+        raise AssertionError("instance is not coverable")
+    return best
 
 
 def greedy_cover(universe_size: int, sets: list[int]) -> list[int]:
@@ -73,46 +87,53 @@ def solve_from(universe_size: int, sets: list[int], start: list[int]) -> tuple[l
     return chosen, optimal
 
 
-def plain_search(universe_size: int, sets: list[int]) -> list[int]:
+def plain_search(universe_size: int, sets: list[int], weights: list[int]) -> list[int]:
     """Reference for the witness: the greedy cover, replaced only by the
-    first strictly smaller cover met by a depth-first search that branches
+    first strictly lighter cover met by a depth-first search that branches
     on the uncovered point in the fewest sets (smallest index on ties),
     trying its sets in index order, with no reduction, bound or memo."""
     full = (1 << universe_size) - 1
-    best = [greedy_cover(universe_size, sets)]
+    greedy = greedy_cover(universe_size, sets)
+    best = [greedy, sum(weights[si] for si in greedy)]
 
-    def branch(uncovered, chosen):
+    def branch(uncovered, chosen, spent):
         if uncovered == 0:
-            if len(chosen) < len(best[0]):
-                best[0] = list(chosen)
+            if spent < best[1]:
+                best[:] = [list(chosen), spent]
             return
-        if len(chosen) + 1 >= len(best[0]):
+        if spent + 1 >= best[1]:
             return
         pick = min((a for a in range(universe_size) if uncovered >> a & 1),
                    key=lambda a: sum(s >> a & 1 for s in sets))
         for si, s in enumerate(sets):
             if s >> pick & 1:
-                branch(uncovered & ~s, chosen + [si])
+                branch(uncovered & ~s, chosen + [si], spent + weights[si])
 
-    branch(full, [])
+    branch(full, [], 0)
     return sorted(best[0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(cover_instances())
+@given(weighted_cover_instances())
 # ties between points in equally many sets decide the witness here
-@example((10, [272, 450, 866, 32, 522, 132, 16, 588, 35]))
-@example((14, [9483, 10960, 15035, 5227, 2322, 9118]))
+@example((10, [272, 450, 866, 32, 522, 132, 16, 588, 35], [1] * 9))
+@example((14, [9483, 10960, 15035, 5227, 2322, 9118], [1] * 6))
+# a failure memo that counts the chosen sets instead of their weight
+# prunes the optimum here
+@example((3, [2, 3, 3, 2, 6, 5, 4], [4, 2, 1, 3, 1, 4, 1]))
 def test_min_set_cover_matches_brute_force(instance):
-    universe_size, sets = instance
-    chosen, optimal = min_set_cover(universe_size, sets)
-    assert optimal
-    assert len(chosen) == brute_force_size(universe_size, sets)
-    union = 0
-    for si in chosen:
-        union |= sets[si]
-    assert union == (1 << universe_size) - 1
-    assert chosen == plain_search(universe_size, sets)
+    # the drawn weights, then unit weights, the default
+    universe_size, sets, drawn = instance
+    for weights in (drawn, None):
+        chosen, optimal = min_set_cover(universe_size, sets, weights=weights)
+        weights = weights or [1] * len(sets)
+        assert optimal
+        assert sum(weights[si] for si in chosen) == brute_force_size(universe_size, sets, weights)
+        union = 0
+        for si in chosen:
+            union |= sets[si]
+        assert union == (1 << universe_size) - 1
+        assert chosen == plain_search(universe_size, sets, weights)
 
 
 def rotation_instance(k: int, height: int, seeds: list[set[int]]):
@@ -190,28 +211,34 @@ def test_class_cover_start_keeps_the_optimum_and_the_witness(instance):
     assert min_set_cover(universe_size, sets, symmetry=lambda: rows, start=start) == want
 
 
-def ceiling_bound(universe_size: int, sets: list[int]) -> int:
-    """The larger of ceil(|U| / max |S & U|) over the points U kept by the
-    dominance reduction and the greedy packing of those points: the root
-    bound with the k-largest coverage bound replaced by the ceiling."""
-    inst = _Instance(universe_size, sets)
+def ceiling_bound(universe_size: int, sets: list[int], weights: list[int]) -> int:
+    """The larger of ceil(|U| / max |S & U|) times the least weight, over
+    the points U kept by the dominance reduction, and the greedy packing
+    of those points, each at the least weight of a set containing it: the
+    root bound with the k-largest coverage bound replaced by the ceiling."""
+    inst = _Instance(universe_size, sets, weights)
     widest = max((s & inst.full).bit_count() for s in inst.sets)
     used = packing = 0
     for c in inst.covers:
         if c & used == 0:
-            packing += 1
+            packing += min(weights[si] for si in range(len(sets)) if c >> si & 1)
             used |= c
-    return max(-(-inst.full.bit_count() // widest), packing)
+    return max(-(-inst.full.bit_count() // widest) * min(weights), packing)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cover_instances())
+@given(weighted_cover_instances())
 def test_lower_bound_is_bracketed(instance):
-    # the lower end of an aborted ``sum``'s bracket holds the optimum and
-    # is never below the ceiling bound
-    universe_size, sets = instance
-    bound = set_cover_lower_bound(universe_size, sets)
-    assert ceiling_bound(universe_size, sets) <= bound <= brute_force_size(universe_size, sets)
+    # the root bound of a search with the drawn weights, then the lower
+    # end of an aborted ``sum``'s bracket, with unit weights: each holds
+    # the optimum and is never below the ceiling bound
+    universe_size, sets, drawn = instance
+    inst = _Instance(universe_size, sets, drawn)
+    unit = [1] * len(sets)
+    for weights, bound in ((drawn, inst.lower_bound(inst.full, 0, sum(drawn))),
+                           (unit, set_cover_lower_bound(universe_size, sets))):
+        assert ceiling_bound(universe_size, sets, weights) <= bound
+        assert bound <= brute_force_size(universe_size, sets, weights)
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,7 +248,7 @@ def test_lower_bound_decides_as_the_reference(instance, data):
     # the coverage sort; the search reads only ``> limit``, and at or
     # below the limit the value is the reference's
     universe_size, sets = instance
-    inst = _Instance(universe_size, sets)
+    inst = _Instance(universe_size, sets, [1] * len(sets))
     uncovered = data.draw(st.integers(min_value=0, max_value=inst.full), "uncovered") & inst.full
     banned = data.draw(st.integers(min_value=0, max_value=(1 << len(sets)) - 1), "banned")
     limit = data.draw(st.integers(min_value=0, max_value=universe_size), "limit")
