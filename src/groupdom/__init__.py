@@ -3,7 +3,7 @@ domination numbers, Burnside ring arithmetic, and subgroup complexes."""
 
 from .burnside import BurnsideRing, GSetDecomposition
 from .complexes import (HomologyProfile, SimplicialComplex, atom_nerve, betti,
-                        coatom_nerve, intersection_complex, intersection_f_vector,
+                        coatom_nerve, intersection_complex, lattice_f_vectors,
                         nerve, order_complex, poset_core, topology_report)
 from .domination import (ALEPH0, CoverResult, DominationCertificate, Gamma,
                          gamma_exact, gamma_graph, min_set_cover,

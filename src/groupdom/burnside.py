@@ -226,8 +226,11 @@ class BurnsideRing:
         """meets[k, h]: does [G/K][G/H] have a summand off the regular class
         (equivalently, K meets some conjugate of H non-trivially)?  As
         M[0] = (|G|, 0, ..., 0), it does iff M[k, j] M[h, j] > 0 for a j > 0.
-        The count of such j is a float32 product, exact below 2^24 classes."""
-        fixed = (self.marks_matrix()[:, 1:] > 0).astype(np.float32)
+        A non-trivial K meet gHg^-1 contains a subgroup of prime order, so
+        the columns j of the atom classes suffice.  The count of such j is
+        a float32 product, exact below 2^24 classes."""
+        atom_classes = sorted({self.L.class_of[a] for a in self.L.atoms})
+        fixed = (self.marks_matrix()[:, atom_classes] > 0).astype(np.float32)
         return fixed @ fixed.T > 0
 
     def index_bound(self) -> dict:

@@ -28,15 +28,17 @@ collapses have one kernel on faces numbered in (dimension, mask) order,
 with one pop order, a heap that takes the smallest free face first (see
 ``_collapse``).
 
-The per-group report (``topology_report``) computes three of the four
-profiles and reads the fourth.  It never enumerates the intersection
-complex K's faces: it counts them from the Möbius function of the
-subgroup lattice (``intersection_f_vector``), so there the Betti numbers
-check μ(1, G); it collapses K's strong core once, for the homology and
-the collapse probe (see ``_collapse_probe``).  K strong-collapses onto the
-coatom nerve, so the coatom nerve takes K's Betti numbers.  The order
-complex's homology comes from the order complex of Stong's core of the
-poset (``poset_core``), which is the strong core of the order complex.
+The per-group report (``topology_report``) computes two of the four
+profiles, the intersection complex K's and the order complex's, and reads
+the two nerves' off K's.  It never enumerates the faces of K or of a
+nerve: it counts them from the Möbius function of the subgroup lattice
+(``lattice_f_vectors``), so there the Betti numbers check μ(1, G).  It
+collapses K's strong core once, for the homology and the collapse probe
+(see ``_collapse_probe``).  K strong-collapses onto the coatom nerve, and
+K and the atom nerve are the two nerves of one relation (Dowker 1952), so
+both nerves take K's Betti numbers.  The order complex's homology comes
+from the order complex of Stong's core of the poset (``poset_core``),
+which is the strong core of the order complex.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 from .domination import Gamma
 from .errors import BudgetExceeded
 from .groups import mask_to_indices, rows_to_masks
-from .lattice import Lattice, mobius
+from .lattice import Lattice, mobius, mobius_to_top
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
@@ -177,9 +179,9 @@ class HomologyProfile:
     dim: int
     model: str = ""
     # faces per dimension; None when the complex has more faces than the
-    # face budget (``SimplicialComplex.f_vector`` would raise), except in
-    # ``topology_report``'s intersection profile, whose counts come from
-    # the lattice (``intersection_f_vector``) and are never None
+    # face budget (``SimplicialComplex.f_vector`` would raise).  In
+    # ``topology_report`` only the order complex's can be None: K's and
+    # the nerves' come from the lattice (``lattice_f_vectors``)
     f_vector: tuple[int, ...] | None = None
     # the model whose Betti numbers these are, when not computed on this
     # complex (``_read_off``)
@@ -213,27 +215,44 @@ def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) ->
                                          _atom_upsets(L, verts))
 
 
-def intersection_f_vector(L: Lattice) -> tuple[int, ...]:
-    """Faces per dimension of ``intersection_complex(L)``, counted from the
-    lattice without enumerating a face.
+def lattice_f_vectors(L: Lattice) -> dict[str, tuple[int, ...]]:
+    """Faces per dimension of the intersection complex K, the atom nerve
+    and the coatom nerve, counted from the lattice without enumerating a
+    face.
 
-    A set of k+1 vertices is a face unless its intersection is trivial.
-    The (k+1)-sets whose vertices all contain E number C(u(E), k+1), where
-    u(E) counts the proper non-trivial subgroups containing E; Möbius
-    inversion over the lattice counts those whose intersection is exactly
-    1 as Σ_E μ(1, E)·C(u(E), k+1), so
-    f_k = -Σ_{1<E<G} μ(1, E)·C(u(E), k+1).  The alternating sum is
-    -Σ_{1<E<G} μ(1, E), which is 1 + μ(1, G) when G is not trivial, as
-    μ(1, ·) sums to 0 over the lattice.  The largest face is the set of
-    vertices above an atom, which has μ(1, atom) = -1, so the counts stop
-    at the dimension.
+    A set of k+1 vertices of K is a face unless its intersection is
+    trivial.  The (k+1)-sets whose vertices all contain E number
+    C(u(E), k+1), where u(E) counts the proper non-trivial subgroups
+    containing E; Möbius inversion over the lattice counts those whose
+    intersection is exactly 1 as Σ_E μ(1, E)·C(u(E), k+1), so
+    f_k = -Σ_{1<E<G} μ(1, E)·C(u(E), k+1).  The coatom nerve's count is
+    the same with c(E), the number of coatoms containing E, in place of
+    u(E).  Dually (Rota 1964, the crosscut complex), a set of atoms is a
+    face of the atom nerve unless its join is G, and inversion from the
+    top gives f_k = -Σ_{H<G} μ(H, G)·C(a(H), k+1), where a(H) counts the
+    atoms in H.  Every count is positive on the proper non-trivial
+    subgroups, so each alternating sum is 1 + μ(1, G) when G is not
+    trivial, as μ(1, ·) and μ(·, G) sum to 0 over the lattice.  The
+    largest count is taken at an atom (u, c) or a coatom (a), whose μ is
+    -1, so the counts stop at the dimension.
     """
-    mu = mobius(L)
+    mu, mu_top = mobius(L), mobius_to_top(L)
     top = len(mu) - 1
-    up = L.containment[:, 1:top].sum(axis=1).tolist()
-    terms = [(mu[e], up[e]) for e in range(1, top) if mu[e]]
-    width = max((u for _, u in terms), default=0)
-    return tuple(-sum(m * comb(u, k + 1) for m, u in terms) for k in range(width))
+    inc = L.containment
+    return {
+        "intersection": _counted_f_vector(mu[1:], inc[1:, 1:top].sum(axis=1).tolist()),
+        "coatom_nerve": _counted_f_vector(mu[1:], inc[1:, list(L.coatoms)].sum(axis=1).tolist()),
+        "atom_nerve": _counted_f_vector(mu_top[:top],
+                                        inc[list(L.atoms), :top].sum(axis=0).tolist()),
+    }
+
+
+def _counted_f_vector(mu: list[int], counts: list[int]) -> tuple[int, ...]:
+    """f_k = -Σ_E mu[E]·C(counts[E], k+1), for k up to the largest count
+    whose coefficient is not zero (``lattice_f_vectors``)."""
+    terms = [(m, c) for m, c in zip(mu, counts) if m and c]
+    width = max((c for _, c in terms), default=0)
+    return tuple(-sum(m * comb(c, k + 1) for m, c in terms) for k in range(width))
 
 
 def _covers(L: Lattice, verts) -> tuple[np.ndarray, np.ndarray]:
@@ -646,27 +665,24 @@ def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
                            f_vector=f_vector), rest
 
 
-def _read_off(complex_: SimplicialComplex, source: HomologyProfile | None,
-              budget: int, model: str) -> HomologyProfile | None:
-    """The profile of a complex homotopy equivalent to the one ``source``
-    profiles (None when ``source`` is), with ``source``'s Betti numbers
-    cut to this complex's dimension; the entries cut off must be zero.
-    The f-vector is this complex's own face count (None past the budget),
-    and so is the Euler characteristic, which must equal the alternating
-    Betti sum; past the budget it is ``source``'s."""
+def _read_off(source: HomologyProfile | None, f_vector: tuple[int, ...],
+              model: str) -> HomologyProfile | None:
+    """The profile of a complex with faces per dimension ``f_vector``,
+    homotopy equivalent to the one ``source`` profiles (None when
+    ``source`` is): ``source``'s Betti numbers cut or padded with zeros to
+    this complex's dimension, the length of ``f_vector`` less one; the
+    entries cut off must be zero.  The Euler characteristic comes from
+    ``f_vector`` and must equal the alternating Betti sum."""
     if source is None:
         return None
-    dim = complex_.dim()
-    b = source.betti[:dim + 1]
+    dim = len(f_vector) - 1
     if any(source.betti[dim + 1:]):
         raise AssertionError("homology above the dimension of a homotopy equivalent complex")
     if dim < 0:
         return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=(),
                                betti_from=source.model)
-    faces = _faces_within(complex_, budget)
-    f_vector = None if faces is None else _f_vector(faces)
-    euler = source.euler if f_vector is None else sum(
-        (-1) ** k * c for k, c in enumerate(f_vector))
+    b = (source.betti + (0,) * dim)[:dim + 1]
+    euler = sum((-1) ** k * c for k, c in enumerate(f_vector))
     if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
     return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
@@ -688,7 +704,7 @@ class TopologyReport:
     frattini_nontrivial: bool
     gamma_is_one: bool
     profiles_agree: bool | None
-    betti_vanish: bool | None   # for gamma = 1 groups, on the preferred model
+    betti_vanish: bool | None   # for gamma = 1 groups, on K's profile
     # greedy collapse probe of the intersection complex K, run on K's strong
     # core (``_collapse_probe``; ``steps`` counts collapses of K), None
     # when K has no faces or more than ``DEFAULT_FACE_BUDGET``
@@ -721,28 +737,33 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     nerve is a simplex iff gamma is 1.  The report keeps the complexes it
     built; BudgetExceeded propagates when the order complex's maximal
     chains exceed ``DEFAULT_FACE_BUDGET``.  A profile is None when neither
-    its complex's strong core nor the nerve's fits the face budget.
+    its complex's strong core nor the nerve of the core's facets fits the
+    face budget.
 
-    Three profiles are computed: the atom nerve's, the intersection
-    complex K's and the order complex's, the last on the order complex of
-    ``poset_core(L)``.  The coatom nerve's Betti numbers are read off K's
-    (``_read_off``): a vertex H of K that is not a coatom is dominated by
-    any coatom M above it (every atom up-set containing H contains M), in
-    every induced subcomplex that keeps M, and K induced on the coatoms is
-    the coatom nerve, so K strong-collapses onto it.  ``profiles_agree``
-    compares the three computed profiles that are not None."""
+    Two profiles are computed: the intersection complex K's and the order
+    complex's, the last on the order complex of ``poset_core(L)``.  The
+    f-vectors of K and of both nerves are counted from the lattice
+    (``lattice_f_vectors``), and the nerves' Betti numbers are read off
+    K's (``_read_off``).  A vertex H of K that is not a coatom is dominated
+    by any coatom M above it (every atom up-set containing H contains M),
+    in every induced subcomplex that keeps M, and K induced on the coatoms
+    is the coatom nerve, so K strong-collapses onto it.  K and the atom
+    nerve are the two nerves of the relation "atom a lies in the proper
+    subgroup H", so they are homotopy equivalent (Dowker 1952), and the
+    strong core of the atom nerve is the nerve of the facets of K's strong
+    core (Barmak-Minian 2012): the atom nerve would fit the budget exactly
+    when K does, and its profile is None with K's.  ``profiles_agree``
+    compares the two computed profiles when neither is None, which checks
+    that K and the order complex are homotopy equivalent."""
     complexes = {name: build(L) for name, build in (
         ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve),
         ("intersection", intersection_complex), ("order", order_complex))}
     profiles: dict[str, HomologyProfile | None] = dict.fromkeys(complexes)
     collapse = None
-    try:
-        profiles["atom_nerve"] = betti(complexes["atom_nerve"], model="atom_nerve")
-    except BudgetExceeded:
-        pass
-    f_vector = intersection_f_vector(L)  # K's faces are never enumerated
+    f_vectors = lattice_f_vectors(L)  # no face of K or of a nerve is enumerated
     try:
         # one collapse of the core's faces for the profile and the probe
+        f_vector = f_vectors["intersection"]
         profiles["intersection"], rest = _profile(complexes["intersection"], f_vector,
                                                   DEFAULT_FACE_BUDGET, "intersection")
         n_faces = sum(f_vector)
@@ -750,21 +771,16 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
             collapse = _collapse_probe(n_faces, rest)
     except BudgetExceeded:
         pass
-    profiles["coatom_nerve"] = _read_off(complexes["coatom_nerve"], profiles["intersection"],
-                                         DEFAULT_FACE_BUDGET, "coatom_nerve")
+    for name in ("atom_nerve", "coatom_nerve"):
+        profiles[name] = _read_off(profiles["intersection"], f_vectors[name], name)
     try:
         profiles["order"] = betti(complexes["order"], model="order",
                                   core=order_complex(L, poset_core(L)))
     except BudgetExceeded:
         pass
 
-    complete = [p for p in profiles.values() if p is not None and p.betti_from is None]
-    agree: bool | None
-    if len(complete) < 2:
-        agree = None
-    else:
-        first = complete[0].reduced()
-        agree = all(p.reduced() == first for p in complete[1:])
+    k, order = profiles["intersection"], profiles["order"]
+    agree = None if k is None or order is None else k.reduced() == order.reduced()
 
     gamma_is_one = gamma == Gamma.of(1)
     frattini = (1 << L.group.order) - 1
@@ -773,10 +789,8 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     frattini_nontrivial = frattini.bit_count() > 1
 
     betti_vanish: bool | None = None
-    if gamma_is_one:
-        preferred = profiles.get("intersection") or profiles["atom_nerve"]
-        if preferred is not None:
-            betti_vanish = all(bk == 0 for bk in preferred.betti)
+    if gamma_is_one and k is not None:
+        betti_vanish = all(bk == 0 for bk in k.betti)
 
     na, nm = complexes["atom_nerve"], complexes["coatom_nerve"]
     checks = {

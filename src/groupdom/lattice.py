@@ -219,7 +219,22 @@ def mobius(L: Lattice) -> list[int]:
     the reduced Euler characteristic of the order complex of the proper
     non-trivial subgroups, and so of each complex homotopy equivalent to it.
     """
-    below = L.containment
+    return _mobius_from_least(L.containment)
+
+
+def mobius_to_top(L: Lattice) -> list[int]:
+    """μ(H, G) of the subgroup lattice for every subgroup H, by index.
+
+    The recursion of ``mobius`` run from the top, μ(G, G) = 1 and
+    μ(H, G) = -Σ_{H<K} μ(K, G): on the transposed containment, with the
+    indices reversed so that G comes first."""
+    return _mobius_from_least(L.containment[::-1, ::-1].T)[::-1]
+
+
+def _mobius_from_least(below: np.ndarray) -> list[int]:
+    """μ(0, x) for every element x of a poset with least element 0 at index
+    0, whose order ``below`` holds ([i, j] true iff i <= j) is upper
+    triangular."""
     mu = [1]
     for h in range(1, len(below)):
         mu.append(-sum(mu[k] for k in np.flatnonzero(below[:h, h]).tolist()))

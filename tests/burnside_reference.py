@@ -1,7 +1,9 @@
 """The Burnside product by double cosets, as the reference for
 ``BurnsideRing.product``, which peels products off the table of marks; and
 the pooled family search, as the reference for ``BurnsideRing.index_bound``,
-which finds the least-weight family with ``min_set_cover``.
+which finds the least-weight family with ``min_set_cover``; and the meets
+matrix from every column of the table of marks, as the reference for
+``BurnsideRing.meets_matrix``, which reads the atom classes' columns only.
 
 [G/H][G/K] is the sum of [G/(H meet gKg^-1)] over (H,K)-double coset
 representatives g (Mackey's decomposition).  This route reads the double
@@ -54,6 +56,13 @@ def reference_product(ring, ca: int, cb: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
+def reference_meets_matrix(ring) -> np.ndarray:
+    """[k, h] true iff M[k, j] M[h, j] > 0 for some class j > 0 of the
+    table of marks M: K meets some conjugate of H non-trivially."""
+    fixed = (ring.marks_matrix()[:, 1:] > 0).astype(np.float32)
+    return fixed @ fixed.T > 0
+
+
 def pooled_index_bound(ring) -> dict:
     """``index_bound`` as it was before the exact search: every family of
     up to three classes among the ``_EXHAUSTIVE_POOL`` classes of least
@@ -64,7 +73,7 @@ def pooled_index_bound(ring) -> dict:
     vcls = [ci for ci, c in enumerate(ring.classes) if 0 < c.rep < top]
     if not vcls:
         return {"family": [], "bound": None, "gamma1_criterion": False}
-    meets = ring.meets_matrix()
+    meets = reference_meets_matrix(ring)
     n = ring.G.order
     weight = {ci: n // ring.classes[ci].normalizer.order for ci in vcls}
     cover = dict(zip(vcls, rows_to_masks(meets[np.ix_(vcls, vcls)].T)))

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from burnside_reference import double_cosets, pooled_index_bound, reference_product
+from burnside_reference import (double_cosets, pooled_index_bound, reference_meets_matrix,
+                                reference_product)
 
 from groupdom.burnside import BurnsideRing
 from groupdom.corpus import corpus
@@ -223,6 +224,14 @@ class TestIndexBound:
                 continue
             ib = ring.index_bound()
             assert ib["gamma1_criterion"] == (gamma_of(label).gamma == Gamma.of(1)), label
+
+
+@pytest.mark.parametrize("label", [e.label for e in corpus() if e.order <= 200])
+def test_meets_matrix_reads_the_atom_classes(lattice, label):
+    # a non-trivial K meet gHg^-1 contains an atom: the atom classes'
+    # columns of the marks give the product over every column
+    ring = ring_for(lattice, label)
+    assert np.array_equal(ring.meets_matrix(), reference_meets_matrix(ring)), label
 
 
 @pytest.mark.parametrize("label", [e.label for e in corpus() if e.order <= 200]

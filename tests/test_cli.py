@@ -109,14 +109,16 @@ class TestOtherCommands:
 
     def test_complex_past_the_face_budget(self, capsys):
         # the atom nerve and the intersection complex of S5 have more faces
-        # than the budget: their homology comes from the facet nerve of
-        # their strong cores.  The atom nerve's document carries no face
-        # counts; the intersection complex's are counted from μ(1, ·) on the
-        # lattice, 6,560,835 faces in all, none of them enumerated
+        # than the budget: K's homology comes from the facet nerve of its
+        # strong core, and the atom nerve reads K's.  Both complexes' face
+        # counts come from the Möbius function of the lattice, 2,147,525,967
+        # and 6,560,835 faces, none of them enumerated
         code, out, _ = run(capsys, "complex", "S5")
         assert code == 0
         result = parse(out)["result"]
-        assert result["models"]["atom_nerve"]["f_vector"] is None
+        atom_nerve = result["models"]["atom_nerve"]
+        assert sum(atom_nerve["f_vector"]) == 2_147_525_967
+        assert (len(atom_nerve["vertex_labels"]), len(atom_nerve["facets"])) == (41, 16)
         f_vector = result["models"]["intersection"]["f_vector"]
         assert f_vector == [154, 3371, 20774, 78076, 216480, 466130, 796790, 1094400,
                             1215600, 1093960, 795600, 464100, 214200, 76500, 20400,

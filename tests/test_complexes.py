@@ -11,7 +11,7 @@ from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
 from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _boundary_ranks,
                                 _collapse, _collapse_probe, _exact_rank, _read_off,
                                 _reduced_betti, atom_nerve, betti, coatom_nerve,
-                                intersection_complex, intersection_f_vector, nerve,
+                                intersection_complex, lattice_f_vectors, nerve,
                                 order_complex, poset_core, topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
@@ -204,12 +204,17 @@ class TestHomologyAgreement:
                                           for k, b in enumerate(p.betti))
 
     @pytest.mark.parametrize("label", [e.label for e in corpus()
-                                       if e.order and e.order <= 24])
+                                       if e.order and e.order <= 48])
     def test_f_vector_from_mobius_counts_the_faces(self, lattice, label):
+        # K's and both nerves' face counts from the lattice, against the
+        # faces themselves wherever they fit the face budget
         L = lattice(label)
-        f_vector = intersection_f_vector(L)
-        assert f_vector == intersection_complex(L).f_vector()
-        assert sum((-1) ** k * c for k, c in enumerate(f_vector)) == 1 + mobius(L)[-1]
+        for name, f_vector in lattice_f_vectors(L).items():
+            assert sum((-1) ** k * c for k, c in enumerate(f_vector)) == 1 + mobius(L)[-1]
+            try:
+                assert f_vector == dict(MODELS)[name](L).f_vector(), (label, name)
+            except BudgetExceeded:
+                assert sum(f_vector) > DEFAULT_FACE_BUDGET, (label, name)
 
     def test_subposet_complex_matches_subposet_order_complex(self, lattice):
         # the intersection complex of the p-subgroup poset has the same
@@ -376,7 +381,7 @@ def test_integer_rank_matches_fraction_rank(lattice, gamma_of, monkeypatch):
     monkeypatch.setattr(groupdom.complexes, "_exact_pivots", recorded_pivots)
     for label in BENCHMARK_COMPLEX_GROUPS:
         topology_report(lattice(label), gamma_of(label).gamma)
-    assert len(ranked) == 3 * len(BENCHMARK_COMPLEX_GROUPS)  # the coatom nerve reads K's
+    assert len(ranked) == 2 * len(BENCHMARK_COMPLEX_GROUPS)  # the nerves read K's
     assert exact_calls == []
     monkeypatch.undo()
     for rest, top_dim in ranked:
@@ -426,15 +431,17 @@ def test_poset_core_order_complex_has_no_dominated_vertex(lattice, label):
 
 @pytest.mark.parametrize("label", CORE_LABELS + ["S5", "A6"])
 def test_report_profiles_match_whole_complex_references(lattice, gamma_of, label):
-    """The order profile, ranked on the poset core, and the coatom nerve's,
-    read off K, against ``betti`` of the whole complexes."""
+    """The order profile, ranked on the poset core, and the nerves', read
+    off K with their faces counted from the lattice, against ``betti`` of
+    the whole complexes (whose f-vector is None past the face budget)."""
     L = lattice(label)
     rep = topology_report(L, gamma_of(label).gamma)
     assert rep.profiles["order"] == betti(order_complex(L), model="order"), label
-    read = rep.profiles["coatom_nerve"]
-    assert read.betti_from == "intersection"
-    assert dataclasses.replace(read, betti_from=None) == betti(coatom_nerve(L),
-                                                                model="coatom_nerve"), label
+    for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)):
+        read, whole = rep.profiles[name], betti(build(L), model=name)
+        assert whole.f_vector in (None, read.f_vector), (label, name)
+        assert read == dataclasses.replace(whole, f_vector=read.f_vector,
+                                           betti_from="intersection"), (label, name)
 
 
 class TestTopologyReport:
@@ -481,24 +488,32 @@ class TestTopologyReport:
         assert (k.dim, m.dim) == (6, 4)
         assert m.betti_from == "intersection" and m.betti == k.betti[:5] == (0, 60, 0, 0, 0)
         profiles = rep.to_json()["profiles"]
-        assert profiles["coatom_nerve"]["betti_from"] == "intersection"
-        assert all("betti_from" not in profiles[name]
-                   for name in ("atom_nerve", "intersection", "order"))
-        nerve_cx = rep.complexes["coatom_nerve"]
+        assert all(profiles[name]["betti_from"] == "intersection"
+                   for name in ("atom_nerve", "coatom_nerve"))
+        assert all("betti_from" not in profiles[name] for name in ("intersection", "order"))
         # a class of K above the coatom nerve's dimension cannot be read off
         with pytest.raises(AssertionError, match="above the dimension"):
-            _read_off(nerve_cx, dataclasses.replace(k, betti=k.betti[:6] + (1,)),
-                      DEFAULT_FACE_BUDGET, "coatom_nerve")
+            _read_off(dataclasses.replace(k, betti=k.betti[:6] + (1,)), m.f_vector,
+                      "coatom_nerve")
         # nor Betti numbers whose alternating sum is off the nerve's Euler
         # characteristic
         with pytest.raises(AssertionError, match="Euler"):
-            _read_off(nerve_cx, dataclasses.replace(k, betti=(0, 61) + k.betti[2:]),
-                      DEFAULT_FACE_BUDGET, "coatom_nerve")
+            _read_off(dataclasses.replace(k, betti=(0, 61) + k.betti[2:]), m.f_vector,
+                      "coatom_nerve")
+
+    def test_atom_nerve_reads_k_betti_padded_to_its_dimension(self, lattice, gamma_of):
+        # A4: K has dimension 1, the atom nerve 2
+        rep = self.report(lattice, gamma_of, "A4")
+        k, a = rep.profiles["intersection"], rep.profiles["atom_nerve"]
+        assert (k.betti, a.betti) == ((4, 0), (4, 0, 0))
+        assert a.dim == rep.complexes["atom_nerve"].dim() == 2
+        assert a.betti_from == "intersection"
 
     def test_coatom_nerve_is_null_with_k_without_enumeration(self, lattice, gamma_of,
                                                             monkeypatch):
-        # past the budget on K, the coatom nerve's profile is None at once:
-        # its faces are never enumerated
+        # past the budget on K, both nerves' profiles are None at once:
+        # their faces are never enumerated, and only the order complex is
+        # left to compare
         profile = groupdom.complexes._profile
 
         def k_past_budget(cx, f_vector, budget, model, **kwargs):
@@ -512,10 +527,12 @@ class TestTopologyReport:
         monkeypatch.setattr(SimplicialComplex, "faces",
                             lambda cx, *args: enumerated.append(cx) or faces(cx, *args))
         rep = self.report(lattice, gamma_of, "S4")
-        assert rep.profiles["intersection"] is None and rep.profiles["coatom_nerve"] is None
-        assert rep.complexes["coatom_nerve"] not in enumerated
-        assert rep.profiles["atom_nerve"] and rep.profiles["order"]
-        assert rep.profiles_agree is True
+        assert all(rep.profiles[name] is None
+                   for name in ("intersection", "atom_nerve", "coatom_nerve"))
+        assert all(rep.complexes[name] not in enumerated
+                   for name in ("atom_nerve", "coatom_nerve"))
+        assert rep.profiles["order"] is not None
+        assert rep.profiles_agree is None
 
     # measured when the probe moved to the strong core: on all 93 corpus
     # groups of order <= 48 whose intersection complex fits the face budget,
@@ -530,16 +547,21 @@ class TestTopologyReport:
     @pytest.mark.parametrize("label", BENCHMARK_COMPLEX_GROUPS + ("S5",))
     def test_intersection_complex_faces_are_never_enumerated(self, lattice, gamma_of,
                                                              monkeypatch, label):
-        # K's face counts come from μ(1, ·): the report enumerates the faces
-        # of its strong core and of the other models, never K's
+        # K's and the nerves' face counts come from the lattice: the report
+        # enumerates the faces of K's strong core and of the order
+        # complex, never those of K or of a nerve
         enumerated = []
         faces = SimplicialComplex.faces
         monkeypatch.setattr(SimplicialComplex, "faces",
                             lambda cx, *args: enumerated.append(cx) or faces(cx, *args))
         rep = self.report(lattice, gamma_of, label)
         kg = rep.complexes["intersection"]
+        nerves = [rep.complexes[name] for name in ("atom_nerve", "coatom_nerve")]
         assert enumerated and all(cx.facets != kg.facets for cx in enumerated)
-        assert rep.profiles["intersection"].f_vector == intersection_f_vector(lattice(label))
+        assert all(cx not in nerves for cx in enumerated)
+        counted = lattice_f_vectors(lattice(label))
+        assert all(rep.profiles[name].f_vector == counted[name]
+                   for name in ("intersection", "atom_nerve", "coatom_nerve"))
 
     def test_prime_cyclic_degenerate(self, lattice, gamma_of):
         rep = self.report(lattice, gamma_of, "C5")

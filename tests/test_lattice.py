@@ -7,10 +7,11 @@ import pytest
 
 from groupdom import lattice as lattice_module
 from groupdom.corpus import corpus, get_group
-from groupdom.groups import build_group, is_prime, parse_group_spec
+from groupdom.groups import build_group, is_normal, is_prime, parse_group_spec, quotient_group
 from groupdom.lattice import (characteristic_subgroups, classify_group, derived_series,
                               enumerate_subgroups, generated_subgroup,
-                              lower_central_series, mobius, subgroup_classes, sylow_counts)
+                              lower_central_series, mobius, mobius_to_top, subgroup_classes,
+                              sylow_counts)
 from derived_series_reference import (derived_series_all_commutators,
                                       lower_central_series_all_commutators)
 from lattice_reference import enumerate_subgroups_allpairs, subgroups_bruteforce
@@ -287,6 +288,18 @@ class TestMobius:
             below = [t.mask for t in L.subgroups if t.mask & ~s.mask == 0]
             sub = lattice_module.Lattice(L.group, set(below))
             assert mobius(sub)[-1] == mu[i] == mobius_one_to_top(sub), i
+
+    @pytest.mark.parametrize("label", ["S4", "D24", "C2xC2xC2", "Q8", "A5", "C6xC6"])
+    def test_every_interval_to_the_top_from_a_normal_subgroup(self, lattice, label):
+        # μ(N, G) for a normal N is μ(1, G/N) of the quotient's lattice
+        # (the correspondence theorem), and μ(1, G) is the same from either end
+        L = lattice(label)
+        mu_top = mobius_to_top(L)
+        assert mu_top[0] == mobius(L)[-1] and mu_top[-1] == 1
+        for i, s in enumerate(L.subgroups):
+            if is_normal(L.group, s.mask):
+                Q, _ = quotient_group(L.group, s.mask)
+                assert mu_top[i] == mobius_one_to_top(enumerate_subgroups(Q)), (label, i)
 
     def test_containment_is_leq(self, lattice):
         L = lattice("D24")

@@ -38,7 +38,7 @@ from residual_quotient_reference import (reference_residual_quotient,  # noqa: E
 from groupdom.burnside import BurnsideRing  # noqa: E402
 from groupdom.complexes import (SimplicialComplex, atom_nerve,  # noqa: E402
                                 betti, coatom_nerve, intersection_complex,
-                                intersection_f_vector, order_complex)
+                                lattice_f_vectors, order_complex)
 from groupdom.corpus import get_group  # noqa: E402
 from groupdom.domination import gamma_exact  # noqa: E402
 from groupdom.errors import BudgetExceeded, CapExceeded  # noqa: E402
@@ -328,7 +328,7 @@ def test_intersection_f_vector_counts_the_faces(spec):
     # the face counts of K from μ(1, ·) on the lattice, against the faces
     # themselves wherever they fit a budget small enough to list quickly
     L = enumerate_subgroups(small_group(spec))
-    f_vector = intersection_f_vector(L)
+    f_vector = lattice_f_vectors(L)["intersection"]
     assert mobius(L)[-1] == mobius_one_to_top(L), spec
     euler = sum((-1) ** k * c for k, c in enumerate(f_vector))
     assert euler == (1 + mobius_one_to_top(L) if len(L) > 1 else 0), spec
@@ -336,6 +336,25 @@ def test_intersection_f_vector_counts_the_faces(spec):
         assert f_vector == intersection_complex(L).f_vector(200_000), spec
     except BudgetExceeded:
         assert sum(f_vector) > 200_000, spec
+
+
+@PROPERTY
+@given(perm_specs())
+@example("perm:6:(1,2,3,4);(1,2);(5,6)")  # S4xC2
+def test_nerve_f_vectors_count_the_faces(spec):
+    # the nerves' face counts from μ(1, ·) and μ(·, G) (Rota's crosscut
+    # count for the atom nerve), against the faces themselves wherever
+    # they fit a budget small enough to list quickly
+    L = enumerate_subgroups(small_group(spec))
+    counted = lattice_f_vectors(L)
+    for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)):
+        f_vector = counted[name]
+        euler = sum((-1) ** k * c for k, c in enumerate(f_vector))
+        assert euler == (1 + mobius_one_to_top(L) if len(L) > 1 else 0), (spec, name)
+        try:
+            assert f_vector == build(L).f_vector(200_000), (spec, name)
+        except BudgetExceeded:
+            assert sum(f_vector) > 200_000, (spec, name)
 
 
 @PROPERTY

@@ -19,7 +19,8 @@ REFERENCES = {
                           "_close_join", "cyclic_subgroup_masks", "_join"),
     "domination_reference": ("domination_oracle", "is_dominating",
                              "lower_bound_visiting_every_point"),
-    "burnside_reference": ("double_cosets", "DoubleCosetSet", "pooled_index_bound"),
+    "burnside_reference": ("double_cosets", "DoubleCosetSet", "pooled_index_bound",
+                           "reference_meets_matrix"),
     "collapse_reference": ("greedy_collapse",),
     "derived_series_reference": ("derived_series_all_commutators",
                                  "lower_central_series_all_commutators"),
