@@ -3,10 +3,11 @@
 Four constructions: the intersection complex (faces = sets of proper
 subgroups with a common non-trivial intersection), the order complex of
 the proper non-trivial subgroup poset (faces = chains), and the two
-nerves, of the atom-upset covering and the coatom-downset covering, all
-read from the lattice's incidences (``Lattice.containment``, and
-``Lattice.atoms_in`` for the atoms).  All four are homotopy equivalent,
-which the library checks by computing their reduced rational Betti numbers.
+nerves, of the atom-upset covering and the coatom-downset covering.  K
+and both nerves are maximal rows of one relation, "atom a lies in H"
+(``Lattice.atoms_in``); the order complex reads ``Lattice.containment``.
+All four are homotopy equivalent, which the library checks by computing
+their reduced rational Betti numbers.
 
 Faces are bitmasks over a local vertex list.  Betti numbers have one
 exact path, whose steps each preserve the homotopy type or the homology:
@@ -53,7 +54,7 @@ import numpy as np
 
 from .domination import Gamma
 from .errors import BudgetExceeded
-from .groups import mask_to_indices, rows_to_masks
+from .groups import inclusion_matrix, mask_to_indices, masks_to_rows, rows_to_masks
 from .lattice import Lattice, mobius, mobius_to_top
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -66,9 +67,9 @@ class SimplicialComplex:
 
     @staticmethod
     def from_facets(labels, masks) -> "SimplicialComplex":
-        uniq = sorted(set(m for m in masks if m), key=lambda m: (m.bit_count(), m))
-        maximal = [m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq)]
-        return SimplicialComplex(vertex_labels=tuple(labels), facets=tuple(maximal))
+        masks = list(masks)
+        width = max((m.bit_length() for m in masks), default=0)
+        return SimplicialComplex(tuple(labels), _maximal_rows(masks_to_rows(masks, width)))
 
     def strong_core(self) -> "SimplicialComplex":
         """The core left by strong collapses (Barmak-Minian 2012).
@@ -107,7 +108,7 @@ class SimplicialComplex:
                                       if not any(g & ~h == 0 for h in without_v)]
                 deleted = True
         # already maximal and distinct (g < g' among with_v would give f < f'):
-        # only from_facets' order is needed, not its O(F^2) filter
+        # only from_facets' order is needed, not its maximality test
         return SimplicialComplex(self.vertex_labels,
                                  tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
 
@@ -200,19 +201,22 @@ class HomologyProfile:
 # ---------------------------------------------------------------------------
 
 
-def _atom_upsets(L: Lattice, verts) -> list[int]:
-    """Per atom, the mask of the positions in ``verts`` of the subgroups
-    containing it."""
-    return rows_to_masks(L.atoms_in(verts).T)
+def _maximal_rows(rows: np.ndarray) -> tuple[int, ...]:
+    """The inclusion-maximal distinct non-empty rows of a bool incidence,
+    as masks in (size, mask) order: the facets of the complex spanned by
+    the rows.  In that order a row lies in no earlier row, so one
+    ``inclusion_matrix`` finds those that lie in no row but themselves."""
+    masks = sorted(set(rows_to_masks(rows)) - {0}, key=lambda m: (m.bit_count(), m))
+    inside = inclusion_matrix(masks_to_rows(masks, rows.shape[1])).sum(axis=1)
+    return tuple(m for m, n in zip(masks, inside.tolist()) if n == 1)
 
 
 def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> SimplicialComplex:
     """Faces are sets of proper non-trivial subgroups with non-trivial
     common intersection; facets are indexed by atoms (a common
-    intersection always contains some atom)."""
+    intersection always contains some atom): the maximal atom up-sets."""
     verts = tuple(vertices) if vertices is not None else L.vertex_set
-    return SimplicialComplex.from_facets(L.labels(verts),
-                                         _atom_upsets(L, verts))
+    return SimplicialComplex(L.labels(verts), _maximal_rows(L.atoms_in(verts).T))
 
 
 def lattice_f_vectors(L: Lattice) -> dict[str, tuple[int, ...]]:
@@ -330,7 +334,7 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> Simpli
         # full garbage collection
         del extend
     # saturated chains from a minimal to a maximal element are maximal and
-    # distinct: only from_facets' order is needed, not its O(F^2) filter
+    # distinct: only from_facets' order is needed, not its maximality test
     return SimplicialComplex(L.labels(verts),
                              tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
 
@@ -339,39 +343,28 @@ def nerve(cover_sets: list[int], labels: tuple[str, ...] | None = None) -> Simpl
     """Nerve of a covering given as bitmasks over an arbitrary point set.
 
     J is a face iff the members indexed by J have a common point, so the
-    facets are the inclusion-maximal witness sets {i : point in C_i}.
+    facets are the inclusion-maximal witness sets {i : point in C_i}, the
+    maximal rows of the point-by-member incidence.
     """
-    m = len(cover_sets)
-    if labels is None:
-        labels = tuple(f"C{i}" for i in range(m))
-    union = 0
-    for c in cover_sets:
-        union |= c
-    facets = set()
-    rest = union
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        j = 0
-        for i, c in enumerate(cover_sets):
-            if c & low:
-                j |= 1 << i
-        facets.add(j)
-    return SimplicialComplex.from_facets(labels, facets)
+    labels = tuple(f"C{i}" for i in range(len(cover_sets))) if labels is None else labels
+    width = max((c.bit_length() for c in cover_sets), default=0)
+    return SimplicialComplex(tuple(labels), _maximal_rows(masks_to_rows(cover_sets, width).T))
 
 
 def atom_nerve(L: Lattice) -> SimplicialComplex:
-    """Nerve of the upward-closed covering by atom up-sets of the proper
-    non-trivial subgroup poset."""
+    """Nerve of the covering of the proper non-trivial subgroups by atom
+    up-sets: its facets are the maximal atom sets of vertices, and every
+    vertex lies in a coatom, so they are the maximal atom sets of coatoms."""
     labels = tuple(f"A{L.subgroups[a].order}_{a}" for a in L.atoms)
-    return nerve(_atom_upsets(L, L.vertex_set), labels)
+    return SimplicialComplex(labels, _maximal_rows(L.atoms_in(L.coatoms)))
 
 
 def coatom_nerve(L: Lattice) -> SimplicialComplex:
-    """Nerve of the downward-closed covering by coatom down-sets."""
-    covers = rows_to_masks(L.containment[np.ix_(L.vertex_set, L.coatoms)].T)
+    """Nerve of the covering by coatom down-sets: its facets are the
+    maximal coatom sets above vertices, and every vertex contains an
+    atom, so they are the maximal coatom sets above atoms."""
     labels = tuple(f"M{L.subgroups[c].order}_{c}" for c in L.coatoms)
-    return nerve(covers, labels)
+    return SimplicialComplex(labels, _maximal_rows(L.atoms_in(L.coatoms).T))
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +648,19 @@ def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
         used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(budget)
     rest = _collapse(used)
     dim = complex_.dim()
-    if dim < 0:
-        return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=()), rest
-    euler = sum((-1) ** k * c for k, c in enumerate(f_vector or _f_vector(used)))
-    b = _reduced_betti(rest, dim)
-    if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
+    b = _reduced_betti(rest, dim) if dim >= 0 else ()
+    return _checked_profile(b, f_vector or _f_vector(used), dim, model=model,
+                            f_vector=f_vector), rest
+
+
+def _checked_profile(b: tuple, counts: tuple, dim: int, **fields) -> HomologyProfile:
+    """The profile of a complex of dimension ``dim`` with reduced Betti
+    numbers ``b``; its Euler characteristic, from the faces per dimension
+    ``counts``, must equal the alternating Betti sum unless it is empty."""
+    euler = sum((-1) ** k * c for k, c in enumerate(counts))
+    if dim >= 0 and euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
         raise AssertionError("Euler characteristic disagrees with Betti numbers")
-    return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
-                           f_vector=f_vector), rest
+    return HomologyProfile(betti=b, euler=euler, dim=dim, **fields)
 
 
 def _read_off(source: HomologyProfile | None, f_vector: tuple[int, ...],
@@ -670,23 +668,16 @@ def _read_off(source: HomologyProfile | None, f_vector: tuple[int, ...],
     """The profile of a complex with faces per dimension ``f_vector``,
     homotopy equivalent to the one ``source`` profiles (None when
     ``source`` is): ``source``'s Betti numbers cut or padded with zeros to
-    this complex's dimension, the length of ``f_vector`` less one; the
-    entries cut off must be zero.  The Euler characteristic comes from
-    ``f_vector`` and must equal the alternating Betti sum."""
+    this complex's dimension, the length of ``f_vector`` less one (the
+    entries cut off must be zero), checked by ``_checked_profile``."""
     if source is None:
         return None
     dim = len(f_vector) - 1
     if any(source.betti[dim + 1:]):
         raise AssertionError("homology above the dimension of a homotopy equivalent complex")
-    if dim < 0:
-        return HomologyProfile(betti=(), euler=0, dim=-1, model=model, f_vector=(),
-                               betti_from=source.model)
     b = (source.betti + (0,) * dim)[:dim + 1]
-    euler = sum((-1) ** k * c for k, c in enumerate(f_vector))
-    if euler != 1 + sum((-1) ** k * bk for k, bk in enumerate(b)):
-        raise AssertionError("Euler characteristic disagrees with Betti numbers")
-    return HomologyProfile(betti=b, euler=euler, dim=dim, model=model,
-                           f_vector=f_vector, betti_from=source.model)
+    return _checked_profile(b, f_vector, dim, model=model, f_vector=f_vector,
+                            betti_from=source.model)
 
 
 # ---------------------------------------------------------------------------

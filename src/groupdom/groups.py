@@ -519,6 +519,23 @@ def masks_to_rows(masks, n: int) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
+def inclusion_matrix(rows: np.ndarray) -> np.ndarray:
+    """Boolean matrix, [i, j] true iff bool row i's set lies in row j's,
+    tested for j >= i only: in the rows' order, (size, mask) say, no row
+    may lie in an earlier one but its equal.  The intersection sizes are
+    a float32 product, exact below 2^24, taken in blocks of rows, each
+    against the rows from its first on, near 2^20 entries a block."""
+    rows = rows.astype(np.float32)
+    sizes = rows.sum(axis=1)
+    k = len(rows)
+    out = np.zeros((k, k), dtype=bool)
+    step = max(1, (1 << 20) // max(k, 1))
+    for i in range(0, k, step):
+        block = rows[i:i + step] @ rows[i:].T
+        out[i:i + step, i:] = block == sizes[i:i + step, None]
+    return out
+
+
 def _pack(masks, n: int) -> np.ndarray:
     """Subgroup masks as rows of little-endian uint64 words."""
     width = 8 * ((n + 63) // 64 or 1)

@@ -30,8 +30,8 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetExceeded
-from .groups import (GroupTable, _bools_to_mask, _pack, array_to_mask, is_prime,
-                     left_cosets, mask_to_array, masks_to_rows, rows_to_masks)
+from .groups import (GroupTable, _bools_to_mask, _pack, array_to_mask, inclusion_matrix,
+                     is_prime, left_cosets, mask_to_array, masks_to_rows, rows_to_masks)
 
 
 @dataclass(frozen=True)
@@ -157,18 +157,9 @@ class Lattice:
     def containment(self) -> np.ndarray:
         """Boolean matrix, [i, j] true iff subgroup i lies in subgroup j:
         iff |H_i & H_j| = |H_i|.  Upper triangular, since a subgroup's
-        subgroups come before it in (order, mask) order.  The intersection
-        sizes are a float32 product of membership rows, exact while they
-        stay below 2^24; it is taken in blocks of rows, each against the
-        rows from its first on, so the product stays near 2^20 entries."""
-        rows = masks_to_rows([s.mask for s in self.subgroups], self.group.order).astype(np.float32)
-        orders = rows.sum(axis=1)
-        k = len(rows)
-        out = np.zeros((k, k), dtype=bool)
-        step = max(1, (1 << 20) // k)
-        for i in range(0, k, step):
-            block = rows[i:i + step] @ rows[i:].T
-            out[i:i + step, i:] = block == orders[i:i + step, None]
+        subgroups come before it in (order, mask) order: one
+        ``inclusion_matrix`` of the membership rows."""
+        out = inclusion_matrix(masks_to_rows([s.mask for s in self.subgroups], self.group.order))
         out.flags.writeable = False
         return out
 

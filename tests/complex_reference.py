@@ -1,12 +1,41 @@
-"""The order complex and the two nerves built by pairwise containment tests
-on subgroup masks (``Lattice.leq`` and mask loops), as the reference for
-the constructions that read ``Lattice.containment``."""
+"""The complexes built by pairwise containment tests on subgroup masks
+(``Lattice.leq`` and mask loops), and the nerve of a covering built by a
+loop over its points, each keeping its maximal faces by a pairwise
+filter, as the reference for the constructions that read the lattice's
+incidences and keep the maximal rows of one subset product."""
 
-from groupdom.complexes import SimplicialComplex, nerve
+from groupdom.complexes import SimplicialComplex
 
 
 def _labels(L, vertices):
     return tuple(f"H{L.subgroups[i].order}_{i}" for i in vertices)
+
+
+def reference_maximal(masks):
+    """The inclusion-maximal distinct non-zero masks in (size, mask) order."""
+    uniq = sorted(set(m for m in masks if m), key=lambda m: (m.bit_count(), m))
+    return tuple(m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq))
+
+
+def reference_nerve(cover_sets, labels=None):
+    """J is a face iff the members indexed by J have a common point: the
+    facets are the maximal witness sets {i : point in C_i}, point by point."""
+    if labels is None:
+        labels = tuple(f"C{i}" for i in range(len(cover_sets)))
+    union = 0
+    for c in cover_sets:
+        union |= c
+    witnesses = set()
+    rest = union
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = 0
+        for i, c in enumerate(cover_sets):
+            if c & low:
+                j |= 1 << i
+        witnesses.add(j)
+    return SimplicialComplex(tuple(labels), reference_maximal(witnesses))
 
 
 def _upsets(L, atoms, verts):
@@ -42,14 +71,19 @@ def reference_order_complex(L, vertices=None):
     for v in minimal:
         extend(1 << pos[v], v)
     # saturated chains are maximal and distinct, so sorting is all
-    # from_facets would add, at O(F^2) cost
+    # reference_maximal would add, at O(F^2) cost
     return SimplicialComplex(_labels(L, verts),
                              tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
 
 
+def reference_intersection_complex(L):
+    verts = L.vertex_set
+    return SimplicialComplex(_labels(L, verts), reference_maximal(_upsets(L, L.atoms, verts)))
+
+
 def reference_atom_nerve(L):
     labels = tuple(f"A{L.subgroups[a].order}_{a}" for a in L.atoms)
-    return nerve(_upsets(L, L.atoms, L.vertex_set), labels)
+    return reference_nerve(_upsets(L, L.atoms, L.vertex_set), labels)
 
 
 def reference_coatom_nerve(L):
@@ -62,4 +96,4 @@ def reference_coatom_nerve(L):
                 m |= 1 << k
         covers.append(m)
     labels = tuple(f"M{L.subgroups[c].order}_{c}" for c in L.coatoms)
-    return nerve(covers, labels)
+    return reference_nerve(covers, labels)

@@ -7,7 +7,7 @@ import pytest
 import groupdom.complexes
 from collapse_reference import greedy_collapse, reference_collapse, reference_greedy_collapse
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
-                               reference_order_complex)
+                               reference_intersection_complex, reference_order_complex)
 from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _boundary_ranks,
                                 _collapse, _collapse_probe, _exact_rank, _read_off,
                                 _reduced_betti, atom_nerve, betti, coatom_nerve,
@@ -15,7 +15,7 @@ from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _boundar
                                 order_complex, poset_core, topology_report)
 from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
-from groupdom.lattice import characteristic_subgroups, mobius
+from groupdom.lattice import characteristic_subgroups, enumerate_subgroups, mobius
 from mobius_reference import mobius_one_to_top
 from rank_reference import RP2_FACETS, boundary_columns, reference_rank
 
@@ -139,18 +139,33 @@ class TestNerves:
 
 
 @pytest.mark.parametrize("label", [e.label for e in corpus()
-                                   if e.order and e.order <= 48] + ["S5"])
+                                   if e.order and e.order <= 48] + ["S5", "A6", "S6"])
 def test_constructions_match_containment_tests(lattice, label):
-    """The order complex and the nerves, read from ``Lattice.containment``,
-    have the labels and facets of the constructions that test containment
-    subgroup by subgroup; the order complex also on vertices given in
-    descending order, all of them and every other one."""
+    """K and the nerves, the maximal rows of the atom incidence, and the
+    order complex, read from ``Lattice.containment``, have the labels and
+    facets of the constructions that test containment subgroup by
+    subgroup and filter maximal faces pairwise; the order complex also on
+    vertices given in descending order, all of them and every other one,
+    except on A6 and S6, whose maximal chains the reference would walk
+    one by one."""
     L = lattice(label)
-    assert order_complex(L) == reference_order_complex(L), label
+    assert intersection_complex(L) == reference_intersection_complex(L), label
     assert atom_nerve(L) == reference_atom_nerve(L), label
     assert coatom_nerve(L) == reference_coatom_nerve(L), label
+    if label in ("A6", "S6"):
+        return
+    assert order_complex(L) == reference_order_complex(L), label
     for vertices in (L.vertex_set[::-1], L.vertex_set[::-2]):
         assert order_complex(L, vertices) == reference_order_complex(L, vertices), label
+
+
+@pytest.mark.parametrize("label", ["S4", "A5"])
+def test_constructions_leave_containment_unbuilt(group, label):
+    # K and both nerves read only the atom incidence, not the containment matrix
+    L = enumerate_subgroups(group(label))
+    for build in (intersection_complex, atom_nerve, coatom_nerve):
+        build(L)
+    assert "containment" not in L.__dict__
 
 
 class TestHomologyAgreement:

@@ -13,7 +13,9 @@ collapse it replaced (``collapse_reference``), also with vertices spread
 over masks wider than 8 bytes, and the integer rank against the rank
 over Fraction (``rank_reference``).  The ranks with clearing are checked
 against the ranks of every column, and the Betti numbers, F2 first, against
-those from the ranks over Fraction.
+those from the ranks over Fraction.  The maximal faces that
+``from_facets`` and ``nerve`` keep are checked against the point loop and
+pairwise filter of ``complex_reference`` on random masks, wide ones too.
 """
 
 import pytest
@@ -24,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from collapse_reference import (greedy_collapse, reference_collapse,  # noqa: E402
                                 reference_greedy_collapse)
+from complex_reference import reference_maximal, reference_nerve  # noqa: E402
 from groupdom.complexes import (SimplicialComplex, _boundary_ranks,  # noqa: E402
                                 _collapse, _collapse_probe, _exact_rank,
                                 _f_vector, _reduced_betti, betti, nerve)
@@ -53,6 +56,21 @@ def wide_facet_sets(draw):
         masks.append(sum(1 << p for p in chosen))
     return SimplicialComplex.from_facets(
         tuple(f"v{i}" for i in range(max(positions) + 1)), masks)
+
+
+@st.composite
+def wide_masks(draw):
+    """Up to 8 masks over at most 10 positions up to 140, as
+    ``wide_facet_sets`` draws them, but zero masks and repeats allowed,
+    and the list may be empty."""
+    positions = draw(st.lists(st.integers(min_value=0, max_value=140),
+                              min_size=1, max_size=10, unique=True))
+    mask = st.lists(st.sampled_from(positions), unique=True).map(
+        lambda chosen: sum(1 << p for p in chosen))
+    masks = draw(st.lists(mask, max_size=8))
+    if masks and draw(st.booleans()):
+        masks.append(draw(st.sampled_from(masks)))
+    return masks
 
 
 @st.composite
@@ -154,6 +172,18 @@ def test_facet_nerve_has_the_homology_of_the_complex(cx):
     meets in a simplex, so the nerve of the facets is homotopy equivalent
     to the complex."""
     assert betti(nerve(list(cx.facets))).reduced() == betti(cx).reduced(), cx.facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_masks())
+@example([])
+@example([0, 0])
+@example([1 << 100, 0, (1 << 100) | 1, 1 << 100, 1])
+def test_maximal_faces_match_reference(masks):
+    labels = tuple(f"v{i}" for i in range(141))
+    assert SimplicialComplex.from_facets(labels, masks) == SimplicialComplex(
+        labels, reference_maximal(masks)), masks
+    assert nerve(masks) == reference_nerve(masks), masks
 
 
 @settings(max_examples=300, deadline=None)
