@@ -12,13 +12,16 @@ their reduced rational Betti numbers.
 Faces are bitmasks over a local vertex list.  Betti numbers have one
 exact path, whose steps each preserve the homotopy type or the homology:
 the facets are reduced by strong collapses to a core (Barmak-Minian
-2012), which needs no face enumeration; if the core has more faces than
-the budget, the strong core of the nerve of the core's facets takes its
-place (any set of facets meets in a simplex, so by the nerve lemma that
-nerve is homotopy equivalent to the complex); if neither fits,
-BudgetExceeded is raised.  The faces of the chosen core are shrunk by
-elementary collapses, and the boundary ranks on the faces left finish the
-job: over F2 first, then, unless the F2 Betti vector is non-zero in at
+2012), which needs no face enumeration: each round deletes at once every
+vertex v that a vertex w lying in every facet with v dominates with a
+larger (facet count, index), and keeps the maximal rows of the incidence
+left, until a round deletes nothing.  If the core has more faces than
+the budget, the nerve of the core's facets takes its place (any set of
+facets meets in a simplex, so by the nerve lemma that nerve is homotopy
+equivalent to the complex, and it has no dominated vertex); if neither
+fits, BudgetExceeded is raised.  The faces of the chosen core are shrunk
+by elementary collapses, and the boundary ranks on the faces left finish
+the job: over F2 first, then, unless the F2 Betti vector is non-zero in at
 most one degree (which certifies it as the rational one), over the
 rationals by fraction-free integer elimination; both reduce d_{k+1} before
 d_k and clear (see ``_boundary_ranks``).  The Euler characteristic is
@@ -72,45 +75,44 @@ class SimplicialComplex:
         return SimplicialComplex(tuple(labels), _maximal_rows(masks_to_rows(masks, width)))
 
     def strong_core(self) -> "SimplicialComplex":
-        """The core left by strong collapses (Barmak-Minian 2012).
+        """The core left by strong collapses (Barmak-Minian 2012), on its
+        own vertices: those its facets use, renumbered in ascending order
+        with their labels kept.
 
-        A vertex v is dominated when the facets containing v share a
-        vertex other than v.  Deleting it (clearing v in every facet and
-        keeping the inclusion-maximal results) is a strong collapse, which
-        preserves the homotopy type and is a sequence of elementary
-        collapses; the result is the subcomplex induced on the vertices
-        left.  Vertices are scanned lowest index first until none is
-        dominated; the core is unique up to isomorphism whatever the
-        order.  Deleted vertices keep their labels but lie in no facet.
+        A vertex w other than v dominates v when every facet containing v
+        contains w, that is when w lies in common[v], the AND of the
+        facets containing v; deleting v (the subcomplex induced on the
+        other vertices) is a strong collapse, which preserves the homotopy
+        type and is a sequence of elementary collapses.  Each round
+        deletes at once every v dominated by a w of larger key (facet
+        count, index): w lies in more facets than v, or in the same ones
+        with a higher index, so of vertices with equal facet columns the
+        highest index stays.  One pass over the facets, their vertices
+        placed in ascending key order, gives every common[v], and v goes
+        when common[v] has a bit above v's place.  The round is a sequence
+        of strong collapses in any order: each v deleted keeps a dominator
+        that stays, the w in common[v] of largest key (a u that would
+        delete w lies in every facet with w, so in common[v], with a
+        larger key), and a domination holds in every induced subcomplex
+        that keeps both vertices (a facet of it that contains v is cut
+        from a facet that contains v, so it contains w).  The facets left
+        are the maximal rows of the incidence on the vertices kept
+        (``_maximal_rows``).  Rounds repeat until one deletes nothing; the
+        core is unique up to isomorphism.
         """
-        facets = list(self.facets)
-        deleted = True
-        while deleted:
-            deleted = False
-            union = 0
-            for f in facets:
-                union |= f
-            for v in mask_to_indices(union):
-                bit = 1 << v
-                with_v, without_v = [], []
-                common = -1
-                for f in facets:
-                    if f & bit:
-                        with_v.append(f ^ bit)
-                        common &= f
-                    else:
-                        without_v.append(f)
-                if common == bit:
-                    continue
-                # each f - v is maximal unless a facet without v contains
-                # it; a facet with v containing it would contain f
-                facets = without_v + [g for g in with_v
-                                      if not any(g & ~h == 0 for h in without_v)]
-                deleted = True
-        # already maximal and distinct (g < g' among with_v would give f < f'):
-        # only from_facets' order is needed, not its maximality test
-        return SimplicialComplex(self.vertex_labels,
-                                 tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))
+        labels, facets = self.vertex_labels, self.facets
+        while True:
+            rows = masks_to_rows(facets, len(labels))
+            order = np.argsort(rows.sum(axis=0), kind="stable")
+            common: dict[int, int] = {}
+            for f in rows_to_masks(rows[:, order]):
+                for p in mask_to_indices(f):
+                    common[p] = common.get(p, f) & f
+            keep = sorted(order[[p for p, c in common.items() if c >> p == 1]].tolist())
+            if len(keep) == len(labels):
+                return SimplicialComplex(labels, facets)
+            facets = _maximal_rows(rows[:, keep])
+            labels = tuple(labels[v] for v in keep)
 
     @property
     def n_vertices(self) -> int:
@@ -149,19 +151,6 @@ class SimplicialComplex:
 
     def f_vector(self, budget: int = DEFAULT_FACE_BUDGET) -> tuple[int, ...]:
         return _f_vector(self.faces(budget))
-
-    def on_used_vertices(self) -> "SimplicialComplex":
-        """The same complex on the vertices its facets use, renumbered in
-        ascending order, which keeps the (dimension, mask) order of faces
-        and so the collapse kernel's numbering, on narrower keys."""
-        union = 0
-        for f in self.facets:
-            union |= f
-        used = mask_to_indices(union)
-        new = {v: 1 << k for k, v in enumerate(used)}
-        return SimplicialComplex(
-            vertex_labels=tuple(self.vertex_labels[v] for v in used),
-            facets=tuple(sum(new[v] for v in mask_to_indices(f)) for f in self.facets))
 
     def edges(self) -> set[tuple[int, int]]:
         out = set()
@@ -515,11 +504,6 @@ def _exact_pivots(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _exact_rank(columns: list[dict[int, int]]) -> int:
-    """Rank over the rationals of a matrix given by sparse integer columns."""
-    return len(_exact_pivots(columns))
-
-
 def _f2_pivots(columns: list[int]) -> dict[int, int]:
     """Column reduction over F2 of a matrix whose columns are ints with one
     bit per row; returns the reduced columns by pivot row, their highest
@@ -615,16 +599,16 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     The homology is computed on the complex's strong-collapse core
     (``SimplicialComplex.strong_core``, or ``core`` when given: a complex
     without dominated vertex that the complex strong-collapses to), or,
-    when the core has more faces than the budget, on the strong core of
-    the nerve of the core's facets, which is homotopy equivalent to it;
-    BudgetExceeded is raised when neither fits.  The faces used are
-    reduced by the collapse kernel before the rank computations
-    (``_reduced_betti``).  The dimension comes from the
-    facets.  The Euler characteristic and the f-vector come from the face
-    counts of the complex itself when they fit the budget; otherwise the
-    f-vector is None and the Euler characteristic comes from the face
-    counts of the core used.  Agreement of the Euler characteristic with
-    the alternating Betti sum is asserted.
+    when the core has more faces than the budget, on the nerve of the
+    core's facets, which is homotopy equivalent to it and is its own
+    strong core; BudgetExceeded is raised when neither fits.  The faces
+    used are reduced by the collapse kernel before the rank computations
+    (``_reduced_betti``).  The dimension comes from the facets.  The
+    Euler characteristic and the f-vector come from the face counts of
+    the complex itself when they fit the budget; otherwise the f-vector
+    is None and the Euler characteristic comes from the face counts of
+    the core used.  Agreement of the Euler characteristic with the
+    alternating Betti sum is asserted.
     """
     faces = _faces_within(complex_, face_budget)
     return _profile(complex_, None if faces is None else _f_vector(faces),
@@ -636,16 +620,20 @@ def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
              ) -> tuple[HomologyProfile, list[int]]:
     """``betti`` of a complex whose f-vector (None past the budget) is
     given, and the faces that the collapse kernel leaves of its homology
-    faces: those of the strong core (``core`` when given) on its used
-    vertices, or, past the budget, those of the strong core of the nerve
-    of the core's facets.  The Euler characteristic past the budget comes
-    from the homology faces, not from what the kernel leaves: from those
-    its check against the Betti numbers would hold by construction."""
+    faces: those of the strong core (``core`` when given), or, past the
+    budget, those of the nerve of the core's facets.  That nerve needs no
+    core of its own: its facets are the core's vertex columns, the sets
+    of facets containing a vertex, distinct and maximal as no vertex of
+    the core is dominated, and a facet F of the core is dominated in the
+    nerve only if every vertex of F lies in another facet, which would
+    contain F.  The Euler characteristic past the budget comes from the
+    homology faces, not from what the kernel leaves: from those its check
+    against the Betti numbers would hold by construction."""
     if core is None:
         core = complex_.strong_core()
-    used = _faces_within(core.on_used_vertices(), budget)
+    used = _faces_within(core, budget)
     if used is None:
-        used = nerve(list(core.facets)).strong_core().on_used_vertices().faces(budget)
+        used = nerve(list(core.facets)).faces(budget)
     rest = _collapse(used)
     dim = complex_.dim()
     b = _reduced_betti(rest, dim) if dim >= 0 else ()

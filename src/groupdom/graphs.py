@@ -109,19 +109,23 @@ def p_subgroup_indices(L: Lattice, p: int) -> tuple[int, ...]:
 def gset_intersection_graph(L: Lattice, bases: Sequence[int] | str) -> IntersectionGraph:
     """Intersection graph of a G-set given as a disjoint union of coset
     spaces G/H for the subgroups listed in ``bases`` (lattice indices;
-    ValueError for any outside ``range(len(L))``).
+    ValueError for any that is not an int in ``range(len(L))``).
 
     ``bases="sigma"`` means one coset space per conjugacy class of
-    subgroups.  Stabilizers of points of G/H are the conjugates of H; the
-    whole group and the trivial subgroup contribute no vertices.
+    subgroups, and any other string is refused.  Stabilizers of points of
+    G/H are the conjugates of H; the whole group and the trivial subgroup
+    contribute no vertices.
     """
     classes, class_of = L.classes, L.class_of
-    if bases == "sigma":
+    if isinstance(bases, str):
+        if bases != "sigma":
+            raise ValueError(f"bases is 'sigma' or lattice indices, not {bases!r}")
         base_indices = [c.rep for c in classes]
     else:
         base_indices = list(bases)
     top = len(L.subgroups) - 1
-    if bad := [i for i in base_indices if not 0 <= i <= top]:
+    if bad := [i for i in base_indices
+               if not isinstance(i, (int, np.integer)) or not 0 <= i <= top]:
         raise ValueError(f"not lattice indices: {bad}")
     # lattice order is (order, mask) order, so sorted indices sort the masks
     verts = tuple(sorted({j for i in base_indices if 0 < i < top

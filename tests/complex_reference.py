@@ -2,9 +2,12 @@
 (``Lattice.leq`` and mask loops), and the nerve of a covering built by a
 loop over its points, each keeping its maximal faces by a pairwise
 filter, as the reference for the constructions that read the lattice's
-incidences and keep the maximal rows of one subset product."""
+incidences and keep the maximal rows of one subset product; and the
+strong core found one dominated vertex at a time, as the reference for
+the core that deletes every dominated vertex of a round at once."""
 
 from groupdom.complexes import SimplicialComplex
+from groupdom.groups import mask_to_indices
 
 
 def _labels(L, vertices):
@@ -97,3 +100,43 @@ def reference_coatom_nerve(L):
         covers.append(m)
     labels = tuple(f"M{L.subgroups[c].order}_{c}" for c in L.coatoms)
     return reference_nerve(covers, labels)
+
+
+def reference_strong_core(cx):
+    """The core left by strong collapses (Barmak-Minian 2012).
+
+    A vertex v is dominated when the facets containing v share a vertex
+    other than v.  Deleting it (clearing v in every facet and keeping the
+    inclusion-maximal results) is a strong collapse.  Vertices are scanned
+    lowest index first, and the scan restarts after each deletion, until
+    none is dominated.  Deleted vertices keep their labels but lie in no
+    facet.
+    """
+    facets = list(cx.facets)
+    deleted = True
+    while deleted:
+        deleted = False
+        union = 0
+        for f in facets:
+            union |= f
+        for v in mask_to_indices(union):
+            bit = 1 << v
+            with_v, without_v = [], []
+            common = -1
+            for f in facets:
+                if f & bit:
+                    with_v.append(f ^ bit)
+                    common &= f
+                else:
+                    without_v.append(f)
+            if common == bit:
+                continue
+            # each f - v is maximal unless a facet without v contains
+            # it; a facet with v containing it would contain f
+            facets = without_v + [g for g in with_v
+                                  if not any(g & ~h == 0 for h in without_v)]
+            deleted = True
+    # already maximal and distinct (g < g' among with_v would give f < f'):
+    # only from_facets' order is needed, not its maximality test
+    return SimplicialComplex(cx.vertex_labels,
+                             tuple(sorted(facets, key=lambda m: (m.bit_count(), m))))

@@ -1,6 +1,7 @@
-"""Reference rank: the elimination over ``Fraction`` that
-``groupdom.complexes._exact_rank`` used before it switched to fraction-free
-integer elimination, kept as a plain copy so the two can be compared.
+"""Reference rank: the elimination over ``Fraction`` that the library's
+exact rank used before it switched to fraction-free integer elimination
+(``groupdom.complexes._exact_pivots``), kept as a plain copy so the two
+can be compared; ``exact_rank`` is the rank by the library's elimination.
 
 Columns are sparse dicts {row: value}.  Each column is reduced by the
 pivot of its lowest row until it vanishes or takes a new pivot, which is
@@ -14,12 +15,20 @@ whose homology over F2 differs from its rational homology.
 
 from fractions import Fraction
 
+from groupdom.complexes import _exact_pivots
+
 # the 6-vertex real projective plane (the hemi-icosahedron): every edge of
 # K6 lies in two of its ten triangles.  H_1(RP^2; Z) = Z/2, so its reduced
 # Betti vector is (0, 1, 1) over F2 and (0, 0, 0) over the rationals
 RP2_FACETS = tuple(sum(1 << v for v in t) for t in (
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
     (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)))
+
+
+def exact_rank(columns):
+    """Rank over the rationals by fraction-free elimination: the number of
+    pivots ``_exact_pivots`` finds."""
+    return len(_exact_pivots(columns))
 
 
 def reference_rank(columns):

@@ -9,7 +9,7 @@ from collapse_reference import greedy_collapse, reference_collapse, reference_gr
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
                                reference_intersection_complex, reference_order_complex)
 from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _boundary_ranks,
-                                _collapse, _collapse_probe, _exact_rank, _read_off,
+                                _collapse, _collapse_probe, _read_off,
                                 _reduced_betti, atom_nerve, betti, coatom_nerve,
                                 intersection_complex, lattice_f_vectors, nerve,
                                 order_complex, poset_core, topology_report)
@@ -17,7 +17,7 @@ from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups, enumerate_subgroups, mobius
 from mobius_reference import mobius_one_to_top
-from rank_reference import RP2_FACETS, boundary_columns, reference_rank
+from rank_reference import RP2_FACETS, boundary_columns, exact_rank, reference_rank
 
 MODELS = [("intersection", intersection_complex), ("order", order_complex),
           ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)]
@@ -403,7 +403,7 @@ def test_integer_rank_matches_fraction_rank(lattice, gamma_of, monkeypatch):
         uncleared = [0]
         for k in range(1, top_dim + 2):
             columns = boundary_columns(rest, k)
-            uncleared.append(_exact_rank(columns))
+            uncleared.append(exact_rank(columns))
             assert uncleared[-1] == reference_rank(columns), (top_dim, k)
         assert _boundary_ranks(rest, top_dim, exact=True) == uncleared
         assert _boundary_ranks(rest, top_dim, exact=False) == uncleared

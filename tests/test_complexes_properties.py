@@ -5,15 +5,18 @@ The reference is the path ``betti`` took before it reduced to the
 strong-collapse core: elementary collapses and exact ranks on every face
 of the input; under a small face budget the homology comes from the
 nerve of the core's facets, which must give the same numbers.  The
-strong core's facets must come out maximal, distinct and sorted, and the
-collapse probe through the core must leave a complex with the input's
-Euler characteristic, two faces fewer per step.  The
-collapse kernel is checked face for face against the dict-driven heap
-collapse it replaced (``collapse_reference``), also with vertices spread
-over masks wider than 8 bytes, and the integer rank against the rank
-over Fraction (``rank_reference``).  The ranks with clearing are checked
-against the ranks of every column, and the Betti numbers, F2 first, against
-those from the ranks over Fraction.  The maximal faces that
+strong core's facets must come out maximal, distinct and sorted on the
+core's own vertices, its size and f-vector must match the core found one
+vertex at a time (``complex_reference``), also on draws with twin
+vertices, cones and simplex boundaries, the nerve of its facets must be
+its own core, and the collapse probe through the core must leave a
+complex with the input's Euler characteristic, two faces fewer per step.
+The collapse kernel is checked face for face against the dict-driven
+heap collapse it replaced (``collapse_reference``), also with vertices
+spread over masks wider than 8 bytes, and the integer rank against the
+rank over Fraction (``rank_reference``).  The ranks with clearing are
+checked against the ranks of every column, and the Betti numbers, F2
+first, against those from the ranks over Fraction.  The maximal faces that
 ``from_facets`` and ``nerve`` keep are checked against the point loop and
 pairwise filter of ``complex_reference`` on random masks, wide ones too.
 """
@@ -26,13 +29,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from collapse_reference import (greedy_collapse, reference_collapse,  # noqa: E402
                                 reference_greedy_collapse)
-from complex_reference import reference_maximal, reference_nerve  # noqa: E402
+from complex_reference import (reference_maximal, reference_nerve,  # noqa: E402
+                               reference_strong_core)
 from groupdom.complexes import (SimplicialComplex, _boundary_ranks,  # noqa: E402
-                                _collapse, _collapse_probe, _exact_rank,
-                                _f_vector, _reduced_betti, betti, nerve)
+                                _collapse, _collapse_probe, _f_vector,
+                                _reduced_betti, betti, nerve)
 from groupdom.errors import BudgetExceeded  # noqa: E402
 from groupdom.groups import mask_to_indices  # noqa: E402
-from rank_reference import (RP2_FACETS, boundary_columns,  # noqa: E402
+from rank_reference import (RP2_FACETS, boundary_columns, exact_rank,  # noqa: E402
                             reference_betti, reference_rank)
 
 
@@ -42,6 +46,39 @@ def facet_sets(draw):
     masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
                           min_size=1, max_size=8))
     return SimplicialComplex.from_facets(tuple(f"v{i}" for i in range(n)), masks)
+
+
+@st.composite
+def tied_facet_sets(draw):
+    """``facet_sets`` over at most 6 vertices, then up to two steps that
+    make domination ties and cores of more than one facet: a new vertex
+    with a drawn vertex's facet column (a twin), a cone over everything
+    drawn so far, or the boundary of a simplex on 3 or 4 vertices, some
+    of them old ones, beside the facets drawn."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=8))
+    for step in draw(st.lists(st.sampled_from(["twin", "cone", "boundary"]), max_size=2)):
+        if step == "twin":
+            v = draw(st.integers(min_value=0, max_value=n - 1))
+            masks = [m | (m >> v & 1) << n for m in masks]
+            n += 1
+        elif step == "cone":
+            masks = [m | 1 << n for m in masks]
+            n += 1
+        else:
+            k = draw(st.integers(min_value=3, max_value=4))
+            shift = draw(st.integers(min_value=0, max_value=n))
+            masks += [((1 << k) - 1 ^ 1 << i) << shift for i in range(k)]
+            n = max(n, shift + k)
+    return SimplicialComplex.from_facets(tuple(f"v{i}" for i in range(n)), masks)
+
+
+def _lifted(core: SimplicialComplex, cx: SimplicialComplex, f: int) -> int:
+    """The core facet ``f`` as a mask over ``cx``'s vertices, through the
+    labels the core kept."""
+    index = {label: i for i, label in enumerate(cx.vertex_labels)}
+    return sum(1 << index[core.vertex_labels[v]] for v in mask_to_indices(f))
 
 
 @st.composite
@@ -102,10 +139,11 @@ def test_strong_core_matches_whole_face_set(cx):
     assert p.euler == sum((-1) ** k * c for k, c in enumerate(cx.f_vector()))
     assert p.dim == cx.dim()
     core = cx.strong_core()
-    assert all(any(f & ~g == 0 for g in cx.facets) for f in core.facets)
+    assert all(any(_lifted(core, cx, f) & ~g == 0 for g in cx.facets) for f in core.facets)
     union = 0
     for f in core.facets:
         union |= f
+    assert union == (1 << core.n_vertices) - 1, (cx.facets, core)  # every vertex used
     for v in mask_to_indices(union):  # no vertex of the core is dominated
         common = -1
         for f in core.facets:
@@ -118,7 +156,33 @@ def test_strong_core_matches_whole_face_set(cx):
 @given(facet_sets())
 def test_strong_core_facets_are_maximal_distinct_and_sorted(cx):
     core = cx.strong_core()
-    assert core == SimplicialComplex.from_facets(cx.vertex_labels, core.facets), cx.facets
+    assert core == SimplicialComplex.from_facets(core.vertex_labels, core.facets), cx.facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(facet_sets(), tied_facet_sets()))
+def test_strong_core_matches_one_vertex_at_a_time(cx):
+    """Strong cores are unique up to isomorphism (Barmak-Minian 2012):
+    the core by rounds has as many used vertices and facets, and the same
+    f-vector, as the core by the lowest-first scan.  Its labels are the
+    input's, and each of its facets lies in an input facet."""
+    core, reference = cx.strong_core(), reference_strong_core(cx)
+    used = 0
+    for f in reference.facets:
+        used |= f
+    assert (core.n_vertices, len(core.facets)) == (used.bit_count(), len(reference.facets))
+    assert core.f_vector() == reference.f_vector(), cx.facets
+    assert set(core.vertex_labels) <= set(cx.vertex_labels)
+    assert all(any(_lifted(core, cx, f) & ~g == 0 for g in cx.facets) for f in core.facets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(facet_sets(), tied_facet_sets()))
+def test_nerve_of_core_facets_is_its_own_core(cx):
+    """The nerve of a strong core's facets has no dominated vertex and
+    uses every vertex, so ``betti`` ranks its faces without a second core."""
+    facet_nerve = nerve(list(cx.strong_core().facets))
+    assert facet_nerve.strong_core() == facet_nerve, cx.facets
 
 
 def _euler(faces) -> int:
@@ -132,7 +196,7 @@ def test_core_collapse_probe_certificate(cx):
     the faces left form a complex with K's Euler characteristic, and every
     collapse removed two of K's faces."""
     faces = cx.faces()
-    core = cx.strong_core().on_used_vertices()
+    core = cx.strong_core()
     core_faces = core.faces()
     rest = _collapse(core_faces)
     probe = _collapse_probe(len(faces), rest)
@@ -205,7 +269,7 @@ def test_collapse_kernel_matches_reference_on_wide_masks(cx):
 @settings(max_examples=300, deadline=None)
 @given(integer_columns())
 def test_integer_rank_matches_fraction_rank(columns):
-    assert _exact_rank(columns) == reference_rank(columns), columns
+    assert exact_rank(columns) == reference_rank(columns), columns
 
 
 # RP^2, whose F2 and rational Betti numbers differ, alone and beside a
@@ -221,7 +285,7 @@ RP2_AND_CIRCLE = SimplicialComplex.from_facets(
 @example(RP2_AND_CIRCLE)
 def test_cleared_exact_ranks_match_uncleared(cx):
     faces = cx.faces()
-    uncleared = [0] + [_exact_rank(boundary_columns(faces, k)) for k in range(1, cx.dim() + 2)]
+    uncleared = [0] + [exact_rank(boundary_columns(faces, k)) for k in range(1, cx.dim() + 2)]
     assert _boundary_ranks(faces, cx.dim(), exact=True) == uncleared, cx.facets
 
 

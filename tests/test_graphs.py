@@ -121,7 +121,7 @@ class TestGSetGraph:
 
     def test_bases_outside_the_lattice_are_refused(self, lattice):
         L = lattice("S3")
-        for bases in ([-2, 99], [len(L)], [1, -1]):
+        for bases in ([-2, 99], [len(L)], [1, -1], "sigam", [1.5], ["1"]):
             with pytest.raises(ValueError):
                 gset_intersection_graph(L, bases)
 
