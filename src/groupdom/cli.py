@@ -21,8 +21,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+# One OpenBLAS thread unless the caller set a number.  This must run before
+# numpy loads, which the package import alone does not do.  The thread pool
+# costs every command CPU at start-up; only the largest products, such as
+# S7's containment matrix, win back wall time with more threads.  Library
+# callers keep numpy's default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import corpus as corpus_module
 from .burnside import BurnsideRing

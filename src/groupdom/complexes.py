@@ -693,10 +693,9 @@ class TopologyReport:
     def to_json(self) -> dict:
         return {
             "group": self.group,
-            # every profile is exact; "complete" stays in the document for its readers
             "profiles": {k: (None if p is None else {
                 "betti": list(p.betti), "euler": p.euler, "dim": p.dim,
-                "complete": True, **({"betti_from": p.betti_from} if p.betti_from else {})})
+                **({"betti_from": p.betti_from} if p.betti_from else {})})
                 for k, p in sorted(self.profiles.items())},
             "simplex_atom_nerve": self.simplex_atom_nerve,
             "simplex_coatom_nerve": self.simplex_coatom_nerve,

@@ -131,7 +131,7 @@ class TestOtherCommands:
             while betti and betti[-1] == 0:
                 betti.pop()
             assert betti == [0, 0, 60], name
-            assert profile["complete"] is True
+            assert set(profile) - {"betti_from"} == {"betti", "euler", "dim"}, name
             assert result["models"][name]["euler"] == 61, name
         assert result["report"]["profiles_agree"] is True
 
@@ -318,6 +318,30 @@ def test_sum_of_a5_does_not_import_numpy_ma():
             "sys.exit(3 * ('numpy.ma' in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_it():
+    # the CLI sets OPENBLAS_NUM_THREADS before numpy loads, and only when it
+    # is unset; the thread count changes no document
+    src = Path(__file__).resolve().parent.parent / "src"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(src)
+    code = "import os, groupdom.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    docs = []
+    for preset, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        env = dict(base, **preset)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
+        done = subprocess.run([sys.executable, "-m", "groupdom.cli", "gamma", "S4"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        del doc["timing_ms"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["result"]["gamma"] == 4
 
 
 class TestDeterminism:
