@@ -40,8 +40,8 @@ for name, cx in [("intersection", intersection_complex(L)),
 # collapses of its facets to a core of 1,535 faces; the collapse kernel
 # (faces numbered in (dimension, mask) order, the free face of least number
 # popped first from a heap) then
-# reduces the core before the ranks (over F2, certified when the F2 Betti
-# vector is non-zero in one degree at most, else exact over the rationals).
+# reduces the core, coreduction shrinks what is left, breadth first, and
+# exact ranks over the rationals finish on the cells that remain.
 L = enumerate_subgroups(build_group(parse_group_spec("C2xC2xC2xC2")))
 p = betti(intersection_complex(L))
 print(f"\nC2^4 intersection complex betti: {p.betti}")

@@ -20,17 +20,14 @@ the budget, the nerve of the core's facets takes its place (any set of
 facets meets in a simplex, so by the nerve lemma that nerve is homotopy
 equivalent to the complex, and it has no dominated vertex); if neither
 fits, BudgetExceeded is raised.  The faces of the chosen core are shrunk
-by elementary collapses, and the boundary ranks on the faces left finish
-the job: over F2 first, then, unless the F2 Betti vector is non-zero in at
-most one degree (which certifies it as the rational one), over the
-rationals by fraction-free integer elimination; both reduce d_{k+1} before
-d_k and clear (see ``_boundary_ranks``).  The Euler characteristic is
-taken from the face counts of the input when they fit the budget, and
-otherwise from those of the chosen core before its elementary collapses;
-its agreement with the Betti numbers checks the reductions.  Elementary
-collapses have one kernel on faces numbered in (dimension, mask) order,
-with one pop order, a heap that takes the smallest free face first (see
-``_collapse``).
+by elementary collapses, the free face of least number first
+(``_collapse``), and what they leave by coreductions, breadth first
+(``_coreduce``); the boundary ranks among the cells left, over the
+rationals by fraction-free integer elimination, finish the job.  The
+Euler characteristic is taken from the face counts of the input when
+they fit the budget, and otherwise from those of the chosen core before
+its elementary collapses; its agreement with the Betti numbers checks
+the reductions.
 
 The per-group report (``topology_report``) computes two of the four
 profiles, the intersection complex K's and the order complex's, and reads
@@ -49,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from math import comb, gcd
 
@@ -504,84 +501,85 @@ def _exact_pivots(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _f2_pivots(columns: list[int]) -> dict[int, int]:
-    """Column reduction over F2 of a matrix whose columns are ints with one
-    bit per row; returns the reduced columns by pivot row, their highest
-    set bit.  A column is reduced by xor with the pivot column of its
-    highest set bit."""
-    pivots: dict[int, int] = {}
-    for col in columns:
-        while col:
-            r = col.bit_length() - 1
-            pivot = pivots.get(r)
-            if pivot is None:
-                pivots[r] = col
-                break
-            col ^= pivot
-    return pivots
-
-
-def _boundary_ranks(faces, top_dim: int, exact: bool) -> list[int]:
-    """Ranks of the boundary maps d_k for k = 0..top_dim+1 (d_0 is 0) on
-    the complex spanned by ``faces`` (must be closed under taking
-    subfaces), over the rationals when ``exact``, else over F2.
-
-    Clearing (Chen-Kerber 2011): d_{k+1} is reduced before d_k, and the d_k
-    column of every k-face that is a pivot row of the reduced d_{k+1} is
-    skipped.  The reduced column with that pivot is a cycle, so the
-    boundary of its pivot face is a combination of the boundaries of its
-    other faces, all on one side of the pivot in row order (below the
-    highest-bit F2 pivots, above the lowest-row exact ones); by induction
-    from that side the skipped column lies in the span of the columns
-    kept, and the rank is unchanged."""
-    by_dim: list[list[int]] = [[] for _ in range(top_dim + 2)]
-    for f in sorted(faces):
-        if f.bit_count() <= top_dim + 2:
-            by_dim[f.bit_count() - 1].append(f)
-    ranks = [0] * (top_dim + 2)
-    cleared: set[int] = set()
-    for k in range(top_dim + 1, 0, -1):
-        rows = by_dim[k - 1]
-        row_index = {f: i for i, f in enumerate(rows)}
-        cols = [[row_index[g ^ (1 << v)] for v in mask_to_indices(g)]
-                for g in by_dim[k] if g not in cleared]
-        if exact:
-            pivots = _exact_pivots([{r: -1 if i % 2 else 1 for i, r in enumerate(col)}
-                                    for col in cols])
-        else:
-            pivots = _f2_pivots([sum(1 << r for r in col) for col in cols])
-        ranks[k] = len(pivots)
-        cleared = {rows[r] for r in pivots}
-    return ranks
-
-
 def _f_vector(faces) -> tuple[int, ...]:
     """Faces per dimension, 0 up to the largest face."""
     counts = Counter(map(int.bit_count, faces))  # faces per vertex count
     return tuple(counts[k] for k in range(1, max(counts, default=0) + 1))
 
 
+def _coreduce(faces) -> tuple[list[list[dict[int, int]]], int]:
+    """Coreduction (Mrozek-Batko 2009) of the complex spanned by ``faces``
+    (closed under taking non-empty subfaces): returns, per dimension, the
+    boundary columns of the cells left, restricted to the cells left with
+    sign (-1)^position in the full face, and the number of vertices
+    removed after the first, one per connected component past the first.
+
+    In the chain complex augmented by the empty face, whose homology is
+    the reduced homology, a pair (a, b) in which b is the only live face
+    of a has incidence ±1: removing it keeps the homology over Z, and
+    every other cell's boundary is its boundary restricted to the cells
+    left.  The least vertex goes first, with the empty face; then, breadth
+    first from the cofaces of the cells removed, every such pair.  A live
+    vertex w keeps every coface: a pair that takes a cell containing w has
+    a containing w, and an a of three or more vertices has two faces
+    containing w, live by induction, so a is an edge and b is w itself.
+    So when the queue runs dry the neighbours of a live vertex are live
+    (an edge to a dead one would have been queued) and its component is
+    untouched: a direct summand with b_0 = 1, which removing the vertex
+    starts as the first vertex did.  Cells that lose every live face stay,
+    as cycles.  The collapse kernel's smallest-first order would leave
+    far more cells than breadth first (of the faces the collapse leaves of
+    A7's order core, 60,734 against 3,960).
+    """
+    faces = sorted(faces, key=lambda f: (f.bit_count(), f))
+    number = {f: i for i, f in enumerate(faces)}
+    boundary = [[number[f ^ (1 << v)] for v in mask_to_indices(f)] if f & (f - 1) else []
+                for f in faces]
+    cofaces: list[list[int]] = [[] for _ in faces]
+    for g, bd in enumerate(boundary):
+        for s in bd:
+            cofaces[s].append(g)
+    n_faces = [len(bd) for bd in boundary]  # live faces per cell
+    live, queue = [True] * len(faces), deque()
+
+    def remove(r):
+        live[r] = False
+        for s in cofaces[r]:
+            n_faces[s] -= 1
+            if n_faces[s] == 1:
+                queue.append(s)
+
+    restarts = -1
+    for v in (v for v, f in enumerate(faces) if f.bit_count() == 1):
+        if not live[v]:
+            continue
+        restarts += 1
+        remove(v)
+        while queue:
+            a = queue.popleft()
+            if live[a] and n_faces[a] == 1:
+                remove(a)
+                remove(next(b for b in boundary[a] if live[b]))
+    columns: list[list[dict[int, int]]] = [[] for _ in range(faces[-1].bit_count())]
+    for g in (g for g, alive in enumerate(live) if alive):
+        columns[faces[g].bit_count() - 1].append(
+            {s: -1 if i % 2 else 1 for i, s in enumerate(boundary[g]) if live[s]})
+    return columns, restarts
+
+
 def _reduced_betti(rest: list[int], top_dim: int) -> tuple[int, ...]:
     """Reduced Betti numbers b_0..b_top_dim of the complex spanned by
     ``rest``, the faces that the collapse kernel left (``_collapse``),
-    which is homotopy equivalent to a complex of dimension ``top_dim``.
-
-    The ranks are taken over F2 first.  By universal coefficients
-    b_k(F2) >= b_k(Q) for every k, and both vectors have the reduced Euler
-    characteristic as alternating sum, so an F2 vector that is non-zero in
-    at most one degree is the rational one.  Any other takes the exact
-    ranks over the rationals."""
-    counts = _f_vector(rest) + (0,) * (top_dim + 1)
-
-    def from_ranks(ranks):
-        b = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
-        b[0] -= 1  # reduced homology
-        return tuple(b)
-
-    b = from_ranks(_boundary_ranks(rest, top_dim, exact=False))
-    if sum(map(bool, b)) > 1:
-        b = from_ranks(_boundary_ranks(rest, top_dim, exact=True))
-    return b
+    which is homotopy equivalent to a complex of dimension ``top_dim``:
+    the cells that coreduction leaves (``_coreduce``) less the ranks of
+    the boundary maps among them, by ``_exact_pivots``, and one more in
+    b_0 per component past the first."""
+    columns, restarts = _coreduce(rest)
+    columns += [[] for _ in range(top_dim + 2 - len(columns))]
+    ranks = [len(_exact_pivots(c)) for c in columns[:top_dim + 2]]
+    b = [len(columns[k]) - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
+    b[0] += restarts
+    return tuple(b)
 
 
 def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
@@ -602,8 +600,8 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     when the core has more faces than the budget, on the nerve of the
     core's facets, which is homotopy equivalent to it and is its own
     strong core; BudgetExceeded is raised when neither fits.  The faces
-    used are reduced by the collapse kernel before the rank computations
-    (``_reduced_betti``).  The dimension comes from the facets.  The
+    used are reduced by the collapse kernel and coreduction before the
+    ranks (``_reduced_betti``).  The dimension comes from the facets.  The
     Euler characteristic and the f-vector come from the face counts of
     the complex itself when they fit the budget; otherwise the f-vector
     is None and the Euler characteristic comes from the face counts of

@@ -8,7 +8,7 @@ pivot of its lowest row until it vanishes or takes a new pivot, which is
 stored normalised to a leading 1.
 
 ``boundary_columns`` and ``reference_betti`` give the boundary matrices of
-a face set, every column kept (no clearing), and the reduced rational
+a face set, every column kept, and the reduced rational
 Betti numbers from their ranks over Fraction.  ``RP2_FACETS`` is a complex
 whose homology over F2 differs from its rational homology.
 """

@@ -8,8 +8,8 @@ import groupdom.complexes
 from collapse_reference import greedy_collapse, reference_collapse, reference_greedy_collapse
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
                                reference_intersection_complex, reference_order_complex)
-from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _boundary_ranks,
-                                _collapse, _collapse_probe, _read_off,
+from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _collapse,
+                                _collapse_probe, _coreduce, _read_off,
                                 _reduced_betti, atom_nerve, betti, coatom_nerve,
                                 intersection_complex, lattice_f_vectors, nerve,
                                 order_complex, poset_core, topology_report)
@@ -17,7 +17,7 @@ from groupdom.corpus import corpus
 from groupdom.errors import BudgetExceeded
 from groupdom.lattice import characteristic_subgroups, enumerate_subgroups, mobius
 from mobius_reference import mobius_one_to_top
-from rank_reference import RP2_FACETS, boundary_columns, exact_rank, reference_rank
+from rank_reference import RP2_FACETS, exact_rank, reference_rank
 
 MODELS = [("intersection", intersection_complex), ("order", order_complex),
           ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)]
@@ -373,58 +373,46 @@ def test_collapse_kernel_matches_reference(lattice, label):
 BENCHMARK_COMPLEX_GROUPS = ("S4", "A5", "D24", "D36", "C4xC2xC2", "C3xC2xC2xC2", "C6xC6")
 
 
-def test_integer_rank_matches_fraction_rank(lattice, gamma_of, monkeypatch):
+def test_coreduction_leaves_one_cell_per_betti_number(lattice, gamma_of, monkeypatch):
     """On the faces that each computed profile of the benchmark groups
-    ranks, the exact path, called directly on every uncleared boundary
-    matrix, has the rank by elimination over Fraction; the cleared exact
-    ranks equal the uncleared ones, and the cleared F2 ranks equal them
-    too.  The F2 certificate settles every one of these profiles, so the
-    report never takes the exact path."""
-    ranked, exact_calls = [], []
+    ranks, coreduction leaves exactly Σ b̃_k cells, a vertex removed past
+    the first component counting as one, so every boundary map among them
+    is zero; the rank of every residual column set is also the rank by
+    elimination over Fraction."""
+    ranked = []
     reduced_betti = groupdom.complexes._reduced_betti
-    exact_pivots = groupdom.complexes._exact_pivots
 
     def recorded_betti(rest, top_dim):
-        ranked.append((rest, top_dim))
-        return reduced_betti(rest, top_dim)
-
-    def recorded_pivots(columns):
-        exact_calls.append(columns)
-        return exact_pivots(columns)
+        b = reduced_betti(rest, top_dim)
+        ranked.append((rest, b))
+        return b
 
     monkeypatch.setattr(groupdom.complexes, "_reduced_betti", recorded_betti)
-    monkeypatch.setattr(groupdom.complexes, "_exact_pivots", recorded_pivots)
     for label in BENCHMARK_COMPLEX_GROUPS:
         topology_report(lattice(label), gamma_of(label).gamma)
     assert len(ranked) == 2 * len(BENCHMARK_COMPLEX_GROUPS)  # the nerves read K's
-    assert exact_calls == []
     monkeypatch.undo()
-    for rest, top_dim in ranked:
-        uncleared = [0]
-        for k in range(1, top_dim + 2):
-            columns = boundary_columns(rest, k)
-            uncleared.append(exact_rank(columns))
-            assert uncleared[-1] == reference_rank(columns), (top_dim, k)
-        assert _boundary_ranks(rest, top_dim, exact=True) == uncleared
-        assert _boundary_ranks(rest, top_dim, exact=False) == uncleared
+    for rest, b in ranked:
+        columns, restarts = _coreduce(rest)
+        assert sum(map(len, columns)) + restarts == sum(b), b
+        for cols in columns:
+            assert exact_rank(cols) == reference_rank(cols), b
 
 
-def test_projective_plane_takes_the_exact_fallback(monkeypatch):
-    # over F2 the reduced Betti vector of RP^2 is (0, 1, 1), not in one
-    # degree, so the certificate fails and the rational ranks decide
+def test_projective_plane_over_the_rationals():
+    # over F2 the reduced Betti vector of RP^2 is (0, 1, 1); over the
+    # rationals it is (0, 0, 0), and H_1 = Z/2 must leave no trace
     RP2 = SimplicialComplex.from_facets(tuple("abcdef"), RP2_FACETS)
     faces = RP2.faces()
     assert RP2.f_vector() == (6, 15, 10)
     rest = _collapse(faces)
     assert set(rest) == faces  # no free face: a closed surface
-    f2 = _boundary_ranks(rest, 2, exact=False)
-    assert [15 - f2[1] - f2[2], 10 - f2[2] - f2[3]] == [1, 1]
-    exact_calls = []
-    exact_pivots = groupdom.complexes._exact_pivots
-    monkeypatch.setattr(groupdom.complexes, "_exact_pivots",
-                        lambda columns: exact_calls.append(columns) or exact_pivots(columns))
     assert _reduced_betti(rest, 2) == (0, 0, 0)
-    assert exact_calls
+    # coreduction stops at 5 edges and 5 triangles, whose boundary map has
+    # rank 5 over the rationals (4 over F2): elimination decides here
+    columns, restarts = _coreduce(rest)
+    assert restarts == 0 and [len(c) for c in columns] == [0, 5, 5]
+    assert [exact_rank(c) for c in columns] == [reference_rank(c) for c in columns] == [0, 0, 5]
     p = betti(RP2)
     assert (p.betti, p.euler) == ((0, 0, 0), 1)
 
