@@ -182,13 +182,10 @@ def cmd_complex(args, started, deadline) -> int:
             entry.update(facets_count=len(cx.facets), complete=False)
             continue
         entry.update(betti=list(profile.betti), euler=profile.euler,
-                     is_simplex=cx.is_simplex(), complete=True)
-        if profile.f_vector is None:  # the faces of the complex exceed the budget
-            entry.update(f_vector=None, dim=profile.dim, facets_count=len(cx.facets))
-        else:
-            entry.update(f_vector=list(profile.f_vector),
-                         facets=[[cx.vertex_labels[v] for v in mask_to_indices(f)]
-                                 for f in cx.facets])
+                     is_simplex=cx.is_simplex(), complete=True,
+                     f_vector=list(profile.f_vector),
+                     facets=[[cx.vertex_labels[v] for v in mask_to_indices(f)]
+                             for f in cx.facets])
     result = {"models": models, "report": report.to_json()}
     _emit(G.label, "complex", result, started, args, exceeded=not cert.optimal)
     return EXIT_OK

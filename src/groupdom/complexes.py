@@ -31,9 +31,9 @@ the reductions.
 
 The per-group report (``topology_report``) computes two of the four
 profiles, the intersection complex K's and the order complex's, and reads
-the two nerves' off K's.  It never enumerates the faces of K or of a
-nerve: it counts them from the Möbius function of the subgroup lattice
-(``lattice_f_vectors``), so there the Betti numbers check μ(1, G).  It
+the two nerves' off K's.  It enumerates the faces of no whole complex,
+only of the cores it ranks: every model's faces are counted from the
+lattice (``lattice_f_vectors``), so the Betti numbers check μ(1, G).  It
 collapses K's strong core once, for the homology and the collapse probe
 (see ``_collapse_probe``).  K strong-collapses onto the coatom nerve, and
 K and the atom nerve are the two nerves of one relation (Dowker 1952), so
@@ -165,10 +165,8 @@ class HomologyProfile:
     euler: int              # from face counts
     dim: int
     model: str = ""
-    # faces per dimension; None when the complex has more faces than the
-    # face budget (``SimplicialComplex.f_vector`` would raise).  In
-    # ``topology_report`` only the order complex's can be None: K's and
-    # the nerves' come from the lattice (``lattice_f_vectors``)
+    # faces per dimension; None from ``betti`` past the face budget, never
+    # in ``topology_report``, which counts them (``lattice_f_vectors``)
     f_vector: tuple[int, ...] | None = None
     # the model whose Betti numbers these are, when not computed on this
     # complex (``_read_off``)
@@ -206,9 +204,9 @@ def intersection_complex(L: Lattice, vertices: tuple[int, ...] | None = None) ->
 
 
 def lattice_f_vectors(L: Lattice) -> dict[str, tuple[int, ...]]:
-    """Faces per dimension of the intersection complex K, the atom nerve
-    and the coatom nerve, counted from the lattice without enumerating a
-    face.
+    """Faces per dimension of the four models, counted from the lattice
+    without enumerating a face.  The order complex's are the chains of
+    proper non-trivial subgroups (``_chain_counts``).
 
     A set of k+1 vertices of K is a face unless its intersection is
     trivial.  The (k+1)-sets whose vertices all contain E number
@@ -234,7 +232,23 @@ def lattice_f_vectors(L: Lattice) -> dict[str, tuple[int, ...]]:
         "coatom_nerve": _counted_f_vector(mu[1:], inc[1:, list(L.coatoms)].sum(axis=1).tolist()),
         "atom_nerve": _counted_f_vector(mu_top[:top],
                                         inc[list(L.atoms), :top].sum(axis=0).tolist()),
+        "order": _chain_counts(inc[1:top, 1:top]),
     }
+
+
+def _chain_counts(order: np.ndarray) -> tuple[int, ...]:
+    """Chains of k+1 elements, k = 0, 1, ..., of the partial order whose
+    bool matrix ``order`` has [u, w] iff u <= w: Σ N_k, with N_0 = 1 and
+    N_{k+1} = N_k·S, S the order less its diagonal.  N_k·S sums distinct
+    entries of N_k, so its int64 ``einsum`` (which casts ``order`` in its
+    buffer, no copy) is exact while Σ N_k < 2^63; past that, OverflowError."""
+    counts, chains = [], np.ones(len(order), dtype=np.int64)
+    while chains.any():
+        counts.append(sum(chains.tolist()))
+        if counts[-1] >> 63:
+            raise OverflowError("chain counts past 2^63")
+        chains = np.einsum("u,uw->w", chains, order, dtype=np.int64) - chains
+    return tuple(counts)
 
 
 def _counted_f_vector(mu: list[int], counts: list[int]) -> tuple[int, ...]:
@@ -372,9 +386,10 @@ def _collapse(faces) -> list[int]:
     mask) order and a face's number is its key's position in the sorted
     keys.  Boundaries, the numbers of the codimension-1 faces with the
     lowest removed vertex first, lie end to end in one flat array.  They
-    are built one vertex v at a time, in ascending order: the keys of the
-    faces containing v, with v cleared and the count lowered by one, are
-    searched in the sorted keys.  Per number the kernel keeps the count of
+    are built one vertex v at a time, in ascending order, from one scan
+    per byte column split by bit: the keys of the faces containing v,
+    with v cleared and the count lowered by one, are searched in the
+    sorted keys.  Per number the kernel keeps the count of
     live cofaces and the xor of their numbers (the coface itself when the
     count is 1: the face is then free, and removing the pair preserves the
     homotopy type).  A removed face gets count -1.  The coface g of a free
@@ -405,23 +420,25 @@ def _collapse(faces) -> list[int]:
     count = np.zeros(n, dtype=np.int32)
     cx = np.zeros(n, dtype=np.int32)
     lo = int(np.searchsorted(rows[:, 0], 2))  # the first face of two or more vertices
-    for v in range(8 * nb):
-        col, bit = nb - v // 8, 1 << (v % 8)
-        with_v = np.flatnonzero(rows[lo:, col] & bit) + lo
-        if not len(with_v):
-            continue
-        sub = rows[with_v]
-        sub[:, 0] -= 1
-        sub[:, col] ^= bit
-        query = sub.view(keys.dtype).ravel()
-        j = np.searchsorted(keys, query)
-        if not np.array_equal(keys[np.minimum(j, n - 1)], query):
-            raise ValueError("faces are not closed under taking subfaces")
-        flat[fill[with_v]] = j
-        fill[with_v] += 1
-        # clearing v in distinct faces gives distinct faces: j has no repeats
-        count[j] += 1
-        cx[j] ^= with_v.astype(np.int32)
+    for col in range(nb, 0, -1):  # vertices in ascending order: low bytes first
+        in_col = np.flatnonzero(rows[lo:, col]) + lo
+        byte = rows[in_col, col]
+        for bit in (1, 2, 4, 8, 16, 32, 64, 128):
+            with_v = in_col[(byte & bit) != 0]
+            if not len(with_v):
+                continue
+            sub = rows[with_v]
+            sub[:, 0] -= 1
+            sub[:, col] ^= bit
+            query = sub.view(keys.dtype).ravel()
+            j = np.searchsorted(keys, query)
+            if not np.array_equal(keys[np.minimum(j, n - 1)], query):
+                raise ValueError("faces are not closed under taking subfaces")
+            flat[fill[with_v]] = j
+            fill[with_v] += 1
+            # clearing v in distinct faces gives distinct faces: j has no repeats
+            count[j] += 1
+            cx[j] ^= with_v.astype(np.int32)
     del size, fill
     start, flat = array("q", start.tobytes()), array("i", flat.tobytes())
     count, cx = count.tolist(), cx.tolist()
@@ -591,26 +608,24 @@ def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
 
 
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
-          model: str = "", core: SimplicialComplex | None = None) -> HomologyProfile:
+          model: str = "") -> HomologyProfile:
     """Reduced rational Betti numbers and Euler characteristic.
 
     The homology is computed on the complex's strong-collapse core
-    (``SimplicialComplex.strong_core``, or ``core`` when given: a complex
-    without dominated vertex that the complex strong-collapses to), or,
-    when the core has more faces than the budget, on the nerve of the
-    core's facets, which is homotopy equivalent to it and is its own
-    strong core; BudgetExceeded is raised when neither fits.  The faces
-    used are reduced by the collapse kernel and coreduction before the
-    ranks (``_reduced_betti``).  The dimension comes from the facets.  The
-    Euler characteristic and the f-vector come from the face counts of
-    the complex itself when they fit the budget; otherwise the f-vector
-    is None and the Euler characteristic comes from the face counts of
-    the core used.  Agreement of the Euler characteristic with the
-    alternating Betti sum is asserted.
+    (``SimplicialComplex.strong_core``), or, when the core has more faces
+    than the budget, on the nerve of the core's facets, which is homotopy
+    equivalent to it and is its own strong core; BudgetExceeded is raised
+    when neither fits.  The faces used are reduced by the collapse kernel
+    and coreduction before the ranks (``_reduced_betti``).  The dimension
+    comes from the facets.  The Euler characteristic and the f-vector come
+    from the face counts of the complex itself when they fit the budget;
+    otherwise the f-vector is None and the Euler characteristic comes from
+    the face counts of the core used.  Agreement of the Euler
+    characteristic with the alternating Betti sum is asserted.
     """
     faces = _faces_within(complex_, face_budget)
     return _profile(complex_, None if faces is None else _f_vector(faces),
-                    face_budget, model, core=core)[0]
+                    face_budget, model)[0]
 
 
 def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
@@ -717,8 +732,8 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     face budget.
 
     Two profiles are computed: the intersection complex K's and the order
-    complex's, the last on the order complex of ``poset_core(L)``.  The
-    f-vectors of K and of both nerves are counted from the lattice
+    complex's, the last on the order complex of ``poset_core(L)``.  Every
+    f-vector, the order complex's too, is counted from the lattice
     (``lattice_f_vectors``), and the nerves' Betti numbers are read off
     K's (``_read_off``).  A vertex H of K that is not a coatom is dominated
     by any coatom M above it (every atom up-set containing H contains M),
@@ -736,7 +751,7 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
         ("intersection", intersection_complex), ("order", order_complex))}
     profiles: dict[str, HomologyProfile | None] = dict.fromkeys(complexes)
     collapse = None
-    f_vectors = lattice_f_vectors(L)  # no face of K or of a nerve is enumerated
+    f_vectors = lattice_f_vectors(L)  # no whole complex's faces are enumerated
     try:
         # one collapse of the core's faces for the profile and the probe
         f_vector = f_vectors["intersection"]
@@ -750,8 +765,8 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     for name in ("atom_nerve", "coatom_nerve"):
         profiles[name] = _read_off(profiles["intersection"], f_vectors[name], name)
     try:
-        profiles["order"] = betti(complexes["order"], model="order",
-                                  core=order_complex(L, poset_core(L)))
+        profiles["order"] = _profile(complexes["order"], f_vectors["order"], DEFAULT_FACE_BUDGET,
+                                     "order", core=order_complex(L, poset_core(L)))[0]
     except BudgetExceeded:
         pass
 

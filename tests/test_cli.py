@@ -133,6 +133,7 @@ class TestOtherCommands:
             assert betti == [0, 0, 60], name
             assert set(profile) - {"betti_from"} == {"betti", "euler", "dim"}, name
             assert result["models"][name]["euler"] == 61, name
+            assert isinstance(result["models"][name]["f_vector"], list), name
         assert result["report"]["profiles_agree"] is True
 
     def test_corpus(self, capsys):

@@ -1,15 +1,18 @@
 """Subgroup complexes: constructions, homology, collapses, reports."""
 
 import dataclasses
+import tracemalloc
+from math import comb
 
+import numpy as np
 import pytest
 
 import groupdom.complexes
 from collapse_reference import greedy_collapse, reference_collapse, reference_greedy_collapse
 from complex_reference import (reference_atom_nerve, reference_coatom_nerve,
                                reference_intersection_complex, reference_order_complex)
-from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _collapse,
-                                _collapse_probe, _coreduce, _read_off,
+from groupdom.complexes import (DEFAULT_FACE_BUDGET, SimplicialComplex, _chain_counts,
+                                _collapse, _collapse_probe, _coreduce, _read_off,
                                 _reduced_betti, atom_nerve, betti, coatom_nerve,
                                 intersection_complex, lattice_f_vectors, nerve,
                                 order_complex, poset_core, topology_report)
@@ -221,8 +224,8 @@ class TestHomologyAgreement:
     @pytest.mark.parametrize("label", [e.label for e in corpus()
                                        if e.order and e.order <= 48])
     def test_f_vector_from_mobius_counts_the_faces(self, lattice, label):
-        # K's and both nerves' face counts from the lattice, against the
-        # faces themselves wherever they fit the face budget
+        # the four models' face counts from the lattice, against the faces
+        # themselves wherever they fit the face budget
         L = lattice(label)
         for name, f_vector in lattice_f_vectors(L).items():
             assert sum((-1) ** k * c for k, c in enumerate(f_vector)) == 1 + mobius(L)[-1]
@@ -367,6 +370,35 @@ def test_collapse_kernel_matches_reference(lattice, label):
     faces = kg.faces()
     assert set(_collapse(faces)) == reference_collapse(faces)
     assert greedy_collapse(kg) == reference_greedy_collapse(faces)
+
+
+@pytest.mark.parametrize("m", [0, 1, 60])
+def test_chain_counts_of_a_total_order(m):
+    # a total order of m elements has C(m, k) chains of k elements; at
+    # m = 60 the counts pass 2^53, where a float product would round
+    order = np.triu(np.ones((m, m), dtype=bool))
+    assert _chain_counts(order) == tuple(comb(m, k) for k in range(1, m + 1))
+
+
+def test_chain_counts_raise_past_int64():
+    # C(70, 35) > 2^63: the int64 product would wrap
+    with pytest.raises(OverflowError):
+        _chain_counts(np.triu(np.ones((70, 70), dtype=bool)))
+
+
+def test_chain_counts_make_no_int64_copy_of_the_order():
+    # two levels of 1,000 elements: an int64 copy of the order would take
+    # 32 MB, eight times the bool order itself
+    n = 2000
+    order = np.eye(n, dtype=bool)
+    order[:n // 2, n // 2:] = True
+    tracemalloc.start()
+    try:
+        assert _chain_counts(order) == (n, n * n // 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, peak
 
 
 # the groups of the benchmark's complexes workload
@@ -550,21 +582,24 @@ class TestTopologyReport:
     @pytest.mark.parametrize("label", BENCHMARK_COMPLEX_GROUPS + ("S5",))
     def test_intersection_complex_faces_are_never_enumerated(self, lattice, gamma_of,
                                                              monkeypatch, label):
-        # K's and the nerves' face counts come from the lattice: the report
-        # enumerates the faces of K's strong core and of the order
-        # complex, never those of K or of a nerve
+        # every model's face counts come from the lattice: the report
+        # enumerates the faces of the cores it ranks, K's strong core (or
+        # its facet nerve) and the order complex of the poset core, never
+        # those of K, of a nerve or of the whole order complex
         enumerated = []
         faces = SimplicialComplex.faces
         monkeypatch.setattr(SimplicialComplex, "faces",
                             lambda cx, *args: enumerated.append(cx) or faces(cx, *args))
         rep = self.report(lattice, gamma_of, label)
-        kg = rep.complexes["intersection"]
-        nerves = [rep.complexes[name] for name in ("atom_nerve", "coatom_nerve")]
-        assert enumerated and all(cx.facets != kg.facets for cx in enumerated)
-        assert all(cx not in nerves for cx in enumerated)
-        counted = lattice_f_vectors(lattice(label))
-        assert all(rep.profiles[name].f_vector == counted[name]
-                   for name in ("intersection", "atom_nerve", "coatom_nerve"))
+        L = lattice(label)
+        kcore, vertices = rep.complexes["intersection"].strong_core(), poset_core(L)
+        cores = [kcore, nerve(list(kcore.facets)), order_complex(L, vertices)]
+        assert enumerated and all(cx in cores for cx in enumerated)
+        assert not any(cx is whole for cx in enumerated for whole in rep.complexes.values())
+        if vertices != L.vertex_set:  # else the order complex is its own core
+            assert rep.complexes["order"] not in enumerated
+        counted = lattice_f_vectors(L)
+        assert all(rep.profiles[name].f_vector == counted[name] for name in counted)
 
     def test_prime_cyclic_degenerate(self, lattice, gamma_of):
         rep = self.report(lattice, gamma_of, "C5")

@@ -343,11 +343,13 @@ def test_intersection_f_vector_counts_the_faces(spec):
 @example("perm:6:(1,2,3,4);(1,2);(5,6)")  # S4xC2
 def test_nerve_f_vectors_count_the_faces(spec):
     # the nerves' face counts from μ(1, ·) and μ(·, G) (Rota's crosscut
-    # count for the atom nerve), against the faces themselves wherever
-    # they fit a budget small enough to list quickly
+    # count for the atom nerve), and the order complex's from its chains,
+    # against the faces themselves wherever they fit a budget small enough
+    # to list quickly
     L = enumerate_subgroups(small_group(spec))
     counted = lattice_f_vectors(L)
-    for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)):
+    for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve),
+                        ("order", order_complex)):
         f_vector = counted[name]
         euler = sum((-1) ** k * c for k, c in enumerate(f_vector))
         assert euler == (1 + mobius_one_to_top(L) if len(L) > 1 else 0), (spec, name)
