@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domination import min_set_cover
-from .groups import GroupTable, left_cosets, mask_to_array, rows_to_masks
+from .groups import GroupTable, left_cosets, masks_to_rows, rows_to_masks
 from .lattice import Lattice, Subgroup
 
 
@@ -113,30 +113,30 @@ class BurnsideRing:
     def marks_matrix(self) -> np.ndarray:
         """M[i, j] = number of cosets of G/K_i fixed by H_j (class reps).
 
-        Lower triangular because a fixed coset forces H_j inside a
-        conjugate of K_i.  Counted on the cosets, never read from
+        One coset count per row, for every group.  A fixed coset puts H_j in
+        a conjugate of K_i, so by Lagrange only the columns whose order
+        divides |K_i| can be non-zero, and only their members are read:
+        moved[h, c] says that h moves the coset of ``left_cosets``
+        representative c, and M[i, j] counts the cosets that no member of
+        H_j moves, by one float32 product per row, exact while |G| < 2^24.
+        Lower triangular.  Counted on the cosets, never read from
         ``Lattice.containment``, so the marks stay a check on the lattice.
         """
         if self._marks is not None:
             return self._marks
-        n = self.G.order
-        m = len(self.classes)
-        M = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            K = self.rep_subgroup(i)
-            index = n // K.order
-            if self.abelian:
-                for j in range(m):
-                    H = self.rep_subgroup(j)
-                    M[i, j] = index if H.mask & ~K.mask == 0 else 0
-                continue
-            coset_min, reps = left_cosets(self.G, mask_to_array(K.mask, n))
-            for j in range(m):
-                if self.class_order(j) > K.order:
-                    continue
-                h_members = mask_to_array(self.rep_subgroup(j).mask, n)
-                acted = coset_min[self.G.mul[np.ix_(h_members, reps)]]
-                M[i, j] = int((acted == reps[None, :]).all(axis=0).sum())
+        G = self.G
+        reps = [self.rep_subgroup(ci) for ci in range(len(self.classes))]
+        orders = np.array([H.order for H in reps])
+        rows = masks_to_rows([H.mask for H in reps], G.order)
+        cols = rows.T.astype(np.float32, order="C")  # cols[g, j]: g is in H_j
+        M = np.zeros((len(reps), len(reps)), dtype=np.int64)
+        for i, K in enumerate(reps):
+            divides = K.order % orders == 0
+            coset_min, cosets = left_cosets(G, rows[i])
+            members = np.flatnonzero(cols @ divides.astype(np.float32))
+            moved = coset_min[G.mul[np.ix_(members, cosets)]] != cosets
+            moves = moved.T.astype(np.float32) @ cols[members]
+            M[i] = divides * (moves == 0).sum(axis=0)
         self._marks = M
         return M
 

@@ -3,7 +3,9 @@
 the pooled family search, as the reference for ``BurnsideRing.index_bound``,
 which finds the least-weight family with ``min_set_cover``; and the meets
 matrix from every column of the table of marks, as the reference for
-``BurnsideRing.meets_matrix``, which reads the atom classes' columns only.
+``BurnsideRing.meets_matrix``, which reads the atom classes' columns only;
+and the marks of an abelian group by containment, as the reference for
+``BurnsideRing.marks_matrix``, which counts fixed cosets for every group.
 
 [G/H][G/K] is the sum of [G/(H meet gKg^-1)] over (H,K)-double coset
 representatives g (Mackey's decomposition).  This route reads the double
@@ -54,6 +56,22 @@ def reference_product(ring, ca: int, cb: int) -> tuple[tuple[int, int], ...]:
         ci = ring.class_index_of_mask(h.mask & array_to_mask(row, n))
         counts[ci] = counts.get(ci, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def abelian_marks(ring) -> np.ndarray:
+    """The table of marks of an abelian group: every K is normal, so H
+    fixes each coset of K when H lies in K, and none otherwise, and
+    M[K, H] is |G:K| or 0 by a mask test."""
+    n = ring.G.order
+    m = len(ring.classes)
+    M = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        K = ring.rep_subgroup(i)
+        index = n // K.order
+        for j in range(m):
+            H = ring.rep_subgroup(j)
+            M[i, j] = index if H.mask & ~K.mask == 0 else 0
+    return M
 
 
 def reference_meets_matrix(ring) -> np.ndarray:

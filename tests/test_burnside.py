@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from burnside_reference import (double_cosets, pooled_index_bound, reference_meets_matrix,
-                                reference_product)
+from burnside_reference import (abelian_marks, double_cosets, pooled_index_bound,
+                                reference_meets_matrix, reference_product)
 
 from groupdom.burnside import BurnsideRing
-from groupdom.corpus import corpus
+from groupdom.corpus import corpus, get_group
 from groupdom.domination import Gamma
 from groupdom.graphs import graphs_equal, gset_intersection_graph, intersection_graph
 from groupdom.lattice import mask_to_array
@@ -224,6 +224,15 @@ class TestIndexBound:
                 continue
             ib = ring.index_bound()
             assert ib["gamma1_criterion"] == (gamma_of(label).gamma == Gamma.of(1)), label
+
+
+@pytest.mark.parametrize("label", [e.label for e in corpus()
+                                   if e.order <= 100 and get_group(e.label).is_abelian()])
+def test_abelian_marks_match_containment(lattice, label):
+    # one coset count for every group; on abelian input (C2^5 has 374
+    # classes) it is checked against |G:K| for H in K and 0 otherwise
+    ring = ring_for(lattice, label)
+    assert np.array_equal(ring.marks_matrix(), abelian_marks(ring)), label
 
 
 @pytest.mark.parametrize("label", [e.label for e in corpus() if e.order <= 200])

@@ -109,10 +109,11 @@ class TestOtherCommands:
 
     def test_complex_past_the_face_budget(self, capsys):
         # the atom nerve and the intersection complex of S5 have more faces
-        # than the budget: K's homology comes from the facet nerve of its
-        # strong core, and the atom nerve reads K's.  Both complexes' face
-        # counts come from the Möbius function of the lattice, 2,147,525,967
-        # and 6,560,835 faces, none of them enumerated
+        # than the budget: K's homology comes from its strong core (16
+        # vertices, 35 facets), whose faces fit the budget, and the atom
+        # nerve reads K's.  Both complexes' face counts come from the Möbius
+        # function of the lattice, 2,147,525,967 and 6,560,835 faces, none
+        # of them enumerated
         code, out, _ = run(capsys, "complex", "S5")
         assert code == 0
         result = parse(out)["result"]

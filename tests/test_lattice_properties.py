@@ -503,6 +503,9 @@ def marks_by_definition(ring) -> np.ndarray:
 
 @PROPERTY
 @given(perm_specs())
+@example("perm:4:(1,2);(3,4)")  # C2 x C2: abelian input to the one kernel
+@example("perm:5:(1,2,3);(4,5)")  # C6
+@example("perm:4:(1,2,3,4);(1,3)")  # D8
 def test_marks_match_fixed_coset_count(spec):
     G = small_group(spec)
     ring = BurnsideRing(G, enumerate_subgroups(G))

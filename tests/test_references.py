@@ -20,7 +20,7 @@ REFERENCES = {
     "domination_reference": ("domination_oracle", "is_dominating",
                              "lower_bound_visiting_every_point"),
     "burnside_reference": ("double_cosets", "DoubleCosetSet", "pooled_index_bound",
-                           "reference_meets_matrix"),
+                           "reference_meets_matrix", "abelian_marks"),
     "collapse_reference": ("greedy_collapse",),
     "derived_series_reference": ("derived_series_all_commutators",
                                  "lower_central_series_all_commutators"),
