@@ -273,19 +273,10 @@ def make_parser() -> argparse.ArgumentParser:
                         help="one deadline for the whole command, in ms from its start")
     parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
                         help=f"element cap for every group built (default {DEFAULT_ELEMENT_CAP})")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_spec in [("subgroups", True), ("graph", True), ("gamma", True),
-                             ("sum", True), ("burnside", True), ("complex", True),
-                             ("verify", False), ("corpus", False)]:
-        p = sub.add_parser(name)
-        if needs_spec:
-            p.add_argument("spec", help="group spec, e.g. D8, C2xC2xC3, S4, SD(7,3), "
-                                          "or a corpus quotient label such as S4/V4")
-        else:
-            # also accepted after the subcommand; SUPPRESS keeps the
-            # top-level value when it is not given here
-            p.add_argument("--order-max", type=int, default=argparse.SUPPRESS,
-                           help="corpus order limit (default 48)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("spec", nargs="?",
+                        help="group spec, e.g. D8, C2xC2xC3, S4, SD(7,3), or a corpus "
+                             "quotient label such as S4/V4; verify and corpus take none")
     return parser
 
 
@@ -304,6 +295,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    takes_spec = args.command not in ("verify", "corpus")
+    if takes_spec != (args.spec is not None):
+        parser.error(f"{args.command} takes {'a' if takes_spec else 'no'} group spec")
     started = time.monotonic()
     deadline = None if args.budget_ms is None else started + args.budget_ms / 1000.0
     try:

@@ -314,25 +314,16 @@ def order_complex(L: Lattice, vertices: tuple[int, ...] | None = None) -> Simpli
     strict, cover_matrix = _covers(L, verts)
     covers = [np.flatnonzero(row).tolist() for row in cover_matrix]
     facets = []
-
-    def extend(chain_mask: int, last: int):
+    stack = [(1 << v, v) for v in np.flatnonzero(~strict.any(axis=0)).tolist()]
+    while stack:
+        chain_mask, last = stack.pop()
         nxt = covers[last]
         if not nxt:
             facets.append(chain_mask)
             if len(facets) > DEFAULT_FACE_BUDGET:
                 raise BudgetExceeded("maximal chain budget exceeded", partial=len(facets))
-            return
-        for w in nxt:
-            extend(chain_mask | (1 << w), w)
-
-    try:
-        for v in np.flatnonzero(~strict.any(axis=0)).tolist():
-            extend(1 << v, v)
-    finally:
-        # ``extend`` holds itself through its closure; breaking that cycle
-        # frees the covers on return or on BudgetExceeded, not at a later
-        # full garbage collection
-        del extend
+            continue
+        stack.extend((chain_mask | (1 << w), w) for w in nxt)
     # saturated chains from a minimal to a maximal element are maximal and
     # distinct: only from_facets' order is needed, not its maximality test
     return SimplicialComplex(L.labels(verts),
@@ -774,10 +765,7 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
     agree = None if k is None or order is None else k.reduced() == order.reduced()
 
     gamma_is_one = gamma == Gamma.of(1)
-    frattini = (1 << L.group.order) - 1
-    for i in L.coatoms:
-        frattini &= L.subgroups[i].mask
-    frattini_nontrivial = frattini.bit_count() > 1
+    frattini_nontrivial = L.frattini.bit_count() > 1
 
     betti_vanish: bool | None = None
     if gamma_is_one and k is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -122,10 +122,7 @@ class GroupTable:
 
     @property
     def exponent(self) -> int:
-        e = 1
-        for k in self.elem_order:
-            e = e * int(k) // gcd(e, int(k))
-        return e
+        return int(np.lcm.reduce(self.elem_order))
 
     @cached_property
     def center(self) -> int:

@@ -149,6 +149,15 @@ class Lattice:
         return tuple(sorted(out))
 
     @cached_property
+    def frattini(self) -> int:
+        """Mask of the Frattini subgroup, the intersection of the maximal
+        subgroups (G itself when there are none)."""
+        mask = (1 << self.group.order) - 1
+        for i in self.coatoms:
+            mask &= self.subgroups[i].mask
+        return mask
+
+    @cached_property
     def vertex_set(self) -> tuple[int, ...]:
         top = len(self.subgroups) - 1
         return tuple(i for i in range(len(self.subgroups)) if 0 < i < top)
@@ -723,10 +732,7 @@ def characteristic_subgroups(G: GroupTable, L: Lattice) -> CharacteristicSubgrou
         atom_mask |= L.subgroups[i].mask
     atom_join = Subgroup.from_mask(close_subset(G, atom_mask))
 
-    frat = (1 << G.order) - 1
-    for i in L.coatoms:
-        frat &= L.subgroups[i].mask
-    frattini = Subgroup.from_mask(frat)
+    frattini = Subgroup.from_mask(L.frattini)
 
     residual = Subgroup.from_mask(lower_central_series(G, commutator)[-1])
     return CharacteristicSubgroups(

@@ -305,6 +305,37 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["gamma"], ["verify", "S4"], ["corpus", "S4"]])
+    def test_spec_rule_exits_2(self, capsys, argv):
+        # a spec is given exactly when the command is neither verify nor corpus
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "group spec" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "verify" in capsys.readouterr().out
+
+    def test_flag_after_the_spec(self, capsys):
+        code, after, _ = run(capsys, "gamma", "S4", "--json")
+        assert code == 0
+        code, before, _ = run(capsys, "--json", "gamma", "S4")
+        assert code == 0
+        assert after.startswith("{\n  ")  # pretty-printed in both places
+        after, before = json.loads(after), json.loads(before)
+        del after["timing_ms"], before["timing_ms"]
+        assert after == before and after["result"]["gamma"] == 4
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_is_accepted(self, command):
+        argv = [command] if command in ("verify", "corpus") else [command, "S4"]
+        args = cli.make_parser().parse_args(argv)
+        assert args.command == command
+        assert args.spec == (None if len(argv) == 1 else "S4")
+
     def test_cap_exceeded_exits_3(self, capsys):
         code, out, err = run(capsys, "--cap", "10", "gamma", "S4")
         assert code == 3

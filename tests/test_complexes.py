@@ -120,6 +120,13 @@ class TestOrderComplex:
         assert oc.n_vertices == 9
         assert all(f.bit_count() == 1 for f in oc.facets)
 
+    def test_chain_budget(self, lattice, monkeypatch):
+        # the walk stops at the first maximal chain past the budget
+        monkeypatch.setattr(groupdom.complexes, "DEFAULT_FACE_BUDGET", 10)
+        with pytest.raises(BudgetExceeded) as exc:
+            order_complex(lattice("S4"))
+        assert exc.value.partial == 11
+
 
 class TestNerves:
     def test_q8_atom_nerve_point(self, lattice):
@@ -617,8 +624,9 @@ class TestTopologyReport:
             self.report(lattice, gamma_of, "S4")
 
     def test_frattini_matches_characteristic_subgroups(self, lattice, gamma_of, monkeypatch):
-        # the report's mask intersection against the lattice layer's; the
-        # homology does not enter the Frattini check, so it is skipped
+        # the report's flag and the lattice layer's subgroup against the
+        # intersection of the maximal subgroups; the homology does not enter
+        # the Frattini check, so it is skipped
         def no_homology(*args, **kwargs):
             raise BudgetExceeded("homology skipped")
 
@@ -626,5 +634,8 @@ class TestTopologyReport:
         for label in [e.label for e in corpus() if e.order and e.order <= 48]:
             L = lattice(label)
             rep = self.report(lattice, gamma_of, label)
-            assert rep.frattini_nontrivial == (characteristic_subgroups(L.group, L)
-                                               .frattini.order > 1), label
+            frattini = (1 << L.group.order) - 1
+            for c in L.coatoms:
+                frattini &= L.subgroups[c].mask
+            assert characteristic_subgroups(L.group, L).frattini.mask == frattini, label
+            assert rep.frattini_nontrivial == (frattini.bit_count() > 1), label
