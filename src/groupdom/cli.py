@@ -173,19 +173,19 @@ def cmd_burnside(args, started, deadline) -> int:
 def cmd_complex(args, started, deadline) -> int:
     G, L = _built(args, deadline)
     cert = gamma_exact(L, deadline=deadline)
-    report = topology_report(L, cert.gamma)  # BudgetExceeded past the chain budget
+    report = topology_report(L, cert.gamma)
     models = {}
-    for name, cx in report.complexes.items():
-        profile = report.profiles[name]
-        entry = models[name] = {"vertex_labels": list(cx.vertex_labels)}
-        if profile is None:
-            entry.update(facets_count=len(cx.facets), complete=False)
-            continue
-        entry.update(betti=list(profile.betti), euler=profile.euler,
-                     is_simplex=cx.is_simplex(), complete=True,
-                     f_vector=list(profile.f_vector),
-                     facets=[[cx.vertex_labels[v] for v in mask_to_indices(f)]
-                             for f in cx.facets])
+    for name, f_vector in report.f_vectors.items():
+        profile, cx = report.profiles[name], report.complexes.get(name)
+        entry = models[name] = {
+            "vertex_labels": list(L.labels(L.vertex_set) if cx is None else cx.vertex_labels),
+            "f_vector": list(f_vector), "is_simplex": report.is_simplex(name),
+            "complete": profile is not None}
+        if profile is not None:
+            entry.update(betti=list(profile.betti), euler=profile.euler)
+        if cx is not None:  # K or a nerve: the order complex's chains are not listed
+            facets = [[cx.vertex_labels[v] for v in mask_to_indices(f)] for f in cx.facets]
+            entry.update({"facets": facets} if profile else {"facets_count": len(facets)})
     result = {"models": models, "report": report.to_json()}
     _emit(G.label, "complex", result, started, args, exceeded=not cert.optimal)
     return EXIT_OK
@@ -294,7 +294,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     takes_spec = args.command not in ("verify", "corpus")
     if takes_spec != (args.spec is not None):
         parser.error(f"{args.command} takes {'a' if takes_spec else 'no'} group spec")

@@ -19,12 +19,12 @@ left, until a round deletes nothing.  If the core has more faces than
 the budget, the nerve of the core's facets takes its place (any set of
 facets meets in a simplex, so by the nerve lemma that nerve is homotopy
 equivalent to the complex, and it has no dominated vertex); if neither
-fits, BudgetExceeded is raised.  The faces of the chosen core are shrunk
-by elementary collapses, the free face of least number first
-(``_collapse``), and what they leave by coreductions, breadth first
-(``_coreduce``); the boundary ranks among the cells left, over the
-rationals by fraction-free integer elimination, finish the job.  The
-Euler characteristic is taken from the face counts of the input when
+fits, BudgetExceeded is raised (``_core_faces``).  The faces of the
+chosen core are shrunk by elementary collapses, the free face of least
+number first (``_collapse``), and what they leave by coreductions,
+breadth first (``_coreduce``); the boundary ranks among the cells left,
+over the rationals by fraction-free integer elimination, finish the job.
+The Euler characteristic is taken from the face counts of the input when
 they fit the budget, and otherwise from those of the chosen core before
 its elementary collapses; its agreement with the Betti numbers checks
 the reductions.
@@ -39,7 +39,8 @@ collapses K's strong core once, for the homology and the collapse probe
 K and the atom nerve are the two nerves of one relation (Dowker 1952), so
 both nerves take K's Betti numbers.  The order complex's homology comes
 from the order complex of Stong's core of the poset (``poset_core``),
-which is the strong core of the order complex.
+which is the strong core of the order complex, ranked uncollapsed; no
+order complex of the whole poset is built.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
 
 import numpy as np
@@ -575,27 +576,18 @@ def _coreduce(faces) -> tuple[list[list[dict[int, int]]], int]:
     return columns, restarts
 
 
-def _reduced_betti(rest: list[int], top_dim: int) -> tuple[int, ...]:
+def _reduced_betti(faces, top_dim: int) -> tuple[int, ...]:
     """Reduced Betti numbers b_0..b_top_dim of the complex spanned by
-    ``rest``, the faces that the collapse kernel left (``_collapse``),
-    which is homotopy equivalent to a complex of dimension ``top_dim``:
-    the cells that coreduction leaves (``_coreduce``) less the ranks of
-    the boundary maps among them, by ``_exact_pivots``, and one more in
-    b_0 per component past the first."""
-    columns, restarts = _coreduce(rest)
+    ``faces`` (closed under taking subfaces), homotopy equivalent to a
+    complex of dimension ``top_dim``: the cells that coreduction leaves
+    (``_coreduce``) less the ranks of the boundary maps among them, by
+    ``_exact_pivots``, and one more in b_0 per component past the first."""
+    columns, restarts = _coreduce(faces)
     columns += [[] for _ in range(top_dim + 2 - len(columns))]
     ranks = [len(_exact_pivots(c)) for c in columns[:top_dim + 2]]
     b = [len(columns[k]) - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)]
     b[0] += restarts
     return tuple(b)
-
-
-def _faces_within(complex_: SimplicialComplex, budget: int) -> set[int] | None:
-    """The faces of the complex, or None when they exceed the budget."""
-    try:
-        return complex_.faces(budget)
-    except BudgetExceeded:
-        return None
 
 
 def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
@@ -614,30 +606,36 @@ def betti(complex_: SimplicialComplex, face_budget: int = DEFAULT_FACE_BUDGET,
     the face counts of the core used.  Agreement of the Euler
     characteristic with the alternating Betti sum is asserted.
     """
-    faces = _faces_within(complex_, face_budget)
-    return _profile(complex_, None if faces is None else _f_vector(faces),
-                    face_budget, model)[0]
+    try:
+        f_vector = complex_.f_vector(face_budget)
+    except BudgetExceeded:
+        f_vector = None
+    return _profile(complex_, f_vector, face_budget, model)[0]
+
+
+def _core_faces(core: SimplicialComplex, budget: int) -> set[int]:
+    """The faces that rank the homology of a complex with strong core
+    ``core``: the core's, or past the budget those of the nerve of its
+    facets; BudgetExceeded when neither fits.  That nerve needs no core of
+    its own: its facets are the core's vertex columns, the sets of facets
+    containing a vertex, distinct and maximal as no vertex of the core is
+    dominated, and a facet F of the core is dominated in the nerve only if
+    every vertex of F lies in another facet, which would contain F."""
+    try:
+        return core.faces(budget)
+    except BudgetExceeded:
+        return nerve(list(core.facets)).faces(budget)
 
 
 def _profile(complex_: SimplicialComplex, f_vector: tuple[int, ...] | None,
-             budget: int, model: str, core: SimplicialComplex | None = None
-             ) -> tuple[HomologyProfile, list[int]]:
+             budget: int, model: str) -> tuple[HomologyProfile, list[int]]:
     """``betti`` of a complex whose f-vector (None past the budget) is
-    given, and the faces that the collapse kernel leaves of its homology
-    faces: those of the strong core (``core`` when given), or, past the
-    budget, those of the nerve of the core's facets.  That nerve needs no
-    core of its own: its facets are the core's vertex columns, the sets
-    of facets containing a vertex, distinct and maximal as no vertex of
-    the core is dominated, and a facet F of the core is dominated in the
-    nerve only if every vertex of F lies in another facet, which would
-    contain F.  The Euler characteristic past the budget comes from the
-    homology faces, not from what the kernel leaves: from those its check
-    against the Betti numbers would hold by construction."""
-    if core is None:
-        core = complex_.strong_core()
-    used = _faces_within(core, budget)
-    if used is None:
-        used = nerve(list(core.facets)).faces(budget)
+    given, and the faces that the collapse kernel leaves of the faces of
+    its strong core (``_core_faces``).  The Euler characteristic past the
+    budget comes from the core's faces, not from what the kernel leaves:
+    from those its check against the Betti numbers would hold by
+    construction."""
+    used = _core_faces(complex_.strong_core(), budget)
     rest = _collapse(used)
     dim = complex_.dim()
     b = _reduced_betti(rest, dim) if dim >= 0 else ()
@@ -680,10 +678,9 @@ def _read_off(source: HomologyProfile | None, f_vector: tuple[int, ...],
 @dataclass
 class TopologyReport:
     group: str
-    complexes: dict         # model name -> SimplicialComplex
+    complexes: dict         # model name -> SimplicialComplex, K and both nerves
+    f_vectors: dict         # model name -> faces per dimension, all four counted
     profiles: dict          # model name -> HomologyProfile or None
-    simplex_atom_nerve: bool
-    simplex_coatom_nerve: bool
     frattini_nontrivial: bool
     gamma_is_one: bool
     profiles_agree: bool | None
@@ -692,7 +689,20 @@ class TopologyReport:
     # core (``_collapse_probe``; ``steps`` counts collapses of K), None
     # when K has no faces or more than ``DEFAULT_FACE_BUDGET``
     collapse: dict | None
-    checks: dict = field(default_factory=dict)
+
+    def is_simplex(self, name: str) -> bool:
+        """Whether a face of the model holds every vertex: f_0 = len(f)."""
+        f = self.f_vectors[name]
+        return bool(f) and len(f) == f[0]
+
+    simplex_atom_nerve = property(lambda self: self.is_simplex("atom_nerve"))
+    simplex_coatom_nerve = property(lambda self: self.is_simplex("coatom_nerve"))
+
+    @property
+    def checks(self) -> dict:  # the simplex criteria of ``topology_report``
+        return {"coatom_nerve_simplex_iff_frattini":
+                self.simplex_coatom_nerve == self.frattini_nontrivial,
+                "atom_nerve_simplex_iff_gamma_one": self.simplex_atom_nerve == self.gamma_is_one}
 
     def to_json(self) -> dict:
         return {
@@ -713,36 +723,35 @@ class TopologyReport:
 
 
 def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
-    """Build the four complexes, compare Betti profiles, and evaluate the
-    simplex criteria: the coatom nerve is a simplex iff the Frattini
-    subgroup (the intersection of the coatoms) is non-trivial, and the atom
-    nerve is a simplex iff gamma is 1.  The report keeps the complexes it
-    built; BudgetExceeded propagates when the order complex's maximal
-    chains exceed ``DEFAULT_FACE_BUDGET``.  A profile is None when neither
-    its complex's strong core nor the nerve of the core's facets fits the
-    face budget.
+    """Build K and both nerves, count the four f-vectors, compare Betti
+    profiles, and evaluate the simplex criteria: the coatom nerve is a
+    simplex iff the Frattini subgroup (the intersection of the coatoms) is
+    non-trivial, and the atom nerve is a simplex iff gamma is 1.  A profile
+    is None when neither its complex's strong core nor the nerve of the
+    core's facets fits the face budget, the order profile also when the
+    poset core has more maximal chains than the budget.
 
-    Two profiles are computed: the intersection complex K's and the order
-    complex's, the last on the order complex of ``poset_core(L)``.  Every
-    f-vector, the order complex's too, is counted from the lattice
-    (``lattice_f_vectors``), and the nerves' Betti numbers are read off
-    K's (``_read_off``).  A vertex H of K that is not a coatom is dominated
-    by any coatom M above it (every atom up-set containing H contains M),
-    in every induced subcomplex that keeps M, and K induced on the coatoms
-    is the coatom nerve, so K strong-collapses onto it.  K and the atom
-    nerve are the two nerves of the relation "atom a lies in the proper
-    subgroup H", so they are homotopy equivalent (Dowker 1952), and the
-    strong core of the atom nerve is the nerve of the facets of K's strong
-    core (Barmak-Minian 2012): the atom nerve would fit the budget exactly
-    when K does, and its profile is None with K's.  ``profiles_agree``
-    compares the two computed profiles when neither is None, which checks
-    that K and the order complex are homotopy equivalent."""
+    Two profiles are computed: K's, and the order complex's, ranked
+    uncollapsed on the order complex of ``poset_core(L)``.  Every f-vector
+    is counted from the lattice (``lattice_f_vectors``), and the nerves'
+    Betti numbers are read off K's (``_read_off``).  A vertex H of K that
+    is not a coatom is dominated by any coatom M above it (every atom
+    up-set containing H contains M), in every induced subcomplex that keeps
+    M, and K induced on the coatoms is the coatom nerve, so K
+    strong-collapses onto it.  K and the atom nerve are the two nerves of
+    the relation "atom a lies in the proper subgroup H", so they are
+    homotopy equivalent (Dowker 1952), and the strong core of the atom
+    nerve is the nerve of the facets of K's strong core (Barmak-Minian
+    2012): the atom nerve would fit the budget exactly when K does, and its
+    profile is None with K's.  ``profiles_agree`` compares the two computed
+    profiles when neither is None, which checks that K and the order
+    complex are homotopy equivalent."""
     complexes = {name: build(L) for name, build in (
         ("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve),
-        ("intersection", intersection_complex), ("order", order_complex))}
-    profiles: dict[str, HomologyProfile | None] = dict.fromkeys(complexes)
-    collapse = None
+        ("intersection", intersection_complex))}
     f_vectors = lattice_f_vectors(L)  # no whole complex's faces are enumerated
+    profiles: dict[str, HomologyProfile | None] = dict.fromkeys(f_vectors)
+    collapse = None
     try:
         # one collapse of the core's faces for the profile and the probe
         f_vector = f_vectors["intersection"]
@@ -755,30 +764,21 @@ def topology_report(L: Lattice, gamma: Gamma) -> TopologyReport:
         pass
     for name in ("atom_nerve", "coatom_nerve"):
         profiles[name] = _read_off(profiles["intersection"], f_vectors[name], name)
+    f_vector = f_vectors["order"]
+    dim = len(f_vector) - 1
     try:
-        profiles["order"] = _profile(complexes["order"], f_vectors["order"], DEFAULT_FACE_BUDGET,
-                                     "order", core=order_complex(L, poset_core(L)))[0]
+        used = _core_faces(order_complex(L, poset_core(L)), DEFAULT_FACE_BUDGET)
+        profiles["order"] = _checked_profile(_reduced_betti(used, dim) if dim >= 0 else (),
+                                             f_vector, dim, model="order", f_vector=f_vector)
     except BudgetExceeded:
         pass
-
     k, order = profiles["intersection"], profiles["order"]
     agree = None if k is None or order is None else k.reduced() == order.reduced()
-
     gamma_is_one = gamma == Gamma.of(1)
-    frattini_nontrivial = L.frattini.bit_count() > 1
-
     betti_vanish: bool | None = None
     if gamma_is_one and k is not None:
         betti_vanish = all(bk == 0 for bk in k.betti)
-
-    na, nm = complexes["atom_nerve"], complexes["coatom_nerve"]
-    checks = {
-        "coatom_nerve_simplex_iff_frattini": nm.is_simplex() == frattini_nontrivial,
-        "atom_nerve_simplex_iff_gamma_one": na.is_simplex() == gamma_is_one,
-    }
     return TopologyReport(
-        group=L.group.label, complexes=complexes, profiles=profiles,
-        simplex_atom_nerve=na.is_simplex(), simplex_coatom_nerve=nm.is_simplex(),
-        frattini_nontrivial=frattini_nontrivial, gamma_is_one=gamma_is_one,
-        profiles_agree=agree, betti_vanish=betti_vanish, collapse=collapse,
-        checks=checks)
+        group=L.group.label, complexes=complexes, f_vectors=f_vectors, profiles=profiles,
+        frattini_nontrivial=L.frattini.bit_count() > 1, gamma_is_one=gamma_is_one,
+        profiles_agree=agree, betti_vanish=betti_vanish, collapse=collapse)

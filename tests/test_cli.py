@@ -13,6 +13,8 @@ from groupdom import cli
 from groupdom import corpus as corpus_module
 from groupdom import lattice as lattice_module
 from groupdom.cli import main
+from groupdom.complexes import lattice_f_vectors
+from groupdom.corpus import get_lattice
 from groupdom.groups import DEFAULT_ELEMENT_CAP
 
 
@@ -137,6 +139,22 @@ class TestOtherCommands:
             assert isinstance(result["models"][name]["f_vector"], list), name
         assert result["report"]["profiles_agree"] is True
 
+    def test_complex_counts_every_model_past_the_face_budget(self, capsys):
+        # S6: K and both nerves have null profiles, past the face budget, and
+        # still carry their f-vectors counted from the lattice, each of Euler
+        # characteristic 1 + μ(1, S6) = -719; the order model lists no chains
+        code, out, _ = run(capsys, "complex", "S6")
+        assert code == 0
+        result = parse(out)["result"]
+        counted = lattice_f_vectors(get_lattice("S6"))
+        for name, model in result["models"].items():
+            assert model["f_vector"] == list(counted[name]), name
+            assert sum((-1) ** k * c for k, c in enumerate(model["f_vector"])) == -719, name
+            assert model["is_simplex"] is False, name
+            assert model["complete"] is (name == "order"), name
+            assert "facets" not in model, name
+        assert result["models"]["order"]["betti"] == [0, 0, 0, 720, 0]
+
     def test_corpus(self, capsys):
         code, out, _ = run(capsys, "--order-max", "12", "corpus")
         doc = parse(out)
@@ -213,20 +231,26 @@ class TestBudgetFlag:
         assert code == 3 and out == ""
         assert "Burnside products" in err
 
-    def test_complex_chain_budget_abort(self, capsys, monkeypatch):
-        import groupdom.cli as cli
+    def test_complex_core_chain_budget_leaves_order_incomplete(self, capsys, monkeypatch):
         import groupdom.complexes as complexes
         from groupdom.errors import BudgetExceeded
 
         def too_many_chains(L, vertices=None):
             raise BudgetExceeded("maximal chain budget exceeded", partial=0)
 
-        # wherever the command builds the order complex, it runs out of chains
+        # the command builds the order complex of the poset core only: past
+        # the chain budget there, the order model is incomplete, with its
+        # counted f-vector, and the command still exits 0
         monkeypatch.setattr(complexes, "order_complex", too_many_chains)
-        monkeypatch.setattr(cli, "order_complex", too_many_chains, raising=False)
         code, out, err = run(capsys, "complex", "S4")
-        assert code == 3 and out == ""
-        assert "chain budget" in err
+        assert code == 0 and err == ""
+        result = parse(out)["result"]
+        order = result["models"]["order"]
+        assert order["complete"] is False and "betti" not in order, order
+        assert (order["f_vector"], order["is_simplex"]) == ([28, 63, 24], False)
+        assert result["report"]["profiles"]["order"] is None
+        assert result["report"]["profiles_agree"] is None
+        assert result["models"]["intersection"]["complete"] is True
 
     @pytest.mark.parametrize("spec", ["C13", "C2xC2xC4", "D24", "Q8", "S4", "A4",
                                       "SD(7,3)", "perm:4:(1,2,3,4);(1,2)"])
@@ -328,6 +352,21 @@ class TestErrors:
         after, before = json.loads(after), json.loads(before)
         del after["timing_ms"], before["timing_ms"]
         assert after == before and after["result"]["gamma"] == 4
+
+    @pytest.mark.parametrize("argv", [["gamma", "--json", "S4"], ["gamma", "S4", "--json"],
+                                      ["--json", "gamma", "S4"], ["graph", "--dot", "PATH", "Q8"]])
+    def test_a_flag_may_stand_anywhere(self, capsys, tmp_path, argv):
+        # before the command, between it and its spec or after the spec, a
+        # flag takes effect and leaves the result as it is without the flag
+        dot = tmp_path / "g.dot"
+        code, out, _ = run(capsys, *[str(dot) if a == "PATH" else a for a in argv])
+        assert code == 0
+        _, plain, _ = run(capsys, *[a for a in argv if a not in ("--json", "--dot", "PATH")])
+        if "--json" in argv:
+            assert out.startswith("{\n  ")  # pretty-printed
+        else:
+            assert dot.read_text().count("--") == 6  # Q8's six edges
+        assert parse(out)["result"] == parse(plain)["result"]
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_every_command_is_accepted(self, command):

@@ -475,10 +475,17 @@ def test_poset_core_order_complex_has_no_dominated_vertex(lattice, label):
 def test_report_profiles_match_whole_complex_references(lattice, gamma_of, label):
     """The order profile, ranked on the poset core, and the nerves', read
     off K with their faces counted from the lattice, against ``betti`` of
-    the whole complexes (whose f-vector is None past the face budget)."""
+    the whole complexes (whose f-vector is None past the face budget); and
+    every model's dimension and whether it is a simplex, read off its
+    counted f-vector, against the built complex."""
     L = lattice(label)
     rep = topology_report(L, gamma_of(label).gamma)
     assert rep.profiles["order"] == betti(order_complex(L), model="order"), label
+    for name, build in MODELS:
+        cx = build(L)
+        assert len(rep.f_vectors[name]) - 1 == cx.dim(), (label, name)
+        assert rep.is_simplex(name) == cx.is_simplex(), (label, name)
+        assert rep.profiles[name] is None or rep.profiles[name].dim == cx.dim(), (label, name)
     for name, build in (("atom_nerve", atom_nerve), ("coatom_nerve", coatom_nerve)):
         read, whole = rep.profiles[name], betti(build(L), model=name)
         assert whole.f_vector in (None, read.f_vector), (label, name)
@@ -518,10 +525,12 @@ class TestTopologyReport:
     def test_report_keeps_the_complexes_it_built(self, lattice, gamma_of):
         L = lattice("S4")
         rep = self.report(lattice, gamma_of, "S4")
-        assert set(rep.complexes) == {name for name, _ in MODELS}
+        # K and both nerves; of the order complex, only the poset core's
+        assert set(rep.complexes) == {"intersection", "atom_nerve", "coatom_nerve"}
         for name, build in MODELS:
-            assert rep.complexes[name] == build(L), name
-            assert rep.profiles[name].f_vector == build(L).f_vector(), name
+            if name in rep.complexes:
+                assert rep.complexes[name] == build(L), name
+            assert rep.f_vectors[name] == rep.profiles[name].f_vector == build(L).f_vector(), name
 
     def test_coatom_nerve_reads_k_betti_cut_to_its_dimension(self, lattice, gamma_of):
         # A5: K has dimension 6, the coatom nerve 4
@@ -558,10 +567,10 @@ class TestTopologyReport:
         # left to compare
         profile = groupdom.complexes._profile
 
-        def k_past_budget(cx, f_vector, budget, model, **kwargs):
+        def k_past_budget(cx, f_vector, budget, model):
             if model == "intersection":
                 raise BudgetExceeded("face budget exceeded")
-            return profile(cx, f_vector, budget, model, **kwargs)
+            return profile(cx, f_vector, budget, model)
 
         enumerated = []
         faces = SimplicialComplex.faces
@@ -592,7 +601,7 @@ class TestTopologyReport:
         # every model's face counts come from the lattice: the report
         # enumerates the faces of the cores it ranks, K's strong core (or
         # its facet nerve) and the order complex of the poset core, never
-        # those of K, of a nerve or of the whole order complex
+        # those of K or of a nerve, and it builds no whole order complex
         enumerated = []
         faces = SimplicialComplex.faces
         monkeypatch.setattr(SimplicialComplex, "faces",
@@ -604,7 +613,7 @@ class TestTopologyReport:
         assert enumerated and all(cx in cores for cx in enumerated)
         assert not any(cx is whole for cx in enumerated for whole in rep.complexes.values())
         if vertices != L.vertex_set:  # else the order complex is its own core
-            assert rep.complexes["order"] not in enumerated
+            assert order_complex(L) not in enumerated
         counted = lattice_f_vectors(L)
         assert all(rep.profiles[name].f_vector == counted[name] for name in counted)
 
@@ -614,14 +623,36 @@ class TestTopologyReport:
         assert all(rep.checks.values())
         assert not rep.simplex_atom_nerve and not rep.simplex_coatom_nerve
 
-    def test_order_complex_budget_propagates(self, lattice, gamma_of, monkeypatch):
-        # past the chain budget the report raises instead of leaving a model out
+    def test_order_core_chain_budget_leaves_the_profile_null(self, lattice, gamma_of,
+                                                             monkeypatch):
+        # the report builds the order complex of the poset core only; past
+        # the chain budget there, the order profile is None, as a model past
+        # the face budget, and its f-vector is still counted
         def too_many_chains(L, vertices=None):
             raise BudgetExceeded("maximal chain budget exceeded")
 
         monkeypatch.setattr(groupdom.complexes, "order_complex", too_many_chains)
-        with pytest.raises(BudgetExceeded):
-            self.report(lattice, gamma_of, "S4")
+        rep = self.report(lattice, gamma_of, "S4")
+        assert rep.profiles["order"] is None and rep.profiles_agree is None
+        assert rep.f_vectors["order"] == (28, 63, 24) and not rep.is_simplex("order")
+        assert rep.profiles["intersection"] is not None
+
+    def test_builds_the_order_core_alone_and_collapses_k_only(self, lattice, gamma_of,
+                                                              monkeypatch):
+        # one report builds the order complex of the poset core only, never
+        # of the whole poset, and runs the collapse kernel once, on the faces
+        # of K's strong core; the order core's faces are ranked uncollapsed
+        L = lattice("S4")
+        built, collapsed = [], []
+        build, collapse = groupdom.complexes.order_complex, groupdom.complexes._collapse
+        monkeypatch.setattr(groupdom.complexes, "order_complex",
+                            lambda L, vertices=None: built.append(vertices) or build(L, vertices))
+        monkeypatch.setattr(groupdom.complexes, "_collapse",
+                            lambda faces: collapsed.append(set(faces)) or collapse(faces))
+        rep = self.report(lattice, gamma_of, "S4")
+        assert built == [poset_core(L)] and poset_core(L) != L.vertex_set
+        assert collapsed == [rep.complexes["intersection"].strong_core().faces()]
+        assert rep.profiles["order"] == betti(order_complex(L), model="order")
 
     def test_frattini_matches_characteristic_subgroups(self, lattice, gamma_of, monkeypatch):
         # the report's flag and the lattice layer's subgroup against the
@@ -630,7 +661,7 @@ class TestTopologyReport:
         def no_homology(*args, **kwargs):
             raise BudgetExceeded("homology skipped")
 
-        monkeypatch.setattr(groupdom.complexes, "_profile", no_homology)
+        monkeypatch.setattr(groupdom.complexes, "_core_faces", no_homology)
         for label in [e.label for e in corpus() if e.order and e.order <= 48]:
             L = lattice(label)
             rep = self.report(lattice, gamma_of, label)
