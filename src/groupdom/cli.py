@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every command prints one JSON document to stdout with the shape
-{"group", "command", "result", "timing_ms", "budget"}.  Domination
-numbers serialize as an integer or the string "aleph0".  Exit codes:
-0 success, 1 a verification verdict was "violation", 2 usage or spec
-error, 3 budget or element-cap abort.
+One flow serves every command: ``main`` parses the command line, builds
+the spec's group and lattice once (``verify`` and ``corpus`` take no
+spec), runs the command, and prints its one JSON document with the shape
+{"group", "command", "result", "timing_ms", "budget"}.  A command only
+computes its result.  Domination numbers serialize as an integer or the
+string "aleph0".  Exit codes: 0 success, 1 the result lists violations
+(a verification verdict was "violation"), 2 usage or spec error, 3
+budget or element-cap abort; an error prints no document.
 
 ``--budget-ms`` is one deadline for the whole command, counted from its
 start: ``main`` turns it into a ``time.monotonic()`` instant that every
@@ -13,8 +16,8 @@ stage checking time reads.  Past it the lattice stage exits 3 (as
 ``sum`` and ``complex`` answers from its best cover with ``exceeded``
 set (``sum`` adds a bracket); the Burnside product loop exits 3;
 ``verify`` exits 3, between groups or in a sum-number solve.  Group
-building, complexes and homology, and the bound reports do not check
-the deadline.
+building, complexes and homology, the bound reports and ``corpus`` do
+not check the deadline.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ def _emit(group, command, result, started, args, exceeded=False) -> None:
 
 
 def _built(args, deadline):
-    """The group and lattice of ``args.spec``: a group spec, or a corpus
-    label that is not one, such as the quotient ``S4/V4``."""
+    """The lattice of ``args.spec``: a group spec, or a corpus label that
+    is not one, such as the quotient ``S4/V4``."""
     try:
         spec = parse_group_spec(args.spec)
     except SpecError:
@@ -77,60 +80,53 @@ def _built(args, deadline):
         G = corpus_module.build_entry(entry, cap=args.cap)
     else:
         G = build_group(spec, cap=args.cap)
-    L = enumerate_subgroups(G, deadline=deadline)
-    return G, L
+    return enumerate_subgroups(G, deadline=deadline)
 
 
-def cmd_subgroups(args, started, deadline) -> int:
-    G, L = _built(args, deadline)
+# Each command takes the parsed arguments, the spec's lattice (None for
+# ``verify`` and ``corpus``) and the deadline, and returns its result and
+# whether a solve stopped on the deadline with a non-optimal answer.
+
+def cmd_subgroups(args, L, deadline):
     by_order: dict[str, int] = {}
     for s in L.subgroups:
         by_order[str(s.order)] = by_order.get(str(s.order), 0) + 1
-    result = {
-        "order": G.order,
+    return {
+        "order": L.group.order,
         "subgroup_count": len(L.subgroups),
         "vertex_count": len(L.vertex_set),
         "atom_count": len(L.atoms),
         "coatom_count": len(L.coatoms),
         "by_order": by_order,
-    }
-    _emit(G.label, "subgroups", result, started, args)
-    return EXIT_OK
+    }, False
 
 
-def cmd_graph(args, started, deadline) -> int:
-    G, L = _built(args, deadline)
+def cmd_graph(args, L, deadline):
     graph = intersection_graph(L)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(graph))
-    result = {
+    return {
         "vertices": graph.n,
         "edges": graph.edge_count(),
         "degree_multiset": list(graph.degree_multiset()),
         "labels": list(graph.labels),
-    }
-    _emit(G.label, "graph", result, started, args)
-    return EXIT_OK
+    }, False
 
 
-def cmd_gamma(args, started, deadline) -> int:
-    G, L = _built(args, deadline)
+def cmd_gamma(args, L, deadline):
     cert = gamma_exact(L, deadline=deadline)
-    result = {
+    return {
         "gamma": cert.gamma.to_json(),
         "witness": list(cert.witness),
         "witness_labels": list(L.labels(cert.witness)),
         "optimal": cert.optimal,
         "method": cert.method,
-    }
-    _emit(G.label, "gamma", result, started, args, exceeded=not cert.optimal)
-    return EXIT_OK
+    }, not cert.optimal
 
 
-def cmd_sum(args, started, deadline) -> int:
-    G, L = _built(args, deadline)
-    res = sum_number(G, L, deadline=deadline)
+def cmd_sum(args, L, deadline):
+    res = sum_number(L.group, L, deadline=deadline)
     result = {
         "sum_number": res.value.to_json(),
         "witness": list(res.witness),
@@ -138,12 +134,11 @@ def cmd_sum(args, started, deadline) -> int:
     }
     if res.bracket is not None:
         result["bracket"] = list(res.bracket)
-    _emit(G.label, "sum", result, started, args, exceeded=not res.optimal)
-    return EXIT_OK
+    return result, not res.optimal
 
 
-def cmd_burnside(args, started, deadline) -> int:
-    G, L = _built(args, deadline)
+def cmd_burnside(args, L, deadline):
+    G = L.group
     ring = BurnsideRing(G, L)
     labels = ring.labels()
     marks = ring.marks_matrix()
@@ -157,7 +152,7 @@ def cmd_burnside(args, started, deadline) -> int:
             dec = ring.product(a, b)
             products[f"{labels[a]}*{labels[b]}"] = {
                 labels[c]: m for c, m in dec.coeffs}
-    result = {
+    return {
         "class_labels": list(labels),
         "class_sizes": [len(c.members) for c in ring.classes],
         "normalizer_indices": [G.order // c.normalizer.order for c in ring.classes],
@@ -165,13 +160,10 @@ def cmd_burnside(args, started, deadline) -> int:
         "products": products,
         "index_bound": ring.index_bound(),
         "characterization": ring.characterization_report(),
-    }
-    _emit(G.label, "burnside", result, started, args)
-    return EXIT_OK
+    }, False
 
 
-def cmd_complex(args, started, deadline) -> int:
-    G, L = _built(args, deadline)
+def cmd_complex(args, L, deadline):
     cert = gamma_exact(L, deadline=deadline)
     report = topology_report(L, cert.gamma)
     models = {}
@@ -186,9 +178,7 @@ def cmd_complex(args, started, deadline) -> int:
         if cx is not None:  # K or a nerve: the order complex's chains are not listed
             facets = [[cx.vertex_labels[v] for v in mask_to_indices(f)] for f in cx.facets]
             entry.update({"facets": facets} if profile else {"facets_count": len(facets)})
-    result = {"models": models, "report": report.to_json()}
-    _emit(G.label, "complex", result, started, args, exceeded=not cert.optimal)
-    return EXIT_OK
+    return {"models": models, "report": report.to_json()}, not cert.optimal
 
 
 def _verify_one(label: str, cap: int, deadline) -> dict:
@@ -225,7 +215,7 @@ def _verify_one(label: str, cap: int, deadline) -> dict:
     }
 
 
-def cmd_verify(args, started, deadline) -> int:
+def cmd_verify(args, L, deadline):
     labels = [e.label for e in corpus()
               if e.order and e.order <= args.order_max]
     groups = []
@@ -242,22 +232,19 @@ def cmd_verify(args, started, deadline) -> int:
         for c in g["expected_checks"]:
             if not c["ok"]:
                 violations.append({"group": g["group"], "theorem": f"expected:{c['name']}"})
-    result = {
+    return {
         "order_max": args.order_max,
         "group_count": len(groups),
         "violations": violations,
         "groups": groups,
-    }
-    _emit(None, "verify", result, started, args)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    }, False
 
 
-def cmd_corpus(args, started, deadline) -> int:
+def cmd_corpus(args, L, deadline):
     entries = [{"label": e.label, "order": e.order,
                 "spec": e.spec_text, "expected": e.expected_dict()}
                for e in corpus() if e.order <= args.order_max]
-    _emit(None, "corpus", {"entries": entries, "count": len(entries)}, started, args)
-    return EXIT_OK
+    return {"entries": entries, "count": len(entries)}, False
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -301,13 +288,17 @@ def main(argv=None) -> int:
     started = time.monotonic()
     deadline = None if args.budget_ms is None else started + args.budget_ms / 1000.0
     try:
-        return _COMMANDS[args.command](args, started, deadline)
+        L = _built(args, deadline) if takes_spec else None
+        result, exceeded = _COMMANDS[args.command](args, L, deadline)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceeded, CapExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    _emit(None if L is None else L.group.label, args.command, result, started, args,
+          exceeded)
+    return EXIT_VIOLATION if result.get("violations") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -121,9 +121,6 @@ class SimplicialComplex:
             return -1
         return max(f.bit_count() for f in self.facets) - 1
 
-    def is_empty(self) -> bool:
-        return not self.facets
-
     def is_simplex(self) -> bool:
         """One facet containing every vertex."""
         return len(self.facets) == 1 and self.facets[0].bit_count() == self.n_vertices
@@ -149,15 +146,6 @@ class SimplicialComplex:
 
     def f_vector(self, budget: int = DEFAULT_FACE_BUDGET) -> tuple[int, ...]:
         return _f_vector(self.faces(budget))
-
-    def edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for f in self.facets:
-            verts = mask_to_indices(f)
-            for i in range(len(verts)):
-                for j in range(i + 1, len(verts)):
-                    out.add((verts[i], verts[j]))
-        return out
 
 
 @dataclass(frozen=True)

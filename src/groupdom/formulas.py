@@ -149,37 +149,34 @@ def detect_frobenius(G: GroupTable, L: Lattice) -> FrobeniusStructure | None:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_str(g: Gamma | None):
-    return None if g is None else g.to_json()
-
-
-def _bound_verdict(gamma: Gamma, bound: int) -> str:
-    return BOUND_HOLDS if gamma <= Gamma.of(bound) else VIOLATION
-
-
 def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
                   chars: CharacteristicSubgroups,
                   cert: DominationCertificate) -> list[TheoremReport]:
     """Run every applicable structural claim against the computed gamma."""
     reports = []
     gamma = cert.gamma
-    label = G.label
     has_vertices = bool(L.vertex_set)
 
+    def report(theorem, predicted, verdict, **wit):
+        reports.append(TheoremReport(theorem, G.label, predicted, gamma.to_json(),
+                                     verdict, wit))
+
     def na(theorem, **wit):
-        reports.append(TheoremReport(theorem, label, None, _gamma_str(gamma),
-                                     NOT_APPLICABLE, wit))
+        report(theorem, None, NOT_APPLICABLE, **wit)
+
+    def bound(theorem, b, **wit):
+        """The claim gamma <= b."""
+        report(theorem, f"<= {b}", BOUND_HOLDS if gamma <= Gamma.of(b) else VIOLATION, **wit)
+
+    def match(theorem, predicted, holds, **wit):
+        report(theorem, predicted, MATCH if holds else VIOLATION, **wit)
 
     # (a) nilpotent bounds
     if cls.is_nilpotent and has_vertices:
         if cls.is_p_group:
-            bound = cls.p + 1
-            reports.append(TheoremReport("nilpotent-p-group", label, f"<= {bound}",
-                                         _gamma_str(gamma), _bound_verdict(gamma, bound),
-                                         {"p": cls.p}))
+            bound("nilpotent-p-group", cls.p + 1, p=cls.p)
         else:
-            reports.append(TheoremReport("nilpotent-multi-prime", label, "<= 2",
-                                         _gamma_str(gamma), _bound_verdict(gamma, 2), {}))
+            bound("nilpotent-multi-prime", 2)
     else:
         na("nilpotent")
 
@@ -196,23 +193,15 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     else:
         primes = prime_factors(q)
         if len(primes) == 1:
-            bound = primes[0] + 1
-            reports.append(TheoremReport(
-                "residual-quotient-p-group", label, f"<= {bound}", _gamma_str(gamma),
-                _bound_verdict(gamma, bound), {"p": primes[0], "quotient_order": q}))
+            bound("residual-quotient-p-group", primes[0] + 1, p=primes[0], quotient_order=q)
         else:
-            reports.append(TheoremReport(
-                "residual-quotient-multi-prime", label, "<= 2", _gamma_str(gamma),
-                _bound_verdict(gamma, 2), {"quotient_order": q}))
+            bound("residual-quotient-multi-prime", 2, quotient_order=q)
 
     # (c) supersolvable: gamma <= p+1 for some prime divisor p
     if cls.is_supersolvable and has_vertices:
         ok_p = [p for p in prime_factors(G.order) if gamma <= Gamma.of(p + 1)]
-        verdict = BOUND_HOLDS if ok_p else VIOLATION
-        reports.append(TheoremReport("supersolvable", label,
-                                     "<= p+1 for some prime divisor p",
-                                     _gamma_str(gamma), verdict,
-                                     {"primes_satisfying": ok_p}))
+        report("supersolvable", "<= p+1 for some prime divisor p",
+               BOUND_HOLDS if ok_p else VIOLATION, primes_satisfying=ok_p)
     else:
         na("supersolvable")
 
@@ -233,12 +222,9 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
                 if key in seen_pairs:
                     continue
                 seen_pairs.add(key)
-                bound = (G.order // classes[ci].normalizer.order
-                         + G.order // classes[cj].normalizer.order)
-                reports.append(TheoremReport(
-                    "solvable-coprime-pair", label, f"<= {bound}", _gamma_str(gamma),
-                    _bound_verdict(gamma, bound),
-                    {"pair_orders": [oi, oj], "bound": bound}))
+                b = (G.order // classes[ci].normalizer.order
+                     + G.order // classes[cj].normalizer.order)
+                bound("solvable-coprime-pair", b, pair_orders=[oi, oj], bound=b)
         if not seen_pairs:
             na("solvable-coprime-pair")
     else:
@@ -248,12 +234,10 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     frob = detect_frobenius(G, L)
     if frob is not None and has_vertices:
         predicted = frob.p ** frob.r + 1
-        verdict = MATCH if gamma == Gamma.of(predicted) else VIOLATION
-        reports.append(TheoremReport(
-            "frobenius-minimal-kernel", label, predicted, _gamma_str(gamma), verdict,
-            {"p": frob.p, "r": frob.r, "q": frob.q,
-             "exceeds_p_plus_1": Gamma.of(frob.p + 1) < gamma,
-             "exceeds_q_plus_1": Gamma.of(frob.q + 1) < gamma}))
+        match("frobenius-minimal-kernel", predicted, gamma == Gamma.of(predicted),
+              p=frob.p, r=frob.r, q=frob.q,
+              exceeds_p_plus_1=Gamma.of(frob.p + 1) < gamma,
+              exceeds_q_plus_1=Gamma.of(frob.q + 1) < gamma)
     else:
         na("frobenius-minimal-kernel")
 
@@ -261,31 +245,20 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     kind = G.spec.kind if G.spec is not None else ""
     if kind == "symmetric":
         deg = G.spec.degree
-        not_one = gamma != Gamma.of(1)
-        reports.append(TheoremReport("symmetric-not-one", label, "!= 1",
-                                     _gamma_str(gamma),
-                                     MATCH if not_one else VIOLATION, {"n": deg}))
+        match("symmetric-not-one", "!= 1", gamma != Gamma.of(1), n=deg)
         if deg >= 2 and has_vertices:
-            bound = symmetric_cover_bound(deg)
-            reports.append(TheoremReport("symmetric-cover-bound", label, f"<= {bound}",
-                                         _gamma_str(gamma), _bound_verdict(gamma, bound),
-                                         {"n": deg, "bound": bound}))
+            b = symmetric_cover_bound(deg)
+            bound("symmetric-cover-bound", b, n=deg, bound=b)
     elif kind == "alternating":
-        not_one = gamma != Gamma.of(1)
-        reports.append(TheoremReport("alternating-not-one", label, "!= 1",
-                                     _gamma_str(gamma),
-                                     MATCH if not_one else VIOLATION,
-                                     {"n": G.spec.degree}))
+        match("alternating-not-one", "!= 1", gamma != Gamma.of(1), n=G.spec.degree)
     else:
         na("symmetric-alternating")
 
     # (g) abelian formula
     predicted = gamma_abelian_formula(G, cls)
     if predicted is not None:
-        verdict = MATCH if gamma == predicted else VIOLATION
-        reports.append(TheoremReport("abelian-formula", label, predicted.to_json(),
-                                     _gamma_str(gamma), verdict,
-                                     {"sfp": cls.squarefree_part, "exp": cls.exponent}))
+        match("abelian-formula", predicted.to_json(), gamma == predicted,
+              sfp=cls.squarefree_part, exp=cls.exponent)
     else:
         na("abelian-formula")
 
@@ -293,10 +266,8 @@ def verify_bounds(G: GroupTable, L: Lattice, cls: GroupClassification,
     if kind == "dihedral":
         n_half = G.order // 2
         predicted = gamma_dihedral_formula(n_half)
-        verdict = MATCH if gamma == predicted else VIOLATION
-        reports.append(TheoremReport("dihedral-formula", label, predicted.to_json(),
-                                     _gamma_str(gamma), verdict,
-                                     {"n": n_half, "smallest_prime": prime_factors(n_half)[0]}))
+        match("dihedral-formula", predicted.to_json(), gamma == predicted,
+              n=n_half, smallest_prime=prime_factors(n_half)[0])
     else:
         na("dihedral-formula")
 

@@ -118,10 +118,6 @@ class Lattice:
         label of every document."""
         return tuple(f"H{self.subgroups[i].order}_{i}" for i in indices)
 
-    def leq(self, i: int, j: int) -> bool:
-        """Is subgroup i contained in subgroup j?"""
-        return self.subgroups[i].mask & ~self.subgroups[j].mask == 0
-
     @cached_property
     def atoms(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.subgroups) if is_prime(s.order))

@@ -1,5 +1,5 @@
 """The complexes built by pairwise containment tests on subgroup masks
-(``Lattice.leq`` and mask loops), and the nerve of a covering built by a
+(``_leq`` and mask loops), and the nerve of a covering built by a
 loop over its points, each keeping its maximal faces by a pairwise
 filter, as the reference for the constructions that read the lattice's
 incidences and keep the maximal rows of one subset product; and the
@@ -8,6 +8,11 @@ the core that deletes every dominated vertex of a round at once."""
 
 from groupdom.complexes import SimplicialComplex
 from groupdom.groups import mask_to_indices
+
+
+def _leq(L, i, j):
+    """Is subgroup i contained in subgroup j?  A subset test on masks."""
+    return L.subgroups[i].mask & ~L.subgroups[j].mask == 0
 
 
 def _labels(L, vertices):
@@ -58,11 +63,11 @@ def reference_order_complex(L, vertices=None):
     pos = {v: k for k, v in enumerate(verts)}
     by_order = sorted(verts, key=lambda v: (L.subgroups[v].order, L.subgroups[v].mask))
     strict_sups = {v: [w for w in by_order
-                       if L.subgroups[w].order > L.subgroups[v].order and L.leq(v, w)]
+                       if L.subgroups[w].order > L.subgroups[v].order and _leq(L, v, w)]
                    for v in verts}
-    covers = {v: [w for w in sups if not any(u != w and L.leq(u, w) for u in sups)]
+    covers = {v: [w for w in sups if not any(u != w and _leq(L, u, w) for u in sups)]
               for v, sups in strict_sups.items()}
-    minimal = [v for v in by_order if not any(u != v and L.leq(u, v) for u in verts)]
+    minimal = [v for v in by_order if not any(u != v and _leq(L, u, v) for u in verts)]
     facets = []
 
     def extend(chain_mask, last):

@@ -416,6 +416,51 @@ def test_cli_runs_one_blas_thread_unless_the_caller_sets_it():
     assert docs[0]["result"]["gamma"] == 4
 
 
+def _argv(command, *flags):
+    """``command`` on S4, or on the corpus up to order 4 for the two
+    commands that take no spec."""
+    if command in ("verify", "corpus"):
+        return [*flags, "--order-max", "4", command]
+    return [*flags, command, "S4"]
+
+
+class TestEnvelope:
+    """Every command prints one document, through one ``_emit`` call, or
+    nothing at all."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        calls = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda *a, **k: calls.append(a) or emit(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_one_document_names_its_command_and_group(self, capsys, emitted, command):
+        code, out, err = run(capsys, *_argv(command))
+        assert (code, err, len(emitted)) == (0, "", 1)
+        doc = parse(out)
+        assert doc["command"] == command
+        assert doc["group"] == (None if command in ("verify", "corpus") else "S4")
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_a_bad_spec_prints_nothing(self, capsys, emitted, command):
+        if command in ("verify", "corpus"):  # a spec at all is the bad one
+            with pytest.raises(SystemExit) as exc:
+                main([command, "S4"])
+            code = exc.value.code
+        else:
+            code = main([command, "X9"])
+        assert (code, capsys.readouterr().out, emitted) == (2, "", [])
+
+    # ``corpus`` lists pinned entries and reads no deadline
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"corpus"}))
+    def test_a_zero_budget_prints_nothing(self, capsys, emitted, command):
+        code, out, err = run(capsys, *_argv(command, "--budget-ms", "0"))
+        assert (code, out, emitted) == (3, "", [])
+        assert err.startswith("budget exceeded: ")
+
+
 class TestDeterminism:
     def test_identical_invocations_match(self, capsys):
         def normalized(argv):

@@ -1,12 +1,15 @@
 """Closed formulas and the structural bound suite."""
 
+import re
+from collections import Counter
+
 import pytest
 from residual_quotient_reference import (reference_residual_quotient,
                                          residual_quotient_report)
 
 from groupdom.corpus import corpus
 from groupdom.domination import Gamma
-from groupdom.formulas import (BOUND_HOLDS, MATCH, VIOLATION,
+from groupdom.formulas import (BOUND_HOLDS, MATCH, NOT_APPLICABLE, VIOLATION,
                                detect_frobenius, gamma_abelian_formula,
                                gamma_dihedral_formula, symmetric_cover_bound,
                                verify_bounds)
@@ -192,3 +195,56 @@ class TestVerifyBounds:
         import json
         for r in reports_for("A4", lattice, gamma_of):
             json.dumps(r.to_json())
+
+
+def predicted_form(predicted):
+    """``"<= b"`` for a bound, an int's ``"int"``, ``None`` when not
+    applicable, and any other claim (``"!= 1"``) as it stands."""
+    if predicted is None:
+        return None
+    if isinstance(predicted, int):
+        return "int"
+    return "<= b" if re.fullmatch(r"<= \d+", predicted) else predicted
+
+
+# (theorem, witness keys, form of ``predicted``) -> reports over the corpus
+# up to order 48 (118 groups)
+REPORT_SHAPES_LEQ48 = {
+    ("nilpotent-p-group", ("p",), "<= b"): 31,
+    ("nilpotent-multi-prime", (), "<= b"): 42,
+    ("nilpotent", (), None): 45,
+    ("residual-quotient-p-group", ("p", "quotient_order"), "<= b"): 39,
+    ("residual-quotient-multi-prime", ("quotient_order",), "<= b"): 42,
+    ("residual-quotient", ("quotient_order",), None): 37,
+    ("supersolvable", ("primes_satisfying",), "<= p+1 for some prime divisor p"): 99,
+    ("supersolvable", (), None): 19,
+    ("solvable-coprime-pair", ("bound", "pair_orders"), "<= b"): 165,
+    ("solvable-coprime-pair", (), None): 48,
+    ("frobenius-minimal-kernel",
+     ("exceeds_p_plus_1", "exceeds_q_plus_1", "p", "q", "r"), "int"): 16,
+    ("frobenius-minimal-kernel", (), None): 102,
+    ("symmetric-not-one", ("n",), "!= 1"): 3,
+    ("symmetric-cover-bound", ("bound", "n"), "<= b"): 2,
+    ("alternating-not-one", ("n",), "!= 1"): 2,
+    ("symmetric-alternating", (), None): 113,
+    ("abelian-formula", ("exp", "sfp"), "int"): 69,
+    ("abelian-formula", (), None): 49,
+    ("dihedral-formula", ("n", "smallest_prime"), "int"): 23,
+    ("dihedral-formula", (), None): 95,
+}
+
+
+def test_report_shapes_over_the_corpus_up_to_order_48(lattice, gamma_of):
+    # every report's theorem, witness keys and form of prediction, so that
+    # no report loses a key or changes its claim's form unseen
+    shapes = Counter()
+    for label in [e.label for e in corpus() if e.order <= 48]:
+        computed = gamma_of(label).gamma.to_json()
+        for r in reports_for(label, lattice, gamma_of):
+            form = predicted_form(r.predicted)
+            shapes[(r.theorem, tuple(sorted(r.witness)), form)] += 1
+            assert (r.group, r.computed) == (label, computed), (label, r.theorem)
+            assert (r.verdict == NOT_APPLICABLE) == (form is None), (label, r.theorem)
+            if "bound" in r.witness:
+                assert r.predicted == f"<= {r.witness['bound']}", (label, r.theorem)
+    assert dict(shapes) == REPORT_SHAPES_LEQ48

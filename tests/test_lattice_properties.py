@@ -308,7 +308,7 @@ def test_euler_is_alternating_betti_sum(spec):
     mu = mobius_one_to_top(L)
     for build in (intersection_complex, order_complex, atom_nerve, coatom_nerve):
         cx = build(L)
-        if cx.is_empty():
+        if not cx.facets:
             continue
         p = betti(cx)
         assert p.euler == 1 + sum((-1) ** k * b for k, b in enumerate(p.betti)), spec
